@@ -8,9 +8,10 @@ from .linalg import (DEFAULT_TOL, DegenerateClusteringError, OperatorSubspace,
                      SpectralDecomposition, SubspaceComparison, dft_unitary,
                      hs_inner, span_operators, spectral_projections,
                      subspace_equal, tensor_product)
-from .weylrep import (EntangledBasis, GroupElement, change_of_basis, compose,
-                      element_unitaries, entangled_basis, rep_element,
-                      rep_generators, shift_clock, verify_representation)
+from .weylrep import (EntangledBasis, GroupAction, GroupElement,
+                      change_of_basis, compose, element_unitaries,
+                      entangled_basis, rep_element, rep_generators, shift_clock,
+                      verify_representation)
 from .covariant import (CovariantResolution, FixedPointUnits,
                         covariant_resolution, expectation_avg,
                         expectation_trace, fixed_units, q_projection,
@@ -31,9 +32,9 @@ __all__ = [
     'SpectralDecomposition', 'SubspaceComparison', 'dft_unitary', 'hs_inner',
     'span_operators', 'spectral_projections', 'subspace_equal',
     'tensor_product',
-    'EntangledBasis', 'GroupElement', 'change_of_basis', 'compose',
-    'element_unitaries', 'entangled_basis', 'rep_element', 'rep_generators',
-    'shift_clock', 'verify_representation',
+    'EntangledBasis', 'GroupAction', 'GroupElement', 'change_of_basis',
+    'compose', 'element_unitaries', 'entangled_basis', 'rep_element',
+    'rep_generators', 'shift_clock', 'verify_representation',
     'CovariantResolution', 'FixedPointUnits', 'covariant_resolution',
     'expectation_avg', 'expectation_trace', 'fixed_units', 'q_projection',
     'verify_theorem1',

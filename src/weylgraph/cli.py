@@ -8,11 +8,12 @@ audit findings, not failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .covariant import q_projection
 from .graphs import (anticlique_projector, check_knill_laflamme, graph_orbit,
-                     h_generators, y_units, z_generators)
+                     h_generators, z_generators)
 from .report import run_verification
 from .serialize import anticlique_to_obj, dumps, matrix_to_obj, report_to_obj
 from .weylrep import element_unitaries, entangled_basis, rep_generators, shift_clock
@@ -86,6 +87,10 @@ def _require(condition: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _require_tol(tol: float) -> None:
+    _require(math.isfinite(tol) and tol > 0, '--tol must be positive and finite')
+
+
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -96,7 +101,7 @@ def _write(text: str, path: str | None) -> None:
 
 def _cmd_verify(args) -> int:
     _require(args.n >= 2, '--n must be at least 2')
-    _require(args.tol > 0, '--tol must be positive')
+    _require_tol(args.tol)
     report = run_verification(args.n, args.tol)
     _write(dumps(report_to_obj(report)) + '\n', args.json_path)
     return 0 if report.all_passed() else 1
@@ -105,7 +110,7 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     _require(2 <= args.n_min <= args.n_max <= 64,
              '--n-min/--n-max must satisfy 2 <= n-min <= n-max <= 64')
-    _require(args.tol > 0, '--tol must be positive')
+    _require_tol(args.tol)
     reports = [run_verification(n, args.tol)
                for n in range(args.n_min, args.n_max + 1)]
     _write(dumps([report_to_obj(r) for r in reports]) + '\n', args.json_path)
@@ -145,7 +150,7 @@ def _cmd_kl_check(args) -> int:
     _require(n >= 2, '--n must be at least 2')
     _require(0 <= args.k < n, '--k must lie in 0..n-1')
     _require(0 <= args.s < n, '--s must lie in 0..n-1')
-    _require(args.tol > 0, '--tol must be positive')
+    _require_tol(args.tol)
     unitaries = element_unitaries(n, *rep_generators(n))
     orbit = graph_orbit(n, args.s, args.tol, unitaries)
     labeled = [((g.p, g.q), m) for g, m in orbit.provenance]

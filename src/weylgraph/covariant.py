@@ -11,7 +11,8 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, as_operator, frob
 from .results import CheckResult
-from .weylrep import EntangledBasis, element_unitaries, entangled_basis, rep_generators
+from .weylrep import (EntangledBasis, GroupAction, dyad_grid, element_unitaries,
+                      entangled_basis, rep_generators)
 
 
 @dataclass(frozen=True)
@@ -27,20 +28,14 @@ class FixedPointUnits:
 
 def fixed_units(n: int, basis: EntangledBasis | None = None) -> FixedPointUnits:
     basis = basis if basis is not None else entangled_basis(n)
-    blocks = [basis.isometry(p) for p in range(n)]
-    d = n * n
-    units = np.empty((n, n, d, d), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            units[p, q] = blocks[p] @ blocks[q].conj().T
-    return FixedPointUnits(n, units)
+    return FixedPointUnits(n, dyad_grid(basis.vectors.swapaxes(0, 1)))
 
 
-def _default_unitaries(n: int) -> np.ndarray:
+def _default_unitaries(n: int) -> GroupAction:
     return element_unitaries(n, *rep_generators(n))
 
 
-def expectation_avg(n: int, x, unitaries=None) -> np.ndarray:
+def expectation_avg(n: int, x, unitaries: GroupAction | None = None) -> np.ndarray:
     """Uniform average of u x u* over the n^2 group unitaries.
 
     Summation runs in lexicographic (p, q) order so repeated runs are
@@ -54,8 +49,7 @@ def expectation_avg(n: int, x, unitaries=None) -> np.ndarray:
     acc = np.zeros_like(x)
     for p in range(n):
         for q in range(n):
-            u = unitaries[p, q]
-            acc += u @ x @ u.conj().T
+            acc += unitaries.conj(p, q, x)
     return acc / (n * n)
 
 
@@ -100,11 +94,8 @@ def covariant_resolution(n: int, s: int, unitaries=None) -> CovariantResolution:
     base = n * q_projection(n, s)
     if unitaries is None:
         unitaries = _default_unitaries(n)
-    atoms = {}
-    for p in range(n):
-        for q in range(n):
-            u = unitaries[p, q]
-            atoms[(p, q)] = (u @ base @ u.conj().T) / (n * n)
+    atoms = {(p, q): unitaries.conj(p, q, base) / (n * n)
+             for p in range(n) for q in range(n)}
     return CovariantResolution(n, s, atoms, base)
 
 
@@ -164,9 +155,8 @@ def resolution_covariance_check(n: int, tol: float,
     worst = 0.0
     for hp in range(n):
         for hq in range(n):
-            u = unitaries[hp, hq]
             for gp, gq in g_list:
-                moved = u @ resolution.atoms[(gp, gq)] @ u.conj().T
+                moved = unitaries.conj(hp, hq, resolution.atoms[(gp, gq)])
                 target = resolution.atoms[((hp + gp) % n, (hq + gq) % n)]
                 worst = max(worst, frob(moved - target))
     return CheckResult('resolution_covariance', worst <= tol, worst, details=details)

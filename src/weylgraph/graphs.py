@@ -13,8 +13,8 @@ from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator, frob,
                      random_hermitian, span_operators, spectral_projections,
                      subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
-from .weylrep import (EntangledBasis, GroupElement, element_unitaries,
-                      entangled_basis, rep_generators)
+from .weylrep import (EntangledBasis, GroupAction, GroupElement, dyad_grid,
+                      element_unitaries, entangled_basis, rep_generators)
 from .covariant import q_projection
 
 # two spectral projections are considered the same object below this distance;
@@ -25,29 +25,17 @@ _MATCH_TOL = 1e-6
 def y_units(n: int, basis: EntangledBasis | None = None) -> np.ndarray:
     """Grid y[m][l] = sum_k |h_m^k><h_l^k|; the superscript is the summed index."""
     basis = basis if basis is not None else entangled_basis(n)
-    blocks = [basis.code_isometry(m) for m in range(n)]
-    d = n * n
-    out = np.empty((n, n, d, d), dtype=complex)
-    for m in range(n):
-        for l in range(n):
-            out[m, l] = blocks[m] @ blocks[l].conj().T
-    return out
+    return dyad_grid(basis.vectors)
 
 
 def h_generators(n: int, y: np.ndarray | None = None) -> list:
     """The Hermitian family h_0 = sum_m y_mm, h_p = sum_m (y_{m+p,m} + y_{m,m+p})."""
     if y is None:
         y = y_units(n)
-    d = n * n
-    out = []
-    for p in range(n):
-        acc = np.zeros((d, d), dtype=complex)
-        for m in range(n):
-            if p == 0:
-                acc += y[m, m]
-            else:
-                acc += y[(m + p) % n, m] + y[m, (m + p) % n]
-        out.append(acc)
+    m = np.arange(n)
+    out = [y[m, m].sum(axis=0)]
+    for p in range(1, n):
+        out.append((y[(m + p) % n, m] + y[m, (m + p) % n]).sum(axis=0))
     return out
 
 
@@ -65,21 +53,13 @@ def z_generators(n: int, j: int, y: np.ndarray | None = None):
         y = y_units(n)
     roots = unit_roots(n)
     d = n * n
-    grid = np.empty((n, n, d, d), dtype=complex)
-    for q in range(n):
-        for p in range(n):
-            acc = np.zeros((d, d), dtype=complex)
-            for m in range(n):
-                for l in range(n):
-                    acc += roots[((m - l) * (p - j)) % n] * y[(m + q) % n, (l + q) % n]
-            grid[q, p] = acc
-    reduced = []
-    for c in range(n):
-        acc = np.zeros((d, d), dtype=complex)
-        for m in range(n):
-            for l in range(n):
-                acc += roots[(c * (m - l)) % n] * y[m, l]
-        reduced.append(acc)
+    idx = np.arange(n)
+    diff = np.subtract.outer(idx, idx).reshape(-1)  # m - l, flattened over (m, l)
+    # one product per q: row p of the phase table against y rolled by q in m and l
+    phases = roots[np.outer(idx - j, diff) % n]
+    grid = np.stack([phases @ np.roll(y, -q, axis=(0, 1)).reshape(d, d * d)
+                     for q in range(n)]).reshape(n, n, d, d)
+    reduced = list((roots[np.outer(idx, diff) % n] @ y.reshape(d, d * d)).reshape(n, d, d))
     return grid, reduced
 
 
@@ -93,18 +73,15 @@ class OperatorGraph:
 
 
 def graph_orbit(n: int, s: int, tol: float = DEFAULT_TOL,
-                unitaries=None) -> OperatorGraph:
+                unitaries: GroupAction | None = None) -> OperatorGraph:
     """Span of u Q_s u* over the n^2 group unitaries."""
     if not 0 <= s < n:
         raise ValueError("s out of range")
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
     base = q_projection(n, s)
-    provenance = []
-    for p in range(n):
-        for q in range(n):
-            u = unitaries[p, q]
-            provenance.append((GroupElement(p, q), u @ base @ u.conj().T))
+    provenance = [(GroupElement(p, q), unitaries.conj(p, q, base))
+                  for p in range(n) for q in range(n)]
     space = span_operators([m for _, m in provenance], tol)
     return OperatorGraph(n, s, space, provenance)
 
@@ -278,7 +255,7 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     common: list[int] | None = None
     for p in range(n):
         for q in range(n):
-            dec = spectral_projections(unitaries[p, q], tol)
+            dec = spectral_projections(unitaries.dense(p, q), tol)
             seen_rank2 = []
             for lam, proj, rank in zip(dec.eigenvalues, dec.projectors, dec.ranks):
                 key = (rank, round(float(np.vdot(probe, proj).real), 6))
@@ -344,10 +321,7 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
             pair_equal = pair_equal and cmp_.equal
     # the whole j-indexed grid family collapses onto the reduced list; checking
     # j = 0 covers every j because changing j only relabels p
-    grid_worst = 0.0
-    for q in range(n):
-        for p in range(n):
-            grid_worst = max(grid_worst, frob(grid[q, p] - z_red[p % n]))
+    grid_worst = float(np.linalg.norm(grid - np.array(z_red), axis=(2, 3)).max())
     coincide_worst = max(pair_worst, grid_worst)
     checks = [CheckResult('graphs_coincide',
                           pair_equal and coincide_worst <= tol, coincide_worst,

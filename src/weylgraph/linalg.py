@@ -65,12 +65,6 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def conjugate(u, x) -> np.ndarray:
-    """The action u x u* of a unitary on an operator."""
-    u = np.asarray(u)
-    return u @ x @ u.conj().T
-
-
 def dft_unitary(n: int) -> np.ndarray:
     """Discrete Fourier matrix F[k, j] = exp(2*pi*i*k*j/n)/sqrt(n)."""
     if n < 1:

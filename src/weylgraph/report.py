@@ -26,8 +26,8 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Run every check at modulus n and collect the canonical report."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     start = time.perf_counter()
     d = n * n
     basis = entangled_basis(n)
@@ -72,9 +72,13 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     checks.append(kl_corollary_check(
         n, tol, w, [[m for _, m in g.provenance] for g in orbit_graphs]))
 
-    scan = proposition1_scan(n, 0, tol, unitaries=unitaries, orbit=orbit_graphs[0])
-    checks.append(spectral_match_check(n, tol, pi_m, basis,
-                                       extra_details=scan.summary()))
+    try:
+        scan = proposition1_scan(n, 0, tol, unitaries=unitaries, orbit=orbit_graphs[0])
+        checks.append(spectral_match_check(n, tol, pi_m, basis,
+                                           extra_details=scan.summary()))
+    except ValueError as exc:  # the spectrum cannot be clustered at this tolerance
+        checks.append(CheckResult('spectral_pk_match', False, float(n),
+                                  details=f'spectral clustering failed: {exc}'))
 
     t2_checks, audit, discrepancies = verify_theorem2(
         n, tol, basis=basis, unitaries=unitaries, orbit_graphs=orbit_graphs, y=y)

@@ -1,5 +1,5 @@
 """Shift and clock operators on C^n, the entangled basis grid on C^(n*n), and
-the reducible unitary action they induce there.
+the reducible unitary action they induce there, kept as one monomial table.
 
 The grid vector h[k][0] is the Fourier-weighted diagonal ket
 (1/sqrt(n)) sum_j w^(kj) |jj> with w = exp(2*pi*i/n), and h[k][j] applies the
@@ -53,16 +53,18 @@ def entangled_basis(n: int) -> EntangledBasis:
     """Build the full grid from the defining sums."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    roots = unit_roots(n)
-    amp = roots[np.outer(np.arange(n), np.arange(n)) % n] / np.sqrt(n)
-    vectors = np.zeros((n, n, n * n), dtype=complex)
-    for k in range(n):
-        grid = np.zeros((n, n), dtype=complex)
-        grid[np.arange(n), np.arange(n)] = amp[k]
-        for j in range(n):
-            # shifting the second tensor factor j times rolls the column index
-            vectors[k, j] = np.roll(grid, j, axis=1).reshape(-1)
-    return EntangledBasis(n, vectors)
+    idx = np.arange(n)
+    amp = unit_roots(n)[np.outer(idx, idx) % n] / np.sqrt(n)
+    j, a = idx[:, None], idx[None, :]
+    vectors = np.zeros((n, n, n, n), dtype=complex)
+    # h_k^j carries amp[k, a] on |a, a+j>: shifting the second factor rolls it
+    vectors[:, j, a, (a + j) % n] = amp[:, None, :]
+    return EntangledBasis(n, vectors.reshape(n, n, n * n))
+
+
+def dyad_grid(blocks: np.ndarray) -> np.ndarray:
+    """grid[a][b] = sum_c |blocks[a, c]><blocks[b, c]| as one batched product."""
+    return np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None]
 
 
 def change_of_basis(n: int, basis: EntangledBasis | None = None) -> np.ndarray:
@@ -115,19 +117,57 @@ def rep_element(n: int, g: GroupElement, generators=None) -> np.ndarray:
     return u
 
 
-def element_unitaries(n: int, pi_s: np.ndarray, pi_m: np.ndarray) -> np.ndarray:
-    """All n^2 products piS^p piM^q, indexed [p, q], via cumulative powers."""
-    d = pi_s.shape[0]
-    s_pow = [np.eye(d, dtype=complex)]
-    m_pow = [np.eye(d, dtype=complex)]
+@dataclass(frozen=True)
+class GroupAction:
+    """The n^2 unitaries piS^p piM^q as a monomial table.
+
+    Row i of piS^p piM^q holds phase[p, q, i] in column perm[p, q, i] and is
+    zero elsewhere, so conjugating by a group element is an index gather.
+    """
+    perm: np.ndarray   # shape (n, n, d), int
+    phase: np.ndarray  # shape (n, n, d), complex
+
+    def conj(self, p: int, q: int, x: np.ndarray) -> np.ndarray:
+        """u x u* for u = piS^p piM^q."""
+        perm, phase = self.perm[p, q], self.phase[p, q]
+        return phase[:, None] * x[np.ix_(perm, perm)] * phase.conj()
+
+    def dense(self, p: int, q: int) -> np.ndarray:
+        """The unitary piS^p piM^q as a dense matrix."""
+        d = self.perm.shape[-1]
+        u = np.zeros((d, d), dtype=complex)
+        u[np.arange(d), self.perm[p, q]] = self.phase[p, q]
+        return u
+
+    @property
+    def nbytes(self) -> int:
+        return self.perm.nbytes + self.phase.nbytes
+
+
+def _powers(n: int, u: np.ndarray):
+    """Monomial tables (perm, phase) of u^0 .. u^(n-1), read off the largest
+    entry in each row of u."""
+    rows = np.arange(u.shape[0])
+    perm = np.argmax(np.abs(u), axis=1)
+    phase = u[rows, perm]
+    perms, phases = [rows], [np.ones(rows.size, dtype=complex)]
     for _ in range(n - 1):
-        s_pow.append(s_pow[-1] @ pi_s)
-        m_pow.append(m_pow[-1] @ pi_m)
-    out = np.empty((n, n, d, d), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            out[p, q] = s_pow[p] @ m_pow[q]
-    return out
+        # row i of A u is phase_A[i] times row perm_A[i] of u
+        phases.append(phases[-1] * phase[perms[-1]])
+        perms.append(perm[perms[-1]])
+    return np.array(perms), np.array(phases)
+
+
+def element_unitaries(n: int, pi_s: np.ndarray, pi_m: np.ndarray) -> GroupAction:
+    """All n^2 products piS^p piM^q, indexed [p, q], via cumulative powers;
+    ValueError if the monomial form misses a generator by more than DEFAULT_TOL."""
+    s_perm, s_phase = _powers(n, pi_s)
+    m_perm, m_phase = _powers(n, pi_m)
+    q, rows = np.arange(n)[None, :, None], s_perm[:, None, :]
+    action = GroupAction(m_perm[q, rows], s_phase[:, None, :] * m_phase[q, rows])
+    if max(frob(action.dense(1, 0) - pi_s), frob(action.dense(0, 1) - pi_m)) > DEFAULT_TOL:
+        raise ValueError("generator is not monomial within tolerance")
+    return action
 
 
 def verify_representation(n: int, tol: float = DEFAULT_TOL,

@@ -151,7 +151,7 @@ def test_criterion_05_code_compression(capsys):
         orbit_mats = []
         for s in range(n):
             base = q_projection(n, s)
-            orbit_mats.append([unitaries[p, q] @ base @ unitaries[p, q].conj().T
+            orbit_mats.append([unitaries.conj(p, q, base)
                                for p in range(n) for q in range(n)])
         worst, lam = kl_suite_extremes(n, w, orbit_mats)
         res_worst = max(res_worst, worst)
@@ -252,7 +252,7 @@ def test_criterion_09_mutation_sensitivity(capsys):
             f'{avg_residual:.3e} (limits 1e-2)')
 
 
-def test_criterion_10_deterministic_scan(capsys, tmp_path):
+def test_criterion_10_deterministic_scan(capsys, tmp_path, child_env):
     # two separate processes running scan --n-min 2 --n-max 8 emit
     # byte-identical output and exit 0
     t0 = time.perf_counter()
@@ -263,7 +263,7 @@ def test_criterion_10_deterministic_scan(capsys, tmp_path):
         proc = subprocess.run(
             [sys.executable, '-m', 'weylgraph', 'scan',
              '--n-min', '2', '--n-max', '8', '--json', str(path)],
-            capture_output=True)
+            capture_output=True, env=child_env)
         codes.append(proc.returncode)
         outputs.append(path.read_bytes())
     dt = time.perf_counter() - t0

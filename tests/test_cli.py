@@ -11,6 +11,7 @@ from weylgraph.cli import main
 from weylgraph.covariant import q_projection
 from weylgraph.graphs import anticlique_projector
 from weylgraph.linalg import frob, tensor_product
+from weylgraph.report import run_verification
 from weylgraph.serialize import (CANONICAL_CHECK_ORDER, dumps, format_float,
                                  matrix_to_obj, obj_to_matrix)
 from weylgraph.weylrep import entangled_basis
@@ -55,6 +56,36 @@ def test_verify_rejects_bad_tol(capsys):
     assert main(['verify', '--n', '2', '--tol', '0']) == 2
 
 
+@pytest.mark.parametrize('argv, code', [
+    (['verify', '--n', '3', '--tol', 'inf'], 2),
+    (['scan', '--n-min', '2', '--n-max', '3', '--tol', 'inf'], 2),
+    (['kl-check', '--n', '3', '--k', '0', '--s', '0', '--tol', 'inf'], 2),
+    (['verify', '--n', '3', '--tol', '1e-16'], 1),
+    (['verify', '--n', '3', '--tol', '1e-300'], 1),
+    (['verify', '--n', '8', '--tol', '1e-16'], 1),
+    (['verify', '--n', '8', '--tol', '1e-300'], 1),
+])
+def test_tol_contract(argv, code, capsys):
+    # a non-finite tolerance is a usage error; a tolerance too tight for the
+    # spectral clustering fails checks but still yields the full report
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ''
+        assert 'positive and finite' in captured.err
+    else:
+        obj = json.loads(captured.out)
+        assert [c['id'] for c in obj['checks']] == list(CANONICAL_CHECK_ORDER)
+        spectral = obj['checks'][CANONICAL_CHECK_ORDER.index('spectral_pk_match')]
+        assert not spectral['pass']
+
+
+@pytest.mark.parametrize('tol', [float('inf'), float('nan'), 0.0])
+def test_run_verification_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        run_verification(3, tol)
+
+
 def test_verify_io_error(tmp_path, capsys):
     missing = tmp_path / 'no' / 'such' / 'dir' / 'report.json'
     assert main(['verify', '--n', '2', '--json', str(missing)]) == 3
@@ -88,10 +119,10 @@ def test_scan_repeats_identically(capsys):
     assert first == second
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, '-m', 'weylgraph', 'verify', '--n', '2'],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)['n'] == 2
 

@@ -1,6 +1,8 @@
 """Tests for the commutant units, the group average, and the covariant
 resolution of identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,17 @@ def test_diagonal_units_are_projections():
         assert frob(u - u.conj().T) <= 1e-13
         assert frob(u @ u - u) <= 1e-13
         assert np.trace(u).real == pytest.approx(n)
+
+
+def test_units_match_block_products():
+    # the batched grid keeps the arithmetic of the per-pair block products
+    n = 4
+    basis = entangled_basis(n)
+    grid = fixed_units(n, basis).units
+    for p in range(n):
+        for q in range(n):
+            want = basis.isometry(p) @ basis.isometry(q).conj().T
+            assert np.array_equal(grid[p, q], want)
 
 
 def test_units_complete_and_traced():
@@ -107,6 +120,34 @@ def test_expectation_forms_agree(n):
         assert frob(diff) <= 1e-10 * n * n
 
 
+def _tamper_perm(table):
+    perm = table.perm.copy()
+    perm[1, 1, [0, 1]] = perm[1, 1, [1, 0]]
+    return dataclasses.replace(table, perm=perm)
+
+
+def _tamper_phase(table):
+    phase = table.phase.copy()
+    phase[1, 1, 0] *= -1.0
+    return dataclasses.replace(table, phase=phase)
+
+
+@pytest.mark.parametrize('tamper', [_tamper_perm, _tamper_phase])
+def test_expectation_forms_catch_table_defects(tamper):
+    # a swapped perm entry or a negated phase in one group element breaks the
+    # unitary-average form, which the trace form does not read
+    n = 3
+    unitaries = tamper(element_unitaries(n, *rep_generators(n)))
+    units = fixed_units(n)
+    rng = np.random.default_rng(1000 + n)
+    worst = 0.0
+    for _ in range(10):
+        x = random_hermitian(n * n, rng)
+        worst = max(worst, frob(expectation_avg(n, x, unitaries)
+                                - expectation_trace(n, x, units)))
+    assert worst >= 1e-2
+
+
 def test_expectation_compresses_grid_dyads():
     # E(|h_k^p><h_k^q|) = x_pq / n for every k
     n = 3
@@ -138,7 +179,7 @@ def test_expectation_channel_properties():
         # invariant under every group unitary
         for p in range(n):
             for q in range(n):
-                u = unitaries[p, q]
+                u = unitaries.dense(p, q)
                 assert frob(u @ ex @ u.conj().T - ex) <= 1e-11
     # positive on a positive input
     psd = np.eye(d) + 0.5 * random_hermitian(d, rng) / d
@@ -226,7 +267,7 @@ def test_resolution_covariance_spot():
     n = 4
     unitaries = element_unitaries(n, *rep_generators(n))
     res = covariant_resolution(n, 2, unitaries)
-    u = unitaries[3, 1]
+    u = unitaries.dense(3, 1)
     moved = u @ res.atoms[(2, 3)] @ u.conj().T
     assert frob(moved - res.atoms[(1, 0)]) <= 1e-12
 

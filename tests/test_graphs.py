@@ -22,7 +22,8 @@ from weylgraph.covariant import q_projection
 from weylgraph.linalg import (frob, span_operators, subspace_equal,
                               tensor_product, unit_roots)
 from weylgraph.weylrep import (change_of_basis, element_unitaries,
-                               entangled_basis, rep_generators, shift_clock)
+                               entangled_basis, rep_element, rep_generators,
+                               shift_clock)
 
 
 # -- the y units -------------------------------------------------------------
@@ -128,6 +129,31 @@ def test_z_span_dimension():
     assert space.dim == exact_oracles.z_span_dim(n)
 
 
+@pytest.mark.parametrize('n', [3, 4])
+def test_families_match_defining_sums(n):
+    # loop references: the batched y and h constructions keep the loops'
+    # arithmetic, the z grid sums in another order
+    basis = entangled_basis(n)
+    roots = unit_roots(n)
+    blocks = [basis.code_isometry(m) for m in range(n)]
+    y = y_units(n, basis)
+    for m in range(n):
+        for l in range(n):
+            assert np.array_equal(y[m, l], blocks[m] @ blocks[l].conj().T)
+    h = h_generators(n, y)
+    assert np.array_equal(h[0], sum(y[m, m] for m in range(n)))
+    for p in range(1, n):
+        want = sum(y[(m + p) % n, m] + y[m, (m + p) % n] for m in range(n))
+        assert np.array_equal(h[p], want)
+    j = 1
+    grid, _ = z_generators(n, j, y)
+    for q in range(n):
+        for p in range(n):
+            want = sum(roots[((m - l) * (p - j)) % n] * y[(m + q) % n, (l + q) % n]
+                       for m in range(n) for l in range(n))
+            assert frob(grid[q, p] - want) <= 1e-12
+
+
 def test_z_rejects_bad_j():
     with pytest.raises(ValueError):
         z_generators(3, 3)
@@ -148,10 +174,9 @@ def test_orbit_provenance_complete():
     labels = [(g.p, g.q) for g, _ in graph.provenance]
     assert labels == [(p, q) for p in range(n) for q in range(n)]
     # generators really are the conjugated base projection
-    unitaries = element_unitaries(n, *rep_generators(n))
     base = q_projection(n, 0)
     for (g, mat) in graph.provenance:
-        u = unitaries[g.p, g.q]
+        u = rep_element(n, g)
         assert frob(mat - u @ base @ u.conj().T) <= 1e-12
 
 
@@ -281,10 +306,11 @@ def test_census_finds_code_anticliques(n):
     # the clock image sits at (p, q) = (0, 1) and its clusters are the codes
     clock_records = [r for r in scan.projections if r.element == (0, 1)]
     assert len(clock_records) == n
-    roots = unit_roots(n)
-    seen = sorted(np.angle(r.eigenvalue) % (2 * np.pi) for r in clock_records)
-    want = sorted(np.angle(roots) % (2 * np.pi))
-    assert np.allclose(seen, want, atol=1e-9)
+    # exactly one clock eigenvalue within 1e-9 of each w^k, compared on the
+    # unit circle so that 1 - 0j and 1 + 0j do not land on opposite ends
+    seen = np.array([r.eigenvalue for r in clock_records])
+    for root in unit_roots(n):
+        assert np.count_nonzero(np.abs(seen - root) <= 1e-9) == 1
     for rec in clock_records:
         assert rec.rank == n
         assert rec.is_anticlique

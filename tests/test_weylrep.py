@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylgraph.linalg import frob, tensor_product, unit_roots
 from weylgraph.weylrep import (
@@ -195,15 +197,59 @@ def test_group_element_normalized():
 
 
 def test_element_unitaries_table():
-    n = 3
+    for n in range(2, 11):
+        d = n * n
+        pi_s, pi_m = rep_generators(n)
+        table = element_unitaries(n, pi_s, pi_m)
+        assert table.perm.shape == table.phase.shape == (n, n, d)
+        assert table.nbytes == 24 * n ** 4
+        for p in range(n):
+            for q in range(n):
+                want = rep_element(n, GroupElement(p, q), (pi_s, pi_m))
+                assert frob(table.dense(p, q) - want) <= 1e-12, (n, p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1), st.integers(0, n - 1),
+    st.integers(0, 2 ** 32 - 1))))
+def test_conj_matches_dense_oracle(case):
+    n, p, q, seed = case
+    d = n * n
     pi_s, pi_m = rep_generators(n)
-    table = element_unitaries(n, pi_s, pi_m)
-    assert table.shape == (n, n, n * n, n * n)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    u = rep_element(n, GroupElement(p, q), (pi_s, pi_m))
+    got = element_unitaries(n, pi_s, pi_m).conj(p, q, x)
+    assert frob(got - u @ x @ u.conj().T) <= 1e-12 * d
+
+
+def test_element_unitaries_composes_generic_monomials():
+    # piS is diagonal and piM a bare permutation, so they leave half of the
+    # composition rule unexercised; random monomials use all of it
+    n, d = 4, 7
+    rng = np.random.default_rng(2024)
+    gens = []
+    for _ in range(2):
+        u = np.zeros((d, d), dtype=complex)
+        u[np.arange(d), rng.permutation(d)] = np.exp(2j * np.pi * rng.random(d))
+        gens.append(u)
+    table = element_unitaries(n, *gens)
     for p in range(n):
         for q in range(n):
-            want = (np.linalg.matrix_power(pi_s, p)
-                    @ np.linalg.matrix_power(pi_m, q))
-            assert frob(table[p, q] - want) <= 1e-12
+            want = rep_element(n, GroupElement(p, q), gens)
+            assert frob(table.dense(p, q) - want) <= 1e-12
+
+
+def test_element_unitaries_rejects_non_monomial():
+    # one off-monomial entry of 1e-6 in either generator
+    n = 3
+    for i in range(2):
+        gens = [g.copy() for g in rep_generators(n)]
+        row = gens[i][0]
+        row[np.argmin(np.abs(row))] = 1e-6
+        with pytest.raises(ValueError):
+            element_unitaries(n, *gens)
 
 
 # -- the bundled check list --------------------------------------------------
