@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .covariant import q_projection
@@ -91,6 +92,16 @@ def _require_tol(tol: float) -> None:
     _require(math.isfinite(tol) and tol > 0, '--tol must be positive and finite')
 
 
+def _require_memory(n: int) -> None:
+    """Refuse a modulus whose dense orbit provenance, n^3 complex d x d
+    matrices or 16 n^7 bytes, exceeds physical memory: it cannot finish."""
+    need = 16 * n ** 7
+    have = os.sysconf('SC_PHYS_PAGES') * os.sysconf('SC_PAGE_SIZE')
+    _require(need <= have,
+             f'n = {n} needs {need / 2**30:.1f} GiB for the orbit provenance '
+             f'(16 n^7 bytes), more than the {have / 2**30:.1f} GiB of physical memory')
+
+
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -102,6 +113,7 @@ def _write(text: str, path: str | None) -> None:
 def _cmd_verify(args) -> int:
     _require(args.n >= 2, '--n must be at least 2')
     _require_tol(args.tol)
+    _require_memory(args.n)
     report = run_verification(args.n, args.tol)
     _write(dumps(report_to_obj(report)) + '\n', args.json_path)
     return 0 if report.all_passed() else 1
@@ -111,6 +123,7 @@ def _cmd_scan(args) -> int:
     _require(2 <= args.n_min <= args.n_max <= 64,
              '--n-min/--n-max must satisfy 2 <= n-min <= n-max <= 64')
     _require_tol(args.tol)
+    _require_memory(args.n_max)
     reports = [run_verification(n, args.tol)
                for n in range(args.n_min, args.n_max + 1)]
     _write(dumps([report_to_obj(r) for r in reports]) + '\n', args.json_path)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator, frob,
-                     random_hermitian, span_operators, spectral_projections,
-                     subspace_equal, unit_roots)
+from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator,
+                     cluster_eigenpairs, frob, random_hermitian, span_operators,
+                     spectral_projections, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
 from .weylrep import (EntangledBasis, GroupAction, GroupElement, dyad_grid,
                       element_unitaries, entangled_basis, rep_generators)
@@ -238,16 +238,25 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
                       unitaries=None, orbit: OperatorGraph | None = None) -> Prop1Scan:
     """Scan spectral projections of every group unitary and test each one.
 
-    Dedup works on the projections themselves (fingerprint bucket, then exact
+    Each unitary's clusters come from the cycles of its monomial table
+    (GroupAction.eigenpairs) and must reassemble the dense unitary.  Dedup
+    works on the projections themselves (fingerprint bucket, then exact
     Frobenius match below _MATCH_TOL); the common list intersects the rank >= 2
     projections across all elements and is usually empty, since only a unitary
     proportional to the identity admits the identity as a cluster projection.
+    A projection's Knill-Laflamme residual is taken at its first sighting from
+    the cluster's eigenvector columns.
     """
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
     if orbit is None:
         orbit = graph_orbit(n, s, tol, unitaries)
     d = n * n
+    # the orbit generators u Q_s u* are diagonal for monomial u; compress by
+    # their diagonals and add the measured off-diagonal mass, so the residual
+    # stays an upper bound on the one of the full generator
+    diagonals = np.array([np.diagonal(x) for _, x in orbit.provenance])
+    off_diagonal = np.array([frob(x - np.diag(np.diagonal(x))) for _, x in orbit.provenance])
     probe = random_hermitian(d, np.random.default_rng(23117))
     records: list[ScanProjection] = []
     canon: list[np.ndarray] = []
@@ -255,9 +264,11 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     common: list[int] | None = None
     for p in range(n):
         for q in range(n):
-            dec = spectral_projections(unitaries.dense(p, q), tol)
+            eigs, vectors = unitaries.eigenpairs(p, q, tol)
+            clusters = zip(*cluster_eigenpairs(eigs, vectors, unitaries.dense(p, q), tol))
             seen_rank2 = []
-            for lam, proj, rank in zip(dec.eigenvalues, dec.projectors, dec.ranks):
+            for lam, b, proj in clusters:
+                rank = b.shape[1]
                 key = (rank, round(float(np.vdot(probe, proj).real), 6))
                 hit = None
                 for idx in buckets.get(key, ()):
@@ -268,27 +279,36 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
                     hit = len(canon)
                     canon.append(proj)
                     buckets.setdefault(key, []).append(hit)
-                    records.append(ScanProjection((p, q), complex(lam), int(rank),
-                                                  0, False, 0.0, False))
+                    worst = _kl_residual(b, diagonals, off_diagonal)
+                    records.append(ScanProjection(
+                        (p, q), complex(lam), rank, 0, compresses=worst <= tol,
+                        kl_residual=worst, is_anticlique=worst <= tol and rank >= 2))
                 records[hit].occurrences += 1
                 if rank >= 2:
                     seen_rank2.append(hit)
             common = seen_rank2 if common is None else \
                 [idx for idx in common if idx in seen_rank2]
-    gen_mats = [m for _, m in orbit.provenance]
-    for idx, rec in enumerate(records):
-        proj = canon[idx]
-        w, v = np.linalg.eigh(proj)
-        b = v[:, w > 0.5]  # isometry onto the range
-        worst = 0.0
-        for x in gen_mats:
-            blk = b.conj().T @ x @ b
-            lam = complex(np.trace(blk)) / rec.rank
-            worst = max(worst, frob(blk - lam * np.eye(rec.rank)))
-        rec.kl_residual = worst
-        rec.compresses = worst <= tol
-        rec.is_anticlique = rec.compresses and rec.rank >= 2
     return Prop1Scan(n, s, records, [canon[idx] for idx in (common or [])])
+
+
+def _kl_residual(b: np.ndarray, diagonals: np.ndarray, off_diagonal: np.ndarray) -> float:
+    """Worst || b* X b - lambda I ||_F over generators X, each X given by its
+    diagonal (a row of diagonals) plus the Frobenius norm of its off-diagonal
+    part, which bounds what the diagonal misses."""
+    d, rank = b.shape
+    lam = diagonals @ (np.abs(b) ** 2).sum(axis=1) / rank  # Tr(b* X b) / rank
+    # rows lo.. of every compression at once: one product against the
+    # entrywise conj(b[i, a]) b[i, c] table, kept at most d x d per batch
+    step = max(1, d // rank)
+    squares = np.zeros(len(diagonals))
+    for lo in range(0, rank, step):
+        rows = b[:, lo:lo + step]
+        table = (rows.conj()[:, :, None] * b[:, None, :]).reshape(d, -1)
+        blk = (diagonals @ table).reshape(len(diagonals), rows.shape[1], rank)
+        a = np.arange(rows.shape[1])
+        blk[:, a, lo + a] -= lam[:, None]
+        squares += (np.abs(blk) ** 2).sum(axis=(1, 2))
+    return float((np.sqrt(squares) + off_diagonal).max())
 
 
 def verify_theorem2(n: int, tol: float = DEFAULT_TOL,

@@ -95,16 +95,31 @@ class SpectralDecomposition:
 def spectral_projections(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Cluster the spectrum of a unitary and return the spectral projections.
 
-    Eigenvalues are single-linkage clustered on the unit circle with linking
-    gap 10*tol; a cluster whose diameter exceeds the gap is ambiguous and
-    raises DegenerateClusteringError.
+    The eigenpairs come from a complex Schur decomposition and are grouped by
+    cluster_eigenpairs.
     """
     u = as_operator(u)
     d = u.shape[0]
     if frob(u.conj().T @ u - np.eye(d)) > tol * d:
         raise ValueError("input is not unitary within tolerance")
     t, z = scipy.linalg.schur(u, output='complex')
-    eigs = np.diag(t)
+    eigenvalues, isometries, projectors = cluster_eigenpairs(np.diag(t), z, u, tol)
+    return SpectralDecomposition(eigenvalues, projectors,
+                                 tuple(b.shape[1] for b in isometries))
+
+
+def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
+    """Group the eigenpairs of a unitary u into its spectral clusters.
+
+    eigs[i] is the eigenvalue of the orthonormal column vectors[:, i].
+    Eigenvalues are single-linkage clustered on the unit circle with linking
+    gap 10*tol; a cluster whose diameter exceeds the gap is ambiguous and
+    raises DegenerateClusteringError.  Returns (eigenvalues, isometries,
+    projectors) ordered by the angle of the unimodular cluster
+    representatives in [0, 2*pi); isometries[c] holds the columns of cluster
+    c.  Raises ValueError if the clusters do not reassemble u.
+    """
+    eigs = np.asarray(eigs)
     order = np.argsort(np.mod(np.angle(eigs), 2.0 * np.pi), kind='stable')
     gap = 10.0 * tol
     groups = [[order[0]]]
@@ -118,7 +133,7 @@ def spectral_projections(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
         groups[0] = groups.pop() + groups[0]
     for grp in groups:
         vals = eigs[grp]
-        diam = max(abs(x - y) for x in vals for y in vals)
+        diam = float(np.abs(vals[:, None] - vals[None, :]).max())
         if diam > gap:
             raise DegenerateClusteringError(diam)
     reps = []
@@ -135,19 +150,14 @@ def spectral_projections(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
         return float(np.mod(np.angle(lam), 2.0 * np.pi))
 
     cluster_order = sorted(range(len(groups)), key=lambda i: _key(reps[i]))
-    eigenvalues, projectors, ranks = [], [], []
-    for i in cluster_order:
-        cols = z[:, np.array(groups[i])]
-        eigenvalues.append(reps[i])
-        projectors.append(cols @ cols.conj().T)
-        ranks.append(len(groups[i]))
-    eigenvalues = np.array(eigenvalues)
-    projectors = np.array(projectors)
+    eigenvalues = np.array([reps[i] for i in cluster_order])
+    isometries = [vectors[:, np.array(groups[i])] for i in cluster_order]
+    projectors = np.array([b @ b.conj().T for b in isometries])
     # defensive: the decomposition must reassemble the input
     recon = np.einsum('c,cij->ij', eigenvalues, projectors)
-    if frob(recon - u) > 100.0 * tol * d:
+    if frob(recon - u) > 100.0 * tol * u.shape[0]:
         raise ValueError("spectral decomposition failed to reconstruct the input")
-    return SpectralDecomposition(eigenvalues, projectors, tuple(ranks))
+    return eigenvalues, isometries, projectors
 
 
 @dataclass(frozen=True)

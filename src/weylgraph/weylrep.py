@@ -139,6 +139,47 @@ class GroupAction:
         u[np.arange(d), self.perm[p, q]] = self.phase[p, q]
         return u
 
+    def eigenpairs(self, p: int, q: int, tol: float = DEFAULT_TOL):
+        """Eigenvalues and orthonormal eigenvector columns of piS^p piM^q.
+
+        With (u v)[i] = phase[i] v[perm[i]], a cycle i_0 -> perm[i_0] -> ...
+        of length L and phase product Phi contributes the L roots of
+        lambda^L = Phi, each with an eigenvector on the cycle given by
+        v[i_0] = 1/sqrt(L) and v[i_(m+1)] = lambda v[i_m] / phase[i_m].
+        ValueError if perm is not a permutation or u is not unitary within
+        tol, the test spectral_projections makes, here in O(d).
+        """
+        perm, phase = self.perm[p, q], self.phase[p, q]
+        d = perm.size
+        if not np.array_equal(np.sort(perm), np.arange(d)):
+            raise ValueError("perm is not a permutation of range(d)")
+        if frob(np.abs(phase) ** 2 - 1.0) > tol * d:  # u* u = diag(|phase|^2)
+            raise ValueError("input is not unitary within tolerance")
+        values = np.empty(d, dtype=complex)
+        vectors = np.zeros((d, d), dtype=complex)
+        seen = np.zeros(d, dtype=bool)
+        succ = perm.tolist()
+        col = 0
+        for start in range(d):
+            if seen[start]:
+                continue
+            cycle = [start]
+            while succ[cycle[-1]] != start:
+                cycle.append(succ[cycle[-1]])
+            seen[cycle] = True
+            size = len(cycle)
+            steps = phase[cycle]
+            total = np.prod(steps)
+            lam = abs(total) ** (1.0 / size) * np.exp(
+                1j * (np.angle(total) + 2.0 * np.pi * np.arange(size)) / size)
+            # row m holds v[i_m] = lambda^m / (phase[i_0] ... phase[i_(m-1)])
+            m = np.arange(size)[:, None]
+            walk = np.concatenate(([1.0], np.cumprod(steps[:-1])))[:, None]
+            values[col:col + size] = lam
+            vectors[cycle, col:col + size] = lam ** m / walk / np.sqrt(size)
+            col += size
+        return values, vectors
+
     @property
     def nbytes(self) -> int:
         return self.perm.nbytes + self.phase.nbytes

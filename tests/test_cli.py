@@ -111,6 +111,22 @@ def test_scan_rejects_bad_range(capsys):
     assert main(['scan', '--n-min', '1', '--n-max', '3']) == 2
 
 
+@pytest.mark.parametrize('argv', [
+    ['scan', '--n-min', '2', '--n-max', '64'],
+    ['verify', '--n', '64'],
+])
+def test_refuses_modulus_past_physical_memory(argv, capsys, monkeypatch):
+    # 16 n^7 bytes of orbit provenance is about 70 TB at n = 64: refused
+    # before anything is built
+    def build(*_):
+        raise AssertionError('run_verification called')
+    monkeypatch.setattr('weylgraph.cli.run_verification', build)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert 'physical memory' in captured.err
+
+
 def test_scan_repeats_identically(capsys):
     assert main(['scan', '--n-min', '2', '--n-max', '3']) == 0
     first = capsys.readouterr().out
