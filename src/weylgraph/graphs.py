@@ -69,21 +69,22 @@ class OperatorGraph:
     n: int
     s: int
     space: OperatorSubspace
-    provenance: list  # [(GroupElement, generator matrix)] in lexicographic order
+    provenance: list  # [(GroupElement, diagonal of u Q_s u*)] in lexicographic order
 
 
 def graph_orbit(n: int, s: int, tol: float = DEFAULT_TOL,
                 unitaries: GroupAction | None = None) -> OperatorGraph:
-    """Span of u Q_s u* over the n^2 group unitaries."""
+    """Span of u Q_s u* over the n^2 group unitaries, taken from the diagonals
+    of the generators (diagonal for monomial u); only the basis is dense."""
     if not 0 <= s < n:
         raise ValueError("s out of range")
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
-    base = q_projection(n, s)
-    provenance = [(GroupElement(p, q), unitaries.conj(p, q, base))
+    diagonals = unitaries.orbit_diagonals(np.diagonal(q_projection(n, s)))
+    provenance = [(GroupElement(p, q), diagonals[p, q])
                   for p in range(n) for q in range(n)]
-    space = span_operators([m for _, m in provenance], tol)
-    return OperatorGraph(n, s, space, provenance)
+    return OperatorGraph(n, s, span_operators([v for _, v in provenance], tol),
+                         provenance)
 
 
 def anticlique_projector(n: int, k: int, basis: EntangledBasis | None = None) -> np.ndarray:
@@ -146,31 +147,46 @@ def check_knill_laflamme(generators, projection, tol: float = DEFAULT_TOL,
                            lambdas, worst, rank)
 
 
-def kl_suite_extremes(n: int, w: np.ndarray, orbit_matrices_by_s):
-    """Worst || P_k X P_k - (1/n) P_k ||_F and |lambda - 1/n| over all (k, s, g).
+def compress_diagonals(b: np.ndarray, diagonals: np.ndarray):
+    """Knill-Laflamme compression by the isometry b of each generator X whose
+    diagonal is a row of diagonals: the residuals || b* X b - lambda I ||_F
+    and the scalars lambda = Tr(b* X b) / rank."""
+    d, rank = b.shape
+    lam = diagonals @ (np.abs(b) ** 2).sum(axis=1) / rank
+    # rows lo.. of every compression at once: one product against the
+    # entrywise conj(b[i, a]) b[i, c] table, kept at most d x d per batch
+    step = max(1, d // rank)
+    squares = np.zeros(len(diagonals))
+    for lo in range(0, rank, step):
+        rows = b[:, lo:lo + step]
+        table = (rows.conj()[:, :, None] * b[:, None, :]).reshape(d, -1)
+        blk = (diagonals @ table).reshape(len(diagonals), rows.shape[1], rank)
+        a = np.arange(rows.shape[1])
+        blk[:, a, lo + a] -= lam[:, None]
+        squares += (np.abs(blk) ** 2).sum(axis=(1, 2))
+    return np.sqrt(squares), lam
 
-    P_k = B_k B_k* with B_k the k-th column block of the change of basis, so
-    the whole residual lives in the (k, k) block of w* X w; compressing once
-    per generator covers every k at once.
-    """
-    wt = w.conj().T
-    target = np.eye(n, dtype=complex) / n
+
+def kl_suite_extremes(n: int, w: np.ndarray, orbit_diagonals_by_s):
+    """Worst || P_k X P_k - (1/n) P_k ||_F and |lambda - 1/n| over all (k, s, g)
+    for generators X given by their diagonals and P_k = B_k B_k*, where
+    B_k = w[:, k n:(k+1) n].  B_k* X B_k - lambda I is traceless, so its
+    distance to I/n is sqrt(residual^2 + n |lambda - 1/n|^2)."""
+    x = np.concatenate([np.asarray(diags) for diags in orbit_diagonals_by_s])
     worst = 0.0
     lam_worst = 0.0
-    for mats in orbit_matrices_by_s:
-        for x in mats:
-            y = wt @ x @ w
-            for k in range(n):
-                blk = y[k * n:(k + 1) * n, k * n:(k + 1) * n]
-                worst = max(worst, frob(blk - target))
-                lam_worst = max(lam_worst, abs(complex(np.trace(blk)) / n - 1.0 / n))
+    for k in range(n):
+        residual, lam = compress_diagonals(w[:, k * n:(k + 1) * n], x)
+        off = np.abs(lam - 1.0 / n)
+        worst = max(worst, float(np.sqrt(residual ** 2 + n * off ** 2).max()))
+        lam_worst = max(lam_worst, float(off.max()))
     return worst, lam_worst
 
 
 def kl_corollary_check(n: int, tol: float, w: np.ndarray,
-                       orbit_matrices_by_s) -> CheckResult:
+                       orbit_diagonals_by_s) -> CheckResult:
     """Report-shaped wrapper around kl_suite_extremes."""
-    worst, lam_worst = kl_suite_extremes(n, w, orbit_matrices_by_s)
+    worst, lam_worst = kl_suite_extremes(n, w, orbit_diagonals_by_s)
     return CheckResult('kl_anticliques', worst <= tol, worst,
                        details=f'max |lambda - 1/n| = {lam_worst:.3e} over all (k, s, g)')
 
@@ -240,46 +256,39 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
 
     Each unitary's clusters come from the cycles of its monomial table
     (GroupAction.eigenpairs) and must reassemble the dense unitary.  Dedup
-    works on the projections themselves (fingerprint bucket, then exact
-    Frobenius match below _MATCH_TOL); the common list intersects the rank >= 2
-    projections across all elements and is usually empty, since only a unitary
-    proportional to the identity admits the identity as a cluster projection.
-    A projection's Knill-Laflamme residual is taken at its first sighting from
-    the cluster's eigenvector columns.
+    reads the cluster columns b, never a dense P = b b*: a bucket by rank and
+    Re Tr(probe P) = Re <b, probe b>, then ||P1 - P2||_F^2 =
+    2 rank - 2 ||b1* b2||_F^2 below _MATCH_TOL^2.  The common list intersects
+    the rank >= 2 projections across all elements and is usually empty, since
+    only a unitary proportional to the identity admits the identity as a
+    cluster projection.  A projection's Knill-Laflamme residual is taken at
+    its first sighting from b.
     """
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
     if orbit is None:
         orbit = graph_orbit(n, s, tol, unitaries)
-    d = n * n
-    # the orbit generators u Q_s u* are diagonal for monomial u; compress by
-    # their diagonals and add the measured off-diagonal mass, so the residual
-    # stays an upper bound on the one of the full generator
-    diagonals = np.array([np.diagonal(x) for _, x in orbit.provenance])
-    off_diagonal = np.array([frob(x - np.diag(np.diagonal(x))) for _, x in orbit.provenance])
-    probe = random_hermitian(d, np.random.default_rng(23117))
+    diagonals = np.array([v for _, v in orbit.provenance])
+    probe = random_hermitian(n * n, np.random.default_rng(23117))
     records: list[ScanProjection] = []
-    canon: list[np.ndarray] = []
+    isometries: list[np.ndarray] = []  # the cluster columns of each record
     buckets: dict = {}
     common: list[int] | None = None
     for p in range(n):
         for q in range(n):
             eigs, vectors = unitaries.eigenpairs(p, q, tol)
-            clusters = zip(*cluster_eigenpairs(eigs, vectors, unitaries.dense(p, q), tol))
             seen_rank2 = []
-            for lam, b, proj in clusters:
+            for lam, b in zip(*cluster_eigenpairs(eigs, vectors, unitaries.dense(p, q), tol)):
                 rank = b.shape[1]
-                key = (rank, round(float(np.vdot(probe, proj).real), 6))
-                hit = None
-                for idx in buckets.get(key, ()):
-                    if frob(proj - canon[idx]) <= _MATCH_TOL:
-                        hit = idx
-                        break
+                key = (rank, round(float(np.vdot(b, probe @ b).real), 6))
+                hit = next((idx for idx in buckets.get(key, ())
+                            if 2 * rank - 2 * frob(isometries[idx].conj().T @ b) ** 2
+                            <= _MATCH_TOL ** 2), None)
                 if hit is None:
-                    hit = len(canon)
-                    canon.append(proj)
+                    hit = len(records)
+                    isometries.append(b)
                     buckets.setdefault(key, []).append(hit)
-                    worst = _kl_residual(b, diagonals, off_diagonal)
+                    worst = float(compress_diagonals(b, diagonals)[0].max())
                     records.append(ScanProjection(
                         (p, q), complex(lam), rank, 0, compresses=worst <= tol,
                         kl_residual=worst, is_anticlique=worst <= tol and rank >= 2))
@@ -288,27 +297,8 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
                     seen_rank2.append(hit)
             common = seen_rank2 if common is None else \
                 [idx for idx in common if idx in seen_rank2]
-    return Prop1Scan(n, s, records, [canon[idx] for idx in (common or [])])
-
-
-def _kl_residual(b: np.ndarray, diagonals: np.ndarray, off_diagonal: np.ndarray) -> float:
-    """Worst || b* X b - lambda I ||_F over generators X, each X given by its
-    diagonal (a row of diagonals) plus the Frobenius norm of its off-diagonal
-    part, which bounds what the diagonal misses."""
-    d, rank = b.shape
-    lam = diagonals @ (np.abs(b) ** 2).sum(axis=1) / rank  # Tr(b* X b) / rank
-    # rows lo.. of every compression at once: one product against the
-    # entrywise conj(b[i, a]) b[i, c] table, kept at most d x d per batch
-    step = max(1, d // rank)
-    squares = np.zeros(len(diagonals))
-    for lo in range(0, rank, step):
-        rows = b[:, lo:lo + step]
-        table = (rows.conj()[:, :, None] * b[:, None, :]).reshape(d, -1)
-        blk = (diagonals @ table).reshape(len(diagonals), rows.shape[1], rank)
-        a = np.arange(rows.shape[1])
-        blk[:, a, lo + a] -= lam[:, None]
-        squares += (np.abs(blk) ** 2).sum(axis=(1, 2))
-    return float((np.sqrt(squares) + off_diagonal).max())
+    return Prop1Scan(n, s, records,
+                     [isometries[idx] @ isometries[idx].conj().T for idx in (common or [])])
 
 
 def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
@@ -359,8 +349,7 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
     discrepancies = []
     if not cmp_h.equal:
         h_gram = np.linalg.eigvalsh(_gram([m.reshape(-1) for m in h_list]))
-        orbit_gram = np.linalg.eigvalsh(
-            _gram([m.reshape(-1) for _, m in orbit_graphs[0].provenance]))
+        orbit_gram = np.linalg.eigvalsh(_gram([v for _, v in orbit_graphs[0].provenance]))
         discrepancies.append(Discrepancy(
             claim='Theorem 2: the graph coincides with the span of the symmetric '
                   'pair-sum family {h_p}',

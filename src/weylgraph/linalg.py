@@ -103,8 +103,9 @@ def spectral_projections(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     if frob(u.conj().T @ u - np.eye(d)) > tol * d:
         raise ValueError("input is not unitary within tolerance")
     t, z = scipy.linalg.schur(u, output='complex')
-    eigenvalues, isometries, projectors = cluster_eigenpairs(np.diag(t), z, u, tol)
-    return SpectralDecomposition(eigenvalues, projectors,
+    eigenvalues, isometries = cluster_eigenpairs(np.diag(t), z, u, tol)
+    return SpectralDecomposition(eigenvalues,
+                                 np.array([b @ b.conj().T for b in isometries]),
                                  tuple(b.shape[1] for b in isometries))
 
 
@@ -114,10 +115,10 @@ def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
     eigs[i] is the eigenvalue of the orthonormal column vectors[:, i].
     Eigenvalues are single-linkage clustered on the unit circle with linking
     gap 10*tol; a cluster whose diameter exceeds the gap is ambiguous and
-    raises DegenerateClusteringError.  Returns (eigenvalues, isometries,
-    projectors) ordered by the angle of the unimodular cluster
-    representatives in [0, 2*pi); isometries[c] holds the columns of cluster
-    c.  Raises ValueError if the clusters do not reassemble u.
+    raises DegenerateClusteringError.  Returns (eigenvalues, isometries)
+    ordered by the angle of the unimodular cluster representatives in
+    [0, 2*pi); isometries[c] holds the columns of cluster c.  Raises
+    ValueError if the clusters do not reassemble u.
     """
     eigs = np.asarray(eigs)
     order = np.argsort(np.mod(np.angle(eigs), 2.0 * np.pi), kind='stable')
@@ -131,14 +132,13 @@ def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
     # the circle wraps: the first and last angular clusters may be one cluster
     if len(groups) > 1 and abs(eigs[groups[0][0]] - eigs[groups[-1][-1]]) <= gap:
         groups[0] = groups.pop() + groups[0]
+    reps = []
     for grp in groups:
         vals = eigs[grp]
         diam = float(np.abs(vals[:, None] - vals[None, :]).max())
         if diam > gap:
             raise DegenerateClusteringError(diam)
-    reps = []
-    for grp in groups:
-        lam = complex(eigs[grp].mean())
+        lam = complex(vals.mean())
         reps.append(lam / abs(lam))
 
     # order clusters by representative angle; a representative within the
@@ -152,12 +152,11 @@ def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
     cluster_order = sorted(range(len(groups)), key=lambda i: _key(reps[i]))
     eigenvalues = np.array([reps[i] for i in cluster_order])
     isometries = [vectors[:, np.array(groups[i])] for i in cluster_order]
-    projectors = np.array([b @ b.conj().T for b in isometries])
     # defensive: the decomposition must reassemble the input
-    recon = np.einsum('c,cij->ij', eigenvalues, projectors)
+    recon = sum(lam * (b @ b.conj().T) for lam, b in zip(eigenvalues, isometries))
     if frob(recon - u) > 100.0 * tol * u.shape[0]:
         raise ValueError("spectral decomposition failed to reconstruct the input")
-    return eigenvalues, isometries, projectors
+    return eigenvalues, isometries
 
 
 @dataclass(frozen=True)
@@ -188,26 +187,30 @@ class OperatorSubspace:
 def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     """Orthonormalize a generator list into an OperatorSubspace.
 
-    Dimension counting and the basis both come from the eigendecomposition of
-    the Gram matrix (order-independent, unlike sequential Gram-Schmidt); the
-    rank cutoff is tol times the largest Gram eigenvalue.
+    Each generator is a d x d matrix, or else every generator is the length-d
+    diagonal of a diagonal operator: their Hilbert-Schmidt Gram is the Gram of
+    the diagonals, and only the basis is embedded densely.  Dimension counting
+    and the basis both come from the eigendecomposition of the Gram matrix
+    (order-independent, unlike sequential Gram-Schmidt); the rank cutoff is
+    tol times the largest Gram eigenvalue.
     """
-    mats = [as_operator(g) for g in generators]
-    if not mats:
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    if not gens:
         raise ValueError("empty generator list")
+    diagonal = all(g.ndim == 1 for g in gens)
+    mats = gens if diagonal else [as_operator(g) for g in gens]
     d = mats[0].shape[0]
     if any(m.shape[0] != d for m in mats):
         raise ValueError("generators must share one dimension")
     flat = np.array([m.reshape(-1) for m in mats])
-    gram = flat.conj() @ flat.T
-    w, v = scipy.linalg.eigh(gram)
+    w, v = scipy.linalg.eigh(flat.conj() @ flat.T)
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         warnings.warn("all generators are numerically zero; returning the zero subspace")
         return OperatorSubspace(d, np.zeros((0, d, d), dtype=complex), tol)
     keep = np.nonzero(w > tol * lam_max)[0][::-1]
-    coeff = v[:, keep] / np.sqrt(w[keep])
-    basis = (coeff.T @ flat).reshape(len(keep), d, d)
+    rows = (v[:, keep] / np.sqrt(w[keep])).T @ flat
+    basis = rows[:, :, None] * np.eye(d) if diagonal else rows.reshape(-1, d, d)
     return OperatorSubspace(d, basis, tol)
 
 

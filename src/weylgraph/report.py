@@ -70,7 +70,7 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
 
     orbit_graphs = [graph_orbit(n, s, tol, unitaries) for s in range(n)]
     checks.append(kl_corollary_check(
-        n, tol, w, [[m for _, m in g.provenance] for g in orbit_graphs]))
+        n, tol, w, [[v for _, v in g.provenance] for g in orbit_graphs]))
 
     try:
         scan = proposition1_scan(n, 0, tol, unitaries=unitaries, orbit=orbit_graphs[0])

@@ -132,6 +132,11 @@ class GroupAction:
         perm, phase = self.perm[p, q], self.phase[p, q]
         return phase[:, None] * x[np.ix_(perm, perm)] * phase.conj()
 
+    def orbit_diagonals(self, v: np.ndarray) -> np.ndarray:
+        """Diagonals of u diag(v) u* for every u = piS^p piM^q, shape (n, n, d):
+        u is monomial, so entry i is |phase[i]|^2 v[perm[i]], one gather."""
+        return (self.phase * self.phase.conj()).real * np.asarray(v)[self.perm]
+
     def dense(self, p: int, q: int) -> np.ndarray:
         """The unitary piS^p piM^q as a dense matrix."""
         d = self.perm.shape[-1]

@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylgraph.covariant import q_projection
 from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_TOL,
-                              graph_orbit, proposition1_scan)
+                              anticlique_projector, graph_orbit, kl_suite_extremes,
+                              proposition1_scan)
 from weylgraph.linalg import (DEFAULT_TOL, cluster_eigenpairs, frob,
                               random_hermitian, spectral_projections, unit_roots)
-from weylgraph.weylrep import GroupAction, element_unitaries, rep_generators
+from weylgraph.weylrep import (GroupAction, change_of_basis, element_unitaries,
+                               rep_generators)
 
 
 def dense_census(n, s, tol=DEFAULT_TOL):
     """The census from one dense Schur decomposition per group unitary and
-    one eigh per distinct projection: the reference for proposition1_scan."""
+    one eigh per distinct projection, compressing the dense orbit generators
+    u Q_s u*: the reference for proposition1_scan."""
     unitaries = element_unitaries(n, *rep_generators(n))
-    orbit = graph_orbit(n, s, tol, unitaries)
     d = n * n
     probe = random_hermitian(d, np.random.default_rng(23117))
     records, canon, buckets, common = [], [], {}, None
@@ -43,7 +46,12 @@ def dense_census(n, s, tol=DEFAULT_TOL):
                     seen_rank2.append(hit)
             common = seen_rank2 if common is None else \
                 [idx for idx in common if idx in seen_rank2]
-    gen_mats = [m for _, m in orbit.provenance]
+    base = q_projection(n, s)
+    gen_mats = []
+    for p in range(n):
+        for q in range(n):
+            u = unitaries.dense(p, q)
+            gen_mats.append(u @ base @ u.conj().T)
     for idx, rec in enumerate(records):
         w, v = np.linalg.eigh(canon[idx])
         b = v[:, w > 0.5]  # isometry onto the range
@@ -103,7 +111,8 @@ def test_eigenpairs_diagonalise_the_dense_unitary(table):
     values, vectors = table.eigenpairs(0, 0)
     assert frob(vectors.conj().T @ vectors - np.eye(d)) <= 1e-12
     assert frob(u @ vectors - vectors * values) <= 1e-12
-    eigenvalues, isometries, projectors = cluster_eigenpairs(values, vectors, u)
+    eigenvalues, isometries = cluster_eigenpairs(values, vectors, u)
+    projectors = np.array([b @ b.conj().T for b in isometries])
     dec = spectral_projections(u)
     assert tuple(b.shape[1] for b in isometries) == dec.ranks
     assert np.abs(eigenvalues - dec.eigenvalues).max() <= 1e-9
@@ -123,18 +132,25 @@ def test_eigenpairs_reject_a_non_unimodular_phase():
         table.eigenpairs(0, 0)
 
 
-def test_census_measures_off_diagonal_generator_mass():
-    # the residual is computed from generator diagonals; an off-diagonal
-    # defect in one generator must still reach the verdict
-    n = 3
+def test_census_catches_a_perturbed_generator_diagonal():
+    # the census and kl_suite_extremes read the generators' diagonals; a 1e-6
+    # defect in one diagonal entry of one generator must reach both verdicts
+    n, index = 3, 2
     unitaries = element_unitaries(n, *rep_generators(n))
-    clean = graph_orbit(n, 0, unitaries=unitaries)
-    tampered = [(g, m.copy()) for g, m in clean.provenance]
-    tampered[4][1][0, 1] += 1e-6
-    orbit = OperatorGraph(n, 0, clean.space, tampered)
+    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+    tampered = [(g, v.copy()) for g, v in orbits[0].provenance]
+    tampered[4][1][index] += 1e-6
+    orbit = OperatorGraph(n, 0, orbits[0].space, tampered)
     scan = proposition1_scan(n, 0, unitaries=unitaries, orbit=orbit)
     codes = [r for r in scan.projections if r.element == (0, 1)]
     assert len(codes) == n
+    # every code projection covers the index: P_k has diagonal 1/n
+    for k in range(n):
+        assert anticlique_projector(n, k)[index, index].real >= 1.0 / n - 1e-12
     for rec in codes:
-        assert rec.kl_residual >= 1e-6
+        assert rec.kl_residual > 1e-10
         assert not rec.is_anticlique
+    diagonals = [[v for _, v in tampered]] + \
+        [[v for _, v in g.provenance] for g in orbits[1:]]
+    worst, _ = kl_suite_extremes(n, change_of_basis(n), diagonals)
+    assert worst > 1e-10

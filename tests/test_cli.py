@@ -116,8 +116,8 @@ def test_scan_rejects_bad_range(capsys):
     ['verify', '--n', '64'],
 ])
 def test_refuses_modulus_past_physical_memory(argv, capsys, monkeypatch):
-    # 16 n^7 bytes of orbit provenance is about 70 TB at n = 64: refused
-    # before anything is built
+    # 384 n^6 bytes, the measured peak of verify, is about 26 TB at n = 64:
+    # refused before anything is built
     def build(*_):
         raise AssertionError('run_verification called')
     monkeypatch.setattr('weylgraph.cli.run_verification', build)

@@ -21,7 +21,7 @@ from weylgraph.graphs import (
 from weylgraph.covariant import q_projection
 from weylgraph.linalg import (frob, span_operators, subspace_equal,
                               tensor_product, unit_roots)
-from weylgraph.weylrep import (change_of_basis, element_unitaries,
+from weylgraph.weylrep import (GroupElement, change_of_basis, element_unitaries,
                                entangled_basis, rep_element, rep_generators,
                                shift_clock)
 
@@ -168,16 +168,21 @@ def test_orbit_contains_base_and_identity():
     assert graph.space.residual(np.eye(n * n, dtype=complex)) <= 1e-10
 
 
-def test_orbit_provenance_complete():
-    n = 3
-    graph = graph_orbit(n, 0)
-    labels = [(g.p, g.q) for g, _ in graph.provenance]
-    assert labels == [(p, q) for p in range(n) for q in range(n)]
-    # generators really are the conjugated base projection
-    base = q_projection(n, 0)
-    for (g, mat) in graph.provenance:
-        u = rep_element(n, g)
-        assert frob(mat - u @ base @ u.conj().T) <= 1e-12
+@pytest.mark.parametrize('n', range(2, 9))
+def test_orbit_provenance_complete(n):
+    generators = rep_generators(n)
+    unitaries = element_unitaries(n, *generators)
+    dense = [rep_element(n, GroupElement(p, q), generators)
+             for p in range(n) for q in range(n)]
+    for s in range(n):
+        graph = graph_orbit(n, s, unitaries=unitaries)
+        labels = [(g.p, g.q) for g, _ in graph.provenance]
+        assert labels == [(p, q) for p in range(n) for q in range(n)]
+        # the diagonals really are the conjugated base projection, which the
+        # dense product shows to have nothing off the diagonal
+        base = q_projection(n, s)
+        for (_, v), u in zip(graph.provenance, dense):
+            assert frob(np.diag(v) - u @ base @ u.conj().T) <= 1e-12
 
 
 def test_orbit_dimensions():
@@ -251,7 +256,7 @@ def test_kl_orbit_compression():
     graph = graph_orbit(n, 0)
     pk = anticlique_projector(n, 1)
     report = check_knill_laflamme(
-        [((g.p, g.q), m) for g, m in graph.provenance], pk, tol=1e-10,
+        [((g.p, g.q), np.diag(v)) for g, v in graph.provenance], pk, tol=1e-10,
         n=n, k=1, s=0)
     assert report.is_anticlique
     assert report.max_residual <= 1e-10
@@ -268,6 +273,38 @@ def test_kl_suite_extremes_small():
     worst, lam_worst = kl_suite_extremes(n, w, orbits)
     assert worst <= 1e-12
     assert lam_worst <= 1e-12
+
+
+def dense_kl_suite_extremes(n, w, orbit_matrices_by_s):
+    """The dense reference for kl_suite_extremes: compress every generator
+    matrix by the whole change of basis and read each (k, k) block."""
+    wt = w.conj().T
+    target = np.eye(n, dtype=complex) / n
+    worst = 0.0
+    lam_worst = 0.0
+    for mats in orbit_matrices_by_s:
+        for x in mats:
+            y = wt @ x @ w
+            for k in range(n):
+                blk = y[k * n:(k + 1) * n, k * n:(k + 1) * n]
+                worst = max(worst, frob(blk - target))
+                lam_worst = max(lam_worst, abs(complex(np.trace(blk)) / n - 1.0 / n))
+    return worst, lam_worst
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_kl_suite_extremes_matches_dense_oracle(n):
+    w = change_of_basis(n)
+    unitaries = element_unitaries(n, *rep_generators(n))
+    # generic diagonal generators, so both sides have residuals to agree on
+    rng = np.random.default_rng(n)
+    diagonals = [list(rng.standard_normal((n * n, n * n))) for _ in range(2)]
+    diagonals.append([v for _, v in graph_orbit(n, 0, unitaries=unitaries).provenance])
+    got = kl_suite_extremes(n, w, diagonals)
+    want = dense_kl_suite_extremes(n, w, [[np.diag(v) for v in diags]
+                                          for diags in diagonals])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert want[0] > 0.1
 
 
 def test_kl_rejects_full_matrix_unit_family():

@@ -6,6 +6,7 @@ import pytest
 import exact_oracles
 from weylgraph.linalg import (
     DegenerateClusteringError,
+    cluster_eigenpairs,
     dft_unitary,
     frob,
     hs_inner,
@@ -180,6 +181,15 @@ def test_spectral_reconstruction():
     assert frob(rebuilt - u) <= 1e-9 * 6
 
 
+def test_clusters_must_reassemble_the_unitary():
+    # eigenpairs that do not belong to u: the clusters are clean but their
+    # sum of lambda_c P_c is another unitary
+    u = np.diag([1.0, 1j, -1.0]).astype(complex)
+    swapped = np.eye(3, dtype=complex)[:, [1, 0, 2]]
+    with pytest.raises(ValueError, match='reconstruct'):
+        cluster_eigenpairs(np.diag(u), swapped, u)
+
+
 def test_spectral_rejects_nonunitary():
     with pytest.raises(ValueError):
         spectral_projections(2.0 * np.eye(3, dtype=complex))
@@ -236,6 +246,23 @@ def test_span_zero_generators():
     with pytest.warns(UserWarning):
         space = span_operators([np.zeros((2, 2), dtype=complex)])
     assert space.dim == 0
+
+
+def test_span_of_diagonals_matches_the_dense_span():
+    # length-d generators stand for diagonal operators: the same subspace as
+    # their dense embeddings, including a dependent combination
+    rng = np.random.default_rng(5)
+    diagonals = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    diagonals[3] = diagonals[0] - 2.0 * diagonals[1]
+    space = span_operators(diagonals)
+    dense = span_operators([np.diag(v) for v in diagonals])
+    assert space.dim == dense.dim == 3
+    assert subspace_equal(space, dense).max_residual <= 1e-12
+    assert frob(space.flat().conj() @ space.flat().T - np.eye(3)) <= 1e-12
+    with pytest.raises(ValueError):
+        span_operators([np.array([1.0, np.nan])])
+    with pytest.raises(ValueError):
+        span_operators([np.ones(3), np.eye(3)])
 
 
 def test_span_idempotent():

@@ -241,6 +241,21 @@ def test_element_unitaries_composes_generic_monomials():
             assert frob(table.dense(p, q) - want) <= 1e-12
 
 
+@pytest.mark.parametrize('n', range(2, 17))
+def test_generator_tables_are_clock_and_double_shift(n):
+    # index by index, in the standard basis piS = M (x) I and
+    # piM = S^-1 (x) S^-1, whose row (a, b) holds its 1 in column (a+1, b+1):
+    # both are monomial, which makes every orbit generator u Q_s u* diagonal
+    d = n * n
+    table = element_unitaries(n, *rep_generators(n))
+    rows = np.arange(d)
+    a, b = np.divmod(rows, n)
+    assert np.array_equal(table.perm[1, 0], rows)
+    assert np.array_equal(table.perm[0, 1], (a + 1) % n * n + (b + 1) % n)
+    assert np.abs(table.phase[1, 0] - unit_roots(n)[a]).max() <= 1e-12
+    assert np.abs(table.phase[0, 1] - 1.0).max() <= 1e-12
+
+
 def test_element_unitaries_rejects_non_monomial():
     # one off-monomial entry of 1e-6 in either generator
     n = 3
