@@ -10,6 +10,7 @@ and leaves each fixed-j block invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +132,32 @@ class GroupAction:
         """u x u* for u = piS^p piM^q."""
         perm, phase = self.perm[p, q], self.phase[p, q]
         return phase[:, None] * x[np.ix_(perm, perm)] * phase.conj()
+
+    @cached_property
+    def classes(self):
+        """The table grouped by permutation: (perms, weights), where perms[k]
+        is the k-th distinct permutation (sorted) and weights[k] the d x d
+        matrix W_k = sum phase phase* over the elements that carry it.
+
+        Computed once per table: change a table by dataclasses.replace, not in
+        place."""
+        d = self.perm.shape[-1]
+        perms, label = np.unique(self.perm.reshape(-1, d), axis=0, return_inverse=True)
+        label = label.ravel()
+        phase = self.phase.reshape(-1, d)
+        weights = np.array([phase[label == k].T @ phase[label == k].conj()
+                            for k in range(len(perms))])
+        return perms, weights
+
+    def average(self, x: np.ndarray) -> np.ndarray:
+        """(1/n^2) sum over the table of u x u*, grouped by permutation: the
+        elements sharing pi_k contribute W_k o x[pi_k, pi_k] (entrywise
+        product), so the cost is one gather per class, n for the real table."""
+        perms, weights = self.classes
+        acc = np.zeros_like(weights[0])
+        for perm, weight in zip(perms, weights):
+            acc += weight * x[np.ix_(perm, perm)]
+        return acc / self.perm[..., 0].size
 
     def orbit_diagonals(self, v: np.ndarray) -> np.ndarray:
         """Diagonals of u diag(v) u* for every u = piS^p piM^q, shape (n, n, d):

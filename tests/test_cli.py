@@ -143,6 +143,19 @@ def test_module_entry_point(child_env):
     assert json.loads(proc.stdout)['n'] == 2
 
 
+def test_verify_is_identical_across_blas_thread_counts(child_env, tmp_path):
+    # the trace form of the average runs through BLAS products
+    outputs = []
+    for threads in ('1', '2'):
+        path = tmp_path / f'verify-{threads}.json'
+        proc = subprocess.run(
+            [sys.executable, '-m', 'weylgraph', 'verify', '--n', '8', '--json', str(path)],
+            capture_output=True, env={**child_env, 'OPENBLAS_NUM_THREADS': threads})
+        assert proc.returncode == 0
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # -- export --------------------------------------------------------------------
 
 def test_export_shift_literal(capsys):

@@ -2,9 +2,11 @@
 resolution of identity."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylgraph.covariant import (
     covariant_resolution,
@@ -17,7 +19,9 @@ from weylgraph.covariant import (
     verify_theorem1,
 )
 from weylgraph.linalg import frob, random_hermitian, span_operators, tensor_product
-from weylgraph.weylrep import element_unitaries, entangled_basis, rep_generators
+from weylgraph.report import run_verification
+from weylgraph.weylrep import (GroupAction, element_unitaries, entangled_basis,
+                               rep_generators)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -72,6 +76,93 @@ def test_units_matrix_algebra():
 
 
 # -- the group average -------------------------------------------------------
+
+def loop_average(table, x):
+    """The defining sum (1/n^2) sum_pq u x u*, one conjugation per element."""
+    n = table.perm.shape[0]
+    acc = np.zeros(x.shape, dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            acc += table.conj(p, q, x)
+    return acc / (n * n)
+
+
+def einsum_trace_form(n, x, units):
+    """(1/n) sum_pq Tr(x_qp x) x_pq, one trace per pair of indices."""
+    grid = units.units
+    acc = np.zeros_like(x)
+    for p in range(n):
+        for q in range(n):
+            acc += np.einsum('ij,ji->', grid[q, p], x) * grid[p, q]
+    return acc / n
+
+
+@pytest.mark.parametrize('n', range(2, 11))
+def test_average_matches_the_defining_sum(n):
+    unitaries = element_unitaries(n, *rep_generators(n))
+    rng = np.random.default_rng(500 + n)
+    for _ in range(3):
+        x = random_hermitian(n * n, rng)
+        assert frob(expectation_avg(n, x, unitaries) - loop_average(unitaries, x)) <= 1e-12
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_trace_form_matches_the_einsum_loop(n):
+    units = fixed_units(n)
+    rng = np.random.default_rng(600 + n)
+    for _ in range(3):
+        x = random_hermitian(n * n, rng)
+        assert frob(expectation_trace(n, x, units) - einsum_trace_form(n, x, units)) <= 1e-12
+
+
+@pytest.mark.parametrize('n', range(2, 17))
+def test_real_table_has_n_permutation_classes(n):
+    # piS is diagonal, so the class of piS^p piM^q is fixed by q alone
+    perms, weights = element_unitaries(n, *rep_generators(n)).classes
+    assert perms.shape == (n, n * n)
+    assert weights.shape == (n, n * n, n * n)
+
+
+@st.composite
+def monomial_tables(draw):
+    """(n, n, d) monomial tables with unimodular generic phases; with shared,
+    fewer permutations than elements, so some class holds several elements
+    with different phases; otherwise every permutation is distinct."""
+    n, d, shared = draw(st.integers(2, 3)), draw(st.integers(4, 7)), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count = draw(st.integers(1, n * n - 1)) if shared else n * n
+    pool = {}
+    while len(pool) < count:
+        perm = rng.permutation(d)
+        pool[tuple(perm)] = perm
+    pool = list(pool.values())
+    pick = rng.integers(0, count, n * n) if shared else np.arange(n * n)
+    perm = np.array([pool[k] for k in pick]).reshape(n, n, d)
+    phase = np.exp(2j * np.pi * rng.random((n, n, d)))
+    return GroupAction(perm, phase), len(set(pick.tolist())), rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_tables())
+def test_average_by_class_matches_dense_sum(case):
+    table, classes, rng = case
+    n, d = table.perm.shape[0], table.perm.shape[-1]
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    dense = sum(table.dense(p, q) @ x @ table.dense(p, q).conj().T
+                for p in range(n) for q in range(n)) / (n * n)
+    assert len(table.classes[0]) == classes
+    assert frob(table.average(x) - dense) <= 1e-12 * d
+
+
+def test_replaced_table_recomputes_its_classes():
+    n = 3
+    table = element_unitaries(n, *rep_generators(n))
+    assert len(table.classes[0]) == n
+    perm = table.perm.copy()
+    perm[1, 1] = perm[1, 0]  # one element moves to the class of q = 0
+    copy = dataclasses.replace(table, perm=perm)
+    assert len(copy.classes[0]) == n
+    assert not np.array_equal(copy.classes[1], table.classes[1])
 
 def test_expectation_unital():
     n = 3
@@ -270,6 +361,45 @@ def test_resolution_covariance_spot():
     u = unitaries.dense(3, 1)
     moved = u @ res.atoms[(2, 3)] @ u.conj().T
     assert frob(moved - res.atoms[(1, 0)]) <= 1e-12
+
+
+def test_theorem1_names_the_worst_base_index_and_form():
+    # row 0 of piS piM reads column (1, 1): doubling its phase moves the
+    # unitary-form average of Q_1 alone
+    n = 3
+    unitaries = element_unitaries(n, *rep_generators(n))
+    phase = unitaries.phase.copy()
+    phase[1, 1, 0] *= 2.0
+    res = verify_theorem1(n, tol=1e-10, unitaries=dataclasses.replace(unitaries, phase=phase))
+    assert not res.passed
+    assert res.details == 'both average forms, every base index s; worst at s = 1, unitary form'
+    # a stray ket |1, 0><1, 0| in x_00 is weighted by Tr(x_00 Q_s), which it
+    # raises for s = 1 alone
+    grid = fixed_units(n).units.copy()
+    grid[0, 0, n, n] += 1.0
+    res = verify_theorem1(n, tol=1e-10, units=dataclasses.replace(fixed_units(n), units=grid))
+    assert not res.passed
+    assert res.details == 'both average forms, every base index s; worst at s = 1, trace form'
+
+
+def test_average_checks_name_their_worst_draw():
+    n = 3
+    checks = {c.check_id: c for c in run_verification(n).checks}
+    agree = checks['expectation_forms_agree']
+    match = re.fullmatch(r'100 random Hermitian samples, draws 0-99 of seed 1003; '
+                         r'worst at draw (\d+)', agree.details)
+    assert match
+    # redrawing the named seed finds the worst residual at the named draw
+    unitaries = element_unitaries(n, *rep_generators(n))
+    units = fixed_units(n)
+    rng = np.random.default_rng(1003)
+    residuals = [frob(expectation_avg(n, x, unitaries) - expectation_trace(n, x, units))
+                 for x in (random_hermitian(n * n, rng) for _ in range(100))]
+    assert int(match.group(1)) == int(np.argmax(residuals))
+    assert agree.max_residual == max(residuals)
+    assert re.fullmatch(r'idempotence, unitality and trace preservation; 100 samples, '
+                        r'draws 100-199 of seed 1003; worst at (draw \d+|the identity)',
+                        checks['expectation_idempotent'].details)
 
 
 def test_widened_projection_breaks_theorem1():
