@@ -79,23 +79,28 @@ def q_projection(n: int, s: int) -> np.ndarray:
 class CovariantResolution:
     """Resolution of identity covariant under the group action.
 
-    atoms maps (p, q) to the measure of the singleton at S^p M^q; every atom
-    is (1/n^2) u (n Q_s) u*.  base_operator is n Q_s, the unique positive
-    multiple of Q_s whose orbit sums to the identity.
+    atoms[p, q] is the diagonal of the measure of the singleton at S^p M^q,
+    the atom (1/n^2) u (n Q_s) u*, shape (n, n, d): every group unitary is
+    monomial, so conjugation maps diagonals to diagonals.  base_operator is
+    n Q_s, the unique positive multiple of Q_s whose orbit sums to the
+    identity; off_diagonal is its measured Frobenius distance from its real
+    diagonal, which a monomial unitary u with unimodular phases leaves
+    unchanged, so every atom lies within off_diagonal / n^2 of its diagonal.
     """
     n: int
     s: int
-    atoms: dict
+    atoms: np.ndarray
     base_operator: np.ndarray
+    off_diagonal: float
 
 
 def covariant_resolution(n: int, s: int, unitaries=None) -> CovariantResolution:
     base = n * q_projection(n, s)
     if unitaries is None:
         unitaries = _default_unitaries(n)
-    atoms = {(p, q): unitaries.conj(p, q, base) / (n * n)
-             for p in range(n) for q in range(n)}
-    return CovariantResolution(n, s, atoms, base)
+    diag = np.diagonal(base).real
+    atoms = unitaries.orbit_diagonals(diag) / (n * n)
+    return CovariantResolution(n, s, atoms, base, frob(base - np.diag(diag)))
 
 
 def verify_theorem1(n: int, tol: float = DEFAULT_TOL,
@@ -120,19 +125,27 @@ def verify_theorem1(n: int, tol: float = DEFAULT_TOL,
 
 def resolution_mass_check(n: int, tol: float,
                           resolution: CovariantResolution) -> CheckResult:
-    """Atoms must sum to the identity and each atom must be positive."""
-    d = n * n
-    total = np.zeros((d, d), dtype=complex)
-    psd_violation = 0.0
-    for p in range(n):
-        for q in range(n):
-            atom = resolution.atoms[(p, q)]
-            total += atom
-            w = np.linalg.eigvalsh(atom)
-            psd_violation = max(psd_violation, max(0.0, -float(w[0])))
-    worst = max(frob(total - np.eye(d)), psd_violation)
+    """Atoms must sum to the identity and each atom must be positive.
+
+    The atom sum differs from the identity by at most its diagonal residual
+    and the n^2 atoms' off-diagonal parts, each at most off_diagonal / n^2.
+    By Weyl's inequality an atom's smallest eigenvalue is at least its
+    smallest diagonal entry less off_diagonal / n^2: that floor is the
+    positivity measured.  The details name the atom sum or the first atom
+    (p, q) with the largest violation, whichever is strictly worse.
+    """
+    total = resolution.atoms.sum(axis=(0, 1))
+    worst = float(np.hypot(frob(total - 1.0), resolution.off_diagonal))
+    where = 'the atom sum'
+    violation = np.maximum(0.0, resolution.off_diagonal / (n * n)
+                           - resolution.atoms.min(axis=2))
+    p, q = np.unravel_index(np.argmax(violation), violation.shape)
+    if violation[p, q] > worst:
+        worst, where = float(violation[p, q]), f'the positivity of atom (p, q) = ({p}, {q})'
     return CheckResult('resolution_mass', worst <= tol, worst,
-                       details='atom sum against identity, atom positivity')
+                       details=f'atom sum against identity, atom positivity '
+                               f'(smallest diagonal entry less the off-diagonal '
+                               f'norm); worst at {where}')
 
 
 _COVARIANCE_SAMPLE = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 2))
@@ -145,7 +158,11 @@ def resolution_covariance_check(n: int, tol: float,
 
     Central phases cancel inside the conjugation, so only the (p, q) labels
     matter.  The exhaustive mode walks all n^4 pairs; the sampled mode walks
-    every h against a small fixed list of g.
+    every h against a small fixed list of g.  Conjugation acts on the atom
+    diagonals as one gather per g (GroupAction.orbit_diagonals); the
+    off-diagonal parts, which the atoms do not carry, can differ by at most
+    twice off_diagonal / n^2, and that bound is added.  The details name the
+    first (h, g) with the largest residual, h-major.
     """
     if exhaustive:
         g_list = [(p, q) for p in range(n) for q in range(n)]
@@ -153,11 +170,16 @@ def resolution_covariance_check(n: int, tol: float,
     else:
         g_list = [(p % n, q % n) for p, q in _COVARIANCE_SAMPLE]
         details = 'all h against a fixed g sample'
-    worst = 0.0
-    for hp in range(n):
-        for hq in range(n):
-            for gp, gq in g_list:
-                moved = unitaries.conj(hp, hq, resolution.atoms[(gp, gq)])
-                target = resolution.atoms[((hp + gp) % n, (hq + gq) % n)]
-                worst = max(worst, frob(moved - target))
-    return CheckResult('resolution_covariance', worst <= tol, worst, details=details)
+    atoms = resolution.atoms
+    # residual[hp, hq, i] for g = g_list[i]: the target atom at hg is the
+    # atom grid rolled back by g
+    residual = np.stack([np.linalg.norm(unitaries.orbit_diagonals(atoms[gp, gq])
+                                        - np.roll(atoms, (-gp, -gq), axis=(0, 1)),
+                                        axis=2)
+                         for gp, gq in g_list], axis=2)
+    residual = np.hypot(residual, 2.0 * resolution.off_diagonal / (n * n))
+    hp, hq, i = np.unravel_index(np.argmax(residual), residual.shape)
+    worst = float(residual[hp, hq, i])
+    return CheckResult('resolution_covariance', worst <= tol, worst,
+                       details=f'{details}; worst at h = ({hp}, {hq}), '
+                               f'g = ({g_list[i][0]}, {g_list[i][1]})')

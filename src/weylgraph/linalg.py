@@ -152,9 +152,11 @@ def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
     cluster_order = sorted(range(len(groups)), key=lambda i: _key(reps[i]))
     eigenvalues = np.array([reps[i] for i in cluster_order])
     isometries = [vectors[:, np.array(groups[i])] for i in cluster_order]
-    # defensive: the decomposition must reassemble the input
-    recon = sum(lam * (b @ b.conj().T) for lam, b in zip(eigenvalues, isometries))
-    if frob(recon - u) > 100.0 * tol * u.shape[0]:
+    # defensive: the decomposition must reassemble the input, as one product
+    # (V Lambda) V* over the columns in cluster order
+    cols = np.concatenate(isometries, axis=1)
+    lams = np.repeat(eigenvalues, [b.shape[1] for b in isometries])
+    if frob((cols * lams) @ cols.conj().T - u) > 100.0 * tol * u.shape[0]:
         raise ValueError("spectral decomposition failed to reconstruct the input")
     return eigenvalues, isometries
 
@@ -163,8 +165,9 @@ def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
 class OperatorSubspace:
     """A subspace of operator space, carried by an HS-orthonormal basis.
 
-    basis has shape (dim, d, d); build_tol is the relative Gram cutoff used
-    to build it.
+    basis has shape (dim, d, d), or (dim, d) when every basis element is a
+    diagonal operator given by its diagonal; build_tol is the relative Gram
+    cutoff used to build it.
     """
     ambient_dim: int
     basis: np.ndarray
@@ -174,14 +177,27 @@ class OperatorSubspace:
     def dim(self) -> int:
         return int(self.basis.shape[0])
 
+    @property
+    def diagonal(self) -> bool:
+        return self.basis.ndim == 2
+
     def flat(self) -> np.ndarray:
         return self.basis.reshape(self.dim, -1)
 
     def residual(self, x) -> float:
-        """Frobenius distance from x to the subspace."""
-        v = np.asarray(x, dtype=complex).reshape(-1)
-        f = self.flat()
-        return float(np.linalg.norm(v - f.T @ (f.conj() @ v)))
+        """Frobenius distance from x to the subspace; x is a d x d matrix or
+        the length-d diagonal of a diagonal operator."""
+        x = np.asarray(x, dtype=complex)[None]
+        return float(_distances(OperatorSubspace(self.ambient_dim, x, 0.0), self)[0])
+
+
+def _split(ops: np.ndarray):
+    """(diagonals, off-diagonal entries) of a stack of d x d operators, or of
+    a stack of diagonals, which have no off-diagonal entries."""
+    if ops.ndim == 2:
+        return ops, np.zeros((len(ops), 0), dtype=complex)
+    d = ops.shape[-1]
+    return np.diagonal(ops, axis1=1, axis2=2), ops[:, ~np.eye(d, dtype=bool)]
 
 
 def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSubspace:
@@ -189,10 +205,10 @@ def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSu
 
     Each generator is a d x d matrix, or else every generator is the length-d
     diagonal of a diagonal operator: their Hilbert-Schmidt Gram is the Gram of
-    the diagonals, and only the basis is embedded densely.  Dimension counting
-    and the basis both come from the eigendecomposition of the Gram matrix
-    (order-independent, unlike sequential Gram-Schmidt); the rank cutoff is
-    tol times the largest Gram eigenvalue.
+    the diagonals, and the basis is kept as (dim, d) diagonals.  Dimension
+    counting and the basis both come from the eigendecomposition of the Gram
+    matrix (order-independent, unlike sequential Gram-Schmidt); the rank
+    cutoff is tol times the largest Gram eigenvalue.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
@@ -203,15 +219,15 @@ def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSu
     if any(m.shape[0] != d for m in mats):
         raise ValueError("generators must share one dimension")
     flat = np.array([m.reshape(-1) for m in mats])
+    shape = (d,) if diagonal else (d, d)
     w, v = scipy.linalg.eigh(flat.conj() @ flat.T)
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         warnings.warn("all generators are numerically zero; returning the zero subspace")
-        return OperatorSubspace(d, np.zeros((0, d, d), dtype=complex), tol)
+        return OperatorSubspace(d, np.zeros((0, *shape), dtype=complex), tol)
     keep = np.nonzero(w > tol * lam_max)[0][::-1]
     rows = (v[:, keep] / np.sqrt(w[keep])).T @ flat
-    basis = rows[:, :, None] * np.eye(d) if diagonal else rows.reshape(-1, d, d)
-    return OperatorSubspace(d, basis, tol)
+    return OperatorSubspace(d, rows.reshape(-1, *shape), tol)
 
 
 class SubspaceComparison(NamedTuple):
@@ -224,19 +240,32 @@ def subspace_equal(v: OperatorSubspace, w: OperatorSubspace,
     """Whether two operator subspaces coincide, with the worst residual seen.
 
     Equal means the dimensions agree and every basis element of each side
-    projects onto the other with residual at most tol.
+    projects onto the other with residual at most tol.  Each basis is split
+    into its diagonals and its off-diagonal entries, and the residual is
+    taken on both parts at once, never as a difference of squared norms: a
+    diagonal basis has no off-diagonal part, so two diagonal spaces compare
+    on their rows, and against a dense side the off-diagonal mass of the
+    dense basis (or of the projection onto it) enters the residual directly.
     """
     if v.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     worst = 0.0
     for a, b in ((v, w), (w, v)):
-        if a.dim == 0:
-            continue
-        fa = a.flat()
-        if b.dim == 0:
-            worst = max(worst, float(np.linalg.norm(fa, axis=1).max()))
-            continue
-        fb = b.flat()
-        proj = (fb.conj() @ fa.T).T @ fb
-        worst = max(worst, float(np.linalg.norm(fa - proj, axis=1).max()))
+        if a.dim:
+            worst = max(worst, float(_distances(a, b).max()))
     return SubspaceComparison(v.dim == w.dim and worst <= tol, worst)
+
+
+def _distances(a: OperatorSubspace, b: OperatorSubspace) -> np.ndarray:
+    """Frobenius distance from each basis element of a to the span of b."""
+    (da, oa), (db, ob) = _split(a.basis), _split(b.basis)
+    coef = da @ db.conj().T  # coef[i, j] = <b_j, a_i>
+    if a.diagonal or b.diagonal:
+        # one side has no off-diagonal entries, so the residual's are those
+        # of the projection (a diagonal) or of the element itself (b diagonal)
+        off = coef @ ob if a.diagonal else oa
+    else:
+        coef += oa @ ob.conj().T
+        off = oa - coef @ ob
+    return np.hypot(np.linalg.norm(da - coef @ db, axis=1),
+                    np.linalg.norm(off, axis=1))

@@ -121,7 +121,7 @@ def test_criterion_04_resolution(capsys):
         unitaries = element_unitaries(n, *rep_generators(n))
         res = covariant_resolution(n, 0, unitaries)
         total = np.zeros((n * n, n * n), dtype=complex)
-        for atom in res.atoms.values():
+        for atom in map(np.diag, res.atoms.reshape(n * n, -1)):
             total += atom
             psd_floor = min(psd_floor, float(np.linalg.eigvalsh(atom)[0]))
         mass_worst = max(mass_worst, frob(total - np.eye(n * n)))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylgraph.graphs
 from weylgraph.covariant import q_projection
 from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_TOL,
-                              anticlique_projector, graph_orbit, kl_suite_extremes,
-                              proposition1_scan)
+                              anticlique_projector, compress_diagonals, graph_orbit,
+                              kl_suite_extremes, proposition1_scan)
 from weylgraph.linalg import (DEFAULT_TOL, cluster_eigenpairs, frob,
                               random_hermitian, spectral_projections, unit_roots)
 from weylgraph.weylrep import (GroupAction, change_of_basis, element_unitaries,
@@ -77,6 +78,46 @@ def test_cycle_census_matches_dense_census(n):
             (b.element, b.rank, b.occurrences, b.is_anticlique)
         assert abs(a.eigenvalue - b.eigenvalue) <= 1e-9
         assert abs(a.kl_residual - b.kl_residual) <= 1e-9
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_span_census_matches_the_per_generator_compression(n, monkeypatch):
+    # the census compresses only the n orthonormal diagonals of the orbit
+    # span; compressing each of the n^2 generators by the same isometry must
+    # give the same verdicts and, to roundoff, the same worst residual
+    unitaries = element_unitaries(n, *rep_generators(n))
+    orbit = graph_orbit(n, 0, unitaries=unitaries)
+    diagonals = np.array([v for _, v in orbit.provenance])
+    seen = []
+    gram = weylgraph.graphs.compression_gram
+
+    def recording(b, rows):
+        seen.append(b)
+        return gram(b, rows)
+
+    monkeypatch.setattr(weylgraph.graphs, 'compression_gram', recording)
+    scan = proposition1_scan(n, 0, unitaries=unitaries, orbit=orbit)
+    assert len(seen) == len(scan.projections)
+    for b, rec in zip(seen, scan.projections):
+        want = float(compress_diagonals(b, diagonals)[0].max())
+        assert abs(rec.kl_residual - want) <= 1e-12
+        assert rec.compresses == (want <= DEFAULT_TOL)
+        assert rec.is_anticlique == (want <= DEFAULT_TOL and b.shape[1] >= 2)
+
+
+def test_census_reconstruction_guard_catches_swapped_eigenvectors():
+    # two eigenvector columns of different eigenvalues exchanged: the
+    # clusters still look clean, but (V Lambda) V* is no longer the unitary
+    n = 3
+    unitaries = element_unitaries(n, *rep_generators(n))
+    eigs, vectors = unitaries.eigenpairs(1, 1)
+    i, j = 0, int(np.argmax(np.abs(eigs - eigs[0]) > 1e-3))
+    assert j > 0
+    swapped = vectors.copy()
+    swapped[:, [i, j]] = swapped[:, [j, i]]
+    cluster_eigenpairs(eigs, vectors, unitaries.dense(1, 1))
+    with pytest.raises(ValueError, match='reconstruct'):
+        cluster_eigenpairs(eigs, swapped, unitaries.dense(1, 1))
 
 
 # -- the cycle eigenpairs ------------------------------------------------------

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylgraph.covariant
+from dense_oracles import dense_atoms, dense_covariance, dense_mass
 from weylgraph.covariant import (
+    _COVARIANCE_SAMPLE,
     covariant_resolution,
     expectation_avg,
     expectation_trace,
@@ -338,7 +341,7 @@ def test_resolution_atom_spectra():
     n = 3
     res = covariant_resolution(n, 0)
     want = np.array([0.0] * (n * n - n) + [1.0 / n] * n)
-    for atom in res.atoms.values():
+    for atom in map(np.diag, res.atoms.reshape(n * n, -1)):
         w = np.linalg.eigvalsh(atom)
         assert frob(w - want) <= 1e-12
         assert abs(np.trace(atom) - 1.0) <= 1e-13
@@ -350,7 +353,8 @@ def test_resolution_covariance_exhaustive():
     res = covariant_resolution(n, 0, unitaries)
     check = resolution_covariance_check(n, 1e-10, res, unitaries, exhaustive=True)
     assert check.passed, check.max_residual
-    assert check.details == 'all group pairs'
+    assert re.fullmatch(r'all group pairs; worst at h = \(\d, \d\), g = \(\d, \d\)',
+                        check.details)
 
 
 def test_resolution_covariance_spot():
@@ -359,8 +363,93 @@ def test_resolution_covariance_spot():
     unitaries = element_unitaries(n, *rep_generators(n))
     res = covariant_resolution(n, 2, unitaries)
     u = unitaries.dense(3, 1)
-    moved = u @ res.atoms[(2, 3)] @ u.conj().T
-    assert frob(moved - res.atoms[(1, 0)]) <= 1e-12
+    moved = u @ np.diag(res.atoms[2, 3]) @ u.conj().T
+    assert frob(moved - np.diag(res.atoms[1, 0])) <= 1e-12
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_diagonal_resolution_matches_dense_atoms(n):
+    # the checks on the atom diagonals against the dense atoms: eigvalsh for
+    # positivity and dense conjugation for covariance
+    unitaries = element_unitaries(n, *rep_generators(n))
+    res = covariant_resolution(n, 0, unitaries)
+    atoms = dense_atoms(n, 0, unitaries)
+    for (p, q), atom in atoms.items():
+        assert frob(np.diag(res.atoms[p, q]) - atom) <= 1e-15
+    assert res.off_diagonal == 0.0
+    mass = resolution_mass_check(n, 1e-10, res)
+    assert mass.passed and dense_mass(n, atoms) <= 1e-10
+    assert abs(mass.max_residual - dense_mass(n, atoms)) <= 1e-12
+    exhaustive = n <= 6
+    g_list = [(p, q) for p in range(n) for q in range(n)] if exhaustive else \
+        [(p % n, q % n) for p, q in _COVARIANCE_SAMPLE]
+    cov = resolution_covariance_check(n, 1e-10, res, unitaries, exhaustive)
+    want = dense_covariance(n, atoms, unitaries, g_list)
+    assert cov.passed and want <= 1e-10
+    assert abs(cov.max_residual - want) <= 1e-12
+
+
+def test_off_diagonal_base_entry_fails_resolution_mass(monkeypatch):
+    # the atoms carry only diagonals, so a defect off the diagonal of the base
+    # operator must reach the mass check through the measured off-diagonal norm
+    n = 3
+    unitaries = element_unitaries(n, *rep_generators(n))
+
+    def tampered(n_, s_):
+        q = q_projection(n_, s_)
+        q[0, 1] = 1e-6
+        return q
+
+    monkeypatch.setattr(weylgraph.covariant, 'q_projection', tampered)
+    res = covariant_resolution(n, 0, unitaries)
+    assert res.off_diagonal == pytest.approx(n * 1e-6, rel=1e-12)
+    check = resolution_mass_check(n, 1e-10, res)
+    assert not check.passed
+    assert check.max_residual >= 1e-6
+    # the dense reference sees the defect too
+    assert dense_mass(n, dense_atoms(n, 0, unitaries, res.base_operator)) >= 1e-7
+    # covariance cannot test the off-diagonal parts the atoms do not carry,
+    # so it reports their largest possible difference
+    cov = resolution_covariance_check(n, 1e-10, res, unitaries, exhaustive=True)
+    assert not cov.passed
+    assert cov.max_residual >= 2.0 * res.off_diagonal / (n * n)
+
+
+def test_resolution_mass_names_the_worst_atom():
+    n = 3
+    res = covariant_resolution(n, 0)
+    assert res.atoms[1, 2, 0] == 0.0 and res.atoms[2, 1, 0] == 0.0
+    atoms = res.atoms.copy()
+    # two equally negative entries, compensated in another atom so the sum
+    # stays the identity: the first in (p, q) order is named
+    atoms[[2, 1], [1, 2], 0] -= 2e-3
+    atoms[0, 0, 0] += 4e-3
+    check = resolution_mass_check(n, 1e-10, dataclasses.replace(res, atoms=atoms))
+    assert not check.passed
+    assert check.max_residual == pytest.approx(2e-3, rel=1e-12)
+    assert check.details.endswith('worst at the positivity of atom (p, q) = (1, 2)')
+    atoms[0, 0, 1] += 1e-2  # now the sum is worse than any atom
+    check = resolution_mass_check(n, 1e-10, dataclasses.replace(res, atoms=atoms))
+    assert check.details.endswith('worst at the atom sum')
+
+
+def test_resolution_covariance_names_the_worst_pair():
+    # sampled mode at n = 7: atom (3, 3) is outside the g sample, so only the
+    # pair g = (0, 1), h = (3, 2) reads both tampered atoms
+    n = 7
+    unitaries = element_unitaries(n, *rep_generators(n))
+    res = covariant_resolution(n, 0, unitaries)
+    atoms = res.atoms.copy()
+    atoms[0, 1, 5] += 1e-3
+    atoms[3, 3, 40] += 3e-3
+    res = dataclasses.replace(res, atoms=atoms)
+    check = resolution_covariance_check(n, 1e-10, res, unitaries, exhaustive=False)
+    assert not check.passed
+    assert check.details == 'all h against a fixed g sample; worst at h = (3, 2), g = (0, 1)'
+    want = dense_covariance(n, {(p, q): np.diag(atoms[p, q]) for p in range(n)
+                                for q in range(n)}, unitaries, [(0, 1)])
+    assert check.max_residual == pytest.approx(want, rel=1e-12)
+    assert want == pytest.approx(np.sqrt(10) * 1e-3, rel=1e-9)
 
 
 def test_theorem1_names_the_worst_base_index_and_form():

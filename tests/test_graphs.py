@@ -1,10 +1,14 @@
 """Tests for the y/h/z generator families, the conjugation-orbit graphs, the
 code anticliques, and the span audit."""
 
+import re
+
 import numpy as np
 import pytest
 
 import exact_oracles
+import weylgraph.graphs
+from dense_oracles import dense_subspace_equal
 from weylgraph.graphs import (
     anticlique_projector,
     check_knill_laflamme,
@@ -397,6 +401,64 @@ def test_theorem2_audit_dimensions(n):
     assert d.claim.startswith('Theorem 2')
     assert f'dim span{{h_p}} = {n // 2 + 1}' in d.observed
     assert 'floor(n/2)+1' in d.observed
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_span_audit_matches_the_dense_embedding(n):
+    # every comparison verify_theorem2 makes, against the old comparison of
+    # densely embedded orbit bases
+    unitaries = element_unitaries(n, *rep_generators(n))
+    orbits = [graph_orbit(n, s, unitaries=unitaries).space for s in range(n)]
+    _, z_red = z_generators(n, 0)
+    pairs = [(orbits[s1], orbits[s2]) for s1 in range(n) for s2 in range(s1 + 1, n)]
+    pairs += [(orbits[0], span_operators(z_red)), (orbits[0], span_operators(h_generators(n)))]
+    for v, w in pairs:
+        got = subspace_equal(v, w)
+        want = dense_subspace_equal(v, w, 1e-10)
+        assert got.equal == want[0]
+        assert abs(got.max_residual - want[1]) <= 1e-12
+
+
+def test_off_diagonal_z_entry_fails_orbit_equals_z(monkeypatch):
+    # the orbit span is diagonal; a z generator with a 1e-6 entry off the
+    # diagonal must leave the span, which the comparison sees only through
+    # the off-diagonal mass it measures
+    n = 3
+    built = z_generators
+
+    def tampered(n_, j, y=None):
+        grid, reduced = built(n_, j, y)
+        reduced[1] = reduced[1].copy()
+        reduced[1][0, 1] += 1e-6
+        return grid, reduced
+
+    monkeypatch.setattr(weylgraph.graphs, 'z_generators', tampered)
+    checks, audit, _ = verify_theorem2(n)
+    by_id = {c.check_id: c for c in checks}
+    assert not by_id['orbit_equals_z'].passed
+    assert by_id['orbit_equals_z'].max_residual >= 1e-7
+    assert not audit.orbit_equals_z
+
+
+@pytest.mark.parametrize('n', [3, 4, 8])
+def test_graphs_coincide_names_the_worst_comparison(n):
+    unitaries = element_unitaries(n, *rep_generators(n))
+    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+    check = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)[0][0]
+    match = re.fullmatch(r'orbit graphs pairwise; z grid against the reduced family; '
+                         r'worst at (\(s1, s2\) = \(\d, \d\)|the z grid)', check.details)
+    assert match
+    # recomputing every comparison in the same order: the named one is the
+    # first to reach the reported maximum
+    residuals = [(subspace_equal(orbits[s1].space, orbits[s2].space).max_residual,
+                  f'(s1, s2) = ({s1}, {s2})')
+                 for s1 in range(n) for s2 in range(s1 + 1, n)]
+    grid, z_red = z_generators(n, 0)
+    residuals.append((float(np.linalg.norm(grid - np.array(z_red), axis=(2, 3)).max()),
+                      'the z grid'))
+    first = next(where for r, where in residuals if r == check.max_residual)
+    assert match.group(1) == first
+    assert check.max_residual == max(r for r, _ in residuals)
 
 
 # -- the code subspaces -------------------------------------------------------

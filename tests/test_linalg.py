@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exact_oracles
+from dense_oracles import dense_embedding, dense_subspace_equal
 from weylgraph.linalg import (
     DegenerateClusteringError,
     cluster_eigenpairs,
@@ -190,6 +192,15 @@ def test_clusters_must_reassemble_the_unitary():
         cluster_eigenpairs(np.diag(u), swapped, u)
 
 
+def test_reconstruction_guard_catches_a_duplicated_column():
+    # every column is a unit eigenvector of its own eigenvalue's cluster
+    # only if it belongs to u: a repeated column reassembles another matrix
+    u = np.diag([1.0, 1j, -1.0]).astype(complex)
+    duplicated = np.eye(3, dtype=complex)[:, [0, 0, 2]]
+    with pytest.raises(ValueError, match='reconstruct'):
+        cluster_eigenpairs(np.diag(u), duplicated, u)
+
+
 def test_spectral_rejects_nonunitary():
     with pytest.raises(ValueError):
         spectral_projections(2.0 * np.eye(3, dtype=complex))
@@ -263,6 +274,48 @@ def test_span_of_diagonals_matches_the_dense_span():
         span_operators([np.array([1.0, np.nan])])
     with pytest.raises(ValueError):
         span_operators([np.ones(3), np.eye(3)])
+
+
+def test_diagonal_span_keeps_its_rows():
+    space = span_operators([np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 2.0])])
+    assert space.diagonal and space.basis.shape == (2, 3)
+    dense = dense_embedding(space)
+    off = np.zeros((3, 3), dtype=complex)
+    off[0, 1] = 1e-6
+    for x in (np.diag([1.0, 1.0, 5.0]), np.diag([1.0, 2.0, 0.0]) + off, np.array([3.0, 1.0, 0.0])):
+        want = dense.residual(np.diag(x) if x.ndim == 1 else x)
+        assert abs(space.residual(x) - want) <= 1e-15
+
+
+@st.composite
+def mixed_spaces(draw):
+    """A diagonal subspace and a dense one built from combinations of its
+    diagonals, with off-diagonal entries of a drawn size mixed in."""
+    d = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 4))
+    rows = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    diagonal = span_operators(list(rows))
+    count = draw(st.integers(1, 5))
+    mix = rng.standard_normal((count, len(rows))) + 1j * rng.standard_normal((count, len(rows)))
+    if draw(st.booleans()):  # a diagonal generator off the span
+        rows = np.vstack((rows, rng.standard_normal((1, d))))
+        mix = np.hstack((mix, rng.standard_normal((count, 1))))
+    off = draw(st.sampled_from([0.0, 1e-13, 1e-6, 1.0]))
+    noise = rng.standard_normal((count, d, d)) * ~np.eye(d, dtype=bool)
+    dense = span_operators([np.diag(c @ rows) + off * e for c, e in zip(mix, noise)])
+    return diagonal, dense
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_spaces())
+def test_mixed_subspace_equal_matches_the_dense_embedding(spaces):
+    diagonal, dense = spaces
+    for v, w in ((diagonal, dense), (dense, diagonal)):
+        got = subspace_equal(v, w)
+        want = dense_subspace_equal(v, w, 1e-10)
+        assert got.equal == want[0]
+        assert abs(got.max_residual - want[1]) <= 1e-12
 
 
 def test_span_idempotent():
