@@ -95,14 +95,16 @@ def _require_tol(tol: float) -> None:
 
 
 def _require_memory(n: int) -> None:
-    """Refuse a modulus whose run cannot fit in physical memory: 384 n^6
-    bytes is at least the measured peak RSS of verify at n = 8, 10, 12 and 14
-    (94, 179, 405 and 917 MiB); the largest objects are 16 n^6-byte grids."""
-    need = 384 * n ** 6
+    """Refuse a modulus whose run cannot fit in physical memory: 64 MiB +
+    200 n^5 bytes is at least the measured peak RSS of verify at n = 8, 10,
+    ..., 24 (68, 79, 102, 147, 227, 348, 537, 812 and 1241 MiB); the largest
+    objects are stacks of n dense n^2 x n^2 matrices (the class weights W_k,
+    the h and z families), 16 n^5 bytes each."""
+    need = 2 ** 26 + 200 * n ** 5
     have = os.sysconf('SC_PHYS_PAGES') * os.sysconf('SC_PAGE_SIZE')
     _require(need <= have,
-             f'n = {n} needs about {need / 2**30:.1f} GiB (384 n^6 bytes), more than '
-             f'the {have / 2**30:.1f} GiB of physical memory')
+             f'n = {n} needs about {need / 2**30:.1f} GiB (64 MiB + 200 n^5 bytes), '
+             f'more than the {have / 2**30:.1f} GiB of physical memory')
 
 
 def _write(text: str, path: str | None) -> None:
@@ -155,8 +157,8 @@ def _cmd_export(args) -> int:
         payload = matrix_to_obj(anticlique_projector(n, args.k))
     elif what == 'h-generators':
         payload = [matrix_to_obj(h) for h in h_generators(n)]
-    else:  # z-generators: the reduced j-free family
-        payload = [matrix_to_obj(z) for z in z_generators(n, 0)[1]]
+    else:  # z-generators
+        payload = [matrix_to_obj(z) for z in z_generators(n)]
     _write(dumps(payload) + '\n', args.out)
     return 0
 

@@ -11,24 +11,27 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, as_operator, frob
 from .results import CheckResult
-from .weylrep import (EntangledBasis, GroupAction, dyad_grid, element_unitaries,
+from .weylrep import (EntangledBasis, GroupAction, element_unitaries,
                       entangled_basis, rep_generators)
 
 
 @dataclass(frozen=True)
 class FixedPointUnits:
-    """Grid x[p][q] = sum_k |h_k^p><h_k^q|, matrix units over the block index.
+    """The commutant units x_pq = sum_k |h_k^p><h_k^q|, kept as the factor
+    units[p, k] = h_k^p, shape (n, n, n*n).
 
-    These span the commutant of the induced action; the summed index is the
-    subscript of the grid.
+    A unit grid is carried by the vectors it sums: a factor f stands for
+    grid[a][b] = sum_c |f[a, c]><f[b, c]|, 16 n^4 bytes instead of the
+    16 n^6 of the dense grid.  Every consumer evaluates its defining sum
+    through the factor.  The x_pq span the commutant of the induced action.
     """
     n: int
-    units: np.ndarray  # shape (n, n, n*n, n*n)
+    units: np.ndarray  # shape (n, n, n*n); units[p, k] is h_k^p
 
 
 def fixed_units(n: int, basis: EntangledBasis | None = None) -> FixedPointUnits:
     basis = basis if basis is not None else entangled_basis(n)
-    return FixedPointUnits(n, dyad_grid(basis.vectors.swapaxes(0, 1)))
+    return FixedPointUnits(n, np.ascontiguousarray(basis.vectors.swapaxes(0, 1)))
 
 
 def _default_unitaries(n: int) -> GroupAction:
@@ -52,17 +55,19 @@ def expectation_avg(n: int, x, unitaries: GroupAction | None = None) -> np.ndarr
 def expectation_trace(n: int, x, units: FixedPointUnits | None = None) -> np.ndarray:
     """Trace form of the same average: (1/n) sum_pq Tr(x_qp x) x_pq.
 
-    With the grid flattened to G, row p*n+q = vec(x_pq), G vec(x^T) holds
-    every Tr(x_pq x) and the weighted sum of units is one product back.
+    With F the factor flattened to rows (p, k), the weights
+    coef[p, q] = Tr(x_qp x) = sum_k <h_k^p| x |h_k^q> are read off the rows
+    <h_k^p| x of F^* x, and the weighted sum of units is one product back:
+    F^T against the rows (p, k) holding sum_q coef[p, q] <h_k^q|.
     """
     x = as_operator(x)
     d = n * n
     if x.shape[0] != d:
         raise ValueError("operator dimension must be n^2")
-    grid = (units if units is not None else fixed_units(n)).units.reshape(d, d * d)
-    traces = grid @ x.T.ravel()  # traces[p*n+q] = Tr(x_pq x)
-    coef = traces.reshape(n, n).T.ravel()  # coef[p*n+q] = Tr(x_qp x)
-    return (coef @ grid).reshape(d, d) / n
+    f = (units if units is not None else fixed_units(n)).units
+    bras = f.conj()
+    coef = (bras.reshape(d, d) @ x).reshape(n, n * d) @ f.reshape(n, n * d).T / n
+    return f.reshape(d, d).T @ (coef @ bras.reshape(n, n * d)).reshape(d, d)
 
 
 def q_projection(n: int, s: int) -> np.ndarray:

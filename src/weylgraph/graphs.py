@@ -13,7 +13,7 @@ from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator,
                      cluster_eigenpairs, frob, random_hermitian, span_operators,
                      spectral_projections, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
-from .weylrep import (EntangledBasis, GroupAction, GroupElement, dyad_grid,
+from .weylrep import (EntangledBasis, GroupAction, GroupElement,
                       element_unitaries, entangled_basis, rep_generators)
 from .covariant import q_projection
 
@@ -23,44 +23,42 @@ _MATCH_TOL = 1e-6
 
 
 def y_units(n: int, basis: EntangledBasis | None = None) -> np.ndarray:
-    """Grid y[m][l] = sum_k |h_m^k><h_l^k|; the superscript is the summed index."""
+    """The units y_ml = sum_k |h_m^k><h_l^k| as the factor y[m, k] = h_m^k,
+    shape (n, n, n*n): the superscript is the summed index (FixedPointUnits
+    gives the expansion)."""
     basis = basis if basis is not None else entangled_basis(n)
-    return dyad_grid(basis.vectors)
+    return basis.vectors.copy()
 
 
 def h_generators(n: int, y: np.ndarray | None = None) -> list:
-    """The Hermitian family h_0 = sum_m y_mm, h_p = sum_m (y_{m+p,m} + y_{m,m+p})."""
+    """The Hermitian family h_0 = sum_m y_mm, h_p = sum_m (y_{m+p,m} + y_{m,m+p}).
+
+    With Y the factor flattened to rows (m, k) and R_p its copy rolled by p in
+    m, sum_m y_{m+p,m} = R_p^T Y^*, so h_p = A + A* for A = R_p^T Y^*."""
     if y is None:
         y = y_units(n)
-    m = np.arange(n)
-    out = [y[m, m].sum(axis=0)]
+    d = n * n
+    bras = y.reshape(d, d).conj()
+    out = [y.reshape(d, d).T @ bras]
     for p in range(1, n):
-        out.append((y[(m + p) % n, m] + y[m, (m + p) % n]).sum(axis=0))
+        pair = np.roll(y, -p, axis=0).reshape(d, d).T @ bras
+        out.append(pair + pair.conj().T)
     return out
 
 
-def z_generators(n: int, j: int, y: np.ndarray | None = None):
-    """Orbit generators in the y-coordinates, plus the reduced j-free family.
+def z_generators(n: int, y: np.ndarray | None = None) -> list:
+    """The orbit generators in the y coordinates, z_c = sum_{m,l} w^(c(m-l)) y_ml.
 
-    Returns (grid, reduced): grid[q][p] = sum_{m,l} w^((m-l)(p-j)) y_{m+q,l+q}
-    and reduced[c] = sum_{m,l} w^(c(m-l)) y_{m,l}.  Shifting m and l by q shows
-    grid[q][p] equals reduced[(p-j) mod n] for every q; the grid is returned
-    unreduced so that independence can be measured, not assumed.
+    Expanding y_ml through its factor, z_c = sum_k |u_c^k><u_c^k| with
+    u_c^k = sum_m w^(cm) h_m^k: one phase product for every u, then one
+    product per c.
     """
-    if not 0 <= j < n:
-        raise ValueError("j out of range")
     if y is None:
         y = y_units(n)
-    roots = unit_roots(n)
     d = n * n
     idx = np.arange(n)
-    diff = np.subtract.outer(idx, idx).reshape(-1)  # m - l, flattened over (m, l)
-    # one product per q: row p of the phase table against y rolled by q in m and l
-    phases = roots[np.outer(idx - j, diff) % n]
-    grid = np.stack([phases @ np.roll(y, -q, axis=(0, 1)).reshape(d, d * d)
-                     for q in range(n)]).reshape(n, n, d, d)
-    reduced = list((roots[np.outer(idx, diff) % n] @ y.reshape(d, d * d)).reshape(n, d, d))
-    return grid, reduced
+    u = (unit_roots(n)[np.outer(idx, idx) % n] @ y.reshape(n, n * d)).reshape(n, n, d)
+    return [u[c].T @ u[c].conj() for c in range(n)]
 
 
 @dataclass(frozen=True)
@@ -357,25 +355,20 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
     if y is None:
         y = y_units(n, basis)
     h_list = h_generators(n, y)
-    grid, z_red = z_generators(n, 0, y)
+    z_red = z_generators(n, y)
 
-    # (residual, where) in a fixed order, so the first strict maximum is named
-    coincide = []
+    # residuals in a fixed order, so the first strict maximum is named
     pair_equal = True
+    coincide_worst, where = 0.0, (0, 1)
     for s1 in range(n):
         for s2 in range(s1 + 1, n):
             cmp_ = subspace_equal(orbit_graphs[s1].space, orbit_graphs[s2].space, tol)
-            coincide.append((cmp_.max_residual, f'(s1, s2) = ({s1}, {s2})'))
+            if cmp_.max_residual > coincide_worst:
+                coincide_worst, where = cmp_.max_residual, (s1, s2)
             pair_equal = pair_equal and cmp_.equal
-    # the whole j-indexed grid family collapses onto the reduced list; checking
-    # j = 0 covers every j because changing j only relabels p
-    coincide.append((float(np.linalg.norm(grid - np.array(z_red), axis=(2, 3)).max()),
-                     'the z grid'))
-    coincide_worst, where = max(coincide, key=lambda entry: entry[0])
-    checks = [CheckResult('graphs_coincide',
-                          pair_equal and coincide_worst <= tol, coincide_worst,
-                          details=f'orbit graphs pairwise; z grid against the reduced '
-                                  f'family; worst at {where}')]
+    checks = [CheckResult('graphs_coincide', pair_equal, coincide_worst,
+                          details=f'orbit graphs pairwise; worst at '
+                                  f'(s1, s2) = ({where[0]}, {where[1]})')]
 
     z_space = span_operators(z_red, tol)
     h_space = span_operators(h_list, tol)

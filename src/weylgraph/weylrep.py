@@ -63,11 +63,6 @@ def entangled_basis(n: int) -> EntangledBasis:
     return EntangledBasis(n, vectors.reshape(n, n, n * n))
 
 
-def dyad_grid(blocks: np.ndarray) -> np.ndarray:
-    """grid[a][b] = sum_c |blocks[a, c]><blocks[b, c]| as one batched product."""
-    return np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None]
-
-
 def change_of_basis(n: int, basis: EntangledBasis | None = None) -> np.ndarray:
     """Unitary W with column k*n+j equal to h_k^j (standard basis -> grid)."""
     basis = basis if basis is not None else entangled_basis(n)

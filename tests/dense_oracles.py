@@ -1,11 +1,36 @@
-"""Dense references for the diagonal fast paths: the operator-span
-comparison on densely embedded bases, and the covariant resolution with
-dense atoms.  Each is the code the fast path replaced, kept here so the
-tests can hold the two against each other."""
+"""Dense references for the fast paths: the operator-span comparison on
+densely embedded bases, the covariant resolution with dense atoms, and the
+dense unit grids with the unreduced z grid.  Each is the code the fast path
+replaced, kept here so the tests can hold the two against each other."""
 
 import numpy as np
 
-from weylgraph.linalg import OperatorSubspace, frob
+from weylgraph.linalg import OperatorSubspace, frob, unit_roots
+
+
+def dyad_grid(blocks: np.ndarray) -> np.ndarray:
+    """The dense grid a unit factor stands for, grid[a][b] =
+    sum_c |blocks[a, c]><blocks[b, c]|, as one batched product."""
+    return np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None]
+
+
+def z_grid(n: int, j: int, y: np.ndarray):
+    """The z family over a dense grid y of shape (n, n, D, D), unreduced.
+
+    Returns (grid, reduced): grid[q][p] = sum_{m,l} w^((m-l)(p-j)) y_{m+q,l+q}
+    and reduced[c] = sum_{m,l} w^(c(m-l)) y_{m,l}.
+    """
+    roots = unit_roots(n)
+    size = y.shape[-1]
+    idx = np.arange(n)
+    diff = np.subtract.outer(idx, idx).reshape(-1)  # m - l, flattened over (m, l)
+    # one product per q: row p of the phase table against y rolled by q in m and l
+    phases = roots[np.outer(idx - j, diff) % n]
+    flat = (size * size,)
+    grid = np.stack([phases @ np.roll(y, -q, axis=(0, 1)).reshape(n * n, *flat)
+                     for q in range(n)]).reshape(n, n, size, size)
+    reduced = (roots[np.outer(idx, diff) % n] @ y.reshape(n * n, *flat)).reshape(n, size, size)
+    return grid, reduced
 
 
 def dense_embedding(space: OperatorSubspace) -> OperatorSubspace:

@@ -171,8 +171,8 @@ def test_criterion_05_code_compression(capsys):
 
 
 def test_criterion_06_graphs_coincide(capsys):
-    # every pair of orbit graphs coincides and the z grid collapses onto the
-    # reduced family, n=2..10 at tolerance 1e-9; < 60 s
+    # every pair of orbit graphs coincides and the orbit graph equals the span
+    # of the z family, n=2..10 at tolerance 1e-9; < 60 s
     t0 = time.perf_counter()
     worst = 0.0
     ok = True

@@ -116,8 +116,8 @@ def test_scan_rejects_bad_range(capsys):
     ['verify', '--n', '64'],
 ])
 def test_refuses_modulus_past_physical_memory(argv, capsys, monkeypatch):
-    # 384 n^6 bytes, the measured peak of verify, is about 26 TB at n = 64:
-    # refused before anything is built
+    # 64 MiB + 200 n^5 bytes, above the measured peak of verify, is about
+    # 215 GB at n = 64: refused before anything is built
     def build(*_):
         raise AssertionError('run_verification called')
     monkeypatch.setattr('weylgraph.cli.run_verification', build)

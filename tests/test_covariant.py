@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylgraph.covariant
-from dense_oracles import dense_atoms, dense_covariance, dense_mass
+from dense_oracles import dense_atoms, dense_covariance, dense_mass, dyad_grid
 from weylgraph.covariant import (
     _COVARIANCE_SAMPLE,
     covariant_resolution,
@@ -34,7 +34,7 @@ Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 def test_diagonal_units_are_projections():
     n = 3
-    grid = fixed_units(n).units
+    grid = dyad_grid(fixed_units(n).units)
     for p in range(n):
         u = grid[p, p]
         assert frob(u - u.conj().T) <= 1e-13
@@ -43,10 +43,10 @@ def test_diagonal_units_are_projections():
 
 
 def test_units_match_block_products():
-    # the batched grid keeps the arithmetic of the per-pair block products
+    # the expanded factor keeps the arithmetic of the per-pair block products
     n = 4
     basis = entangled_basis(n)
-    grid = fixed_units(n, basis).units
+    grid = dyad_grid(fixed_units(n, basis).units)
     for p in range(n):
         for q in range(n):
             want = basis.isometry(p) @ basis.isometry(q).conj().T
@@ -55,7 +55,7 @@ def test_units_match_block_products():
 
 def test_units_complete_and_traced():
     n = 3
-    grid = fixed_units(n).units
+    grid = dyad_grid(fixed_units(n).units)
     total = grid[np.arange(n), np.arange(n)].sum(axis=0)
     assert frob(total - np.eye(n * n)) <= 1e-13
     for p in range(n):
@@ -67,7 +67,7 @@ def test_units_complete_and_traced():
 def test_units_matrix_algebra():
     # x_pq x_q'p' = delta_qq' x_pp', the defining matrix-unit relations
     n = 3
-    grid = fixed_units(n).units
+    grid = dyad_grid(fixed_units(n).units)
     for p in range(n):
         for q in range(n):
             assert frob(grid[p, q].conj().T - grid[q, p]) <= 1e-13
@@ -91,8 +91,9 @@ def loop_average(table, x):
 
 
 def einsum_trace_form(n, x, units):
-    """(1/n) sum_pq Tr(x_qp x) x_pq, one trace per pair of indices."""
-    grid = units.units
+    """(1/n) sum_pq Tr(x_qp x) x_pq on the expanded grid, one trace per pair
+    of indices."""
+    grid = dyad_grid(units.units)
     acc = np.zeros_like(x)
     for p in range(n):
         for q in range(n):
@@ -177,10 +178,11 @@ def test_expectation_unital():
 def test_expectation_fixes_units():
     n = 3
     units = fixed_units(n)
+    grid = dyad_grid(units.units)
     unitaries = element_unitaries(n, *rep_generators(n))
     for p in range(n):
         for q in range(n):
-            x = units.units[p, q]
+            x = grid[p, q]
             assert frob(expectation_avg(n, x, unitaries) - x) <= 1e-11
             assert frob(expectation_trace(n, x, units) - x) <= 1e-11
 
@@ -247,12 +249,13 @@ def test_expectation_compresses_grid_dyads():
     n = 3
     basis = entangled_basis(n)
     units = fixed_units(n, basis)
+    grid = dyad_grid(units.units)
     for k in range(n):
         for p in range(n):
             for q in range(n):
                 dyad = np.outer(basis.vector(k, p), basis.vector(k, q).conj())
                 out = expectation_trace(n, dyad, units)
-                assert frob(out - units.units[p, q] / n) <= 1e-12
+                assert frob(out - grid[p, q] / n) <= 1e-12
 
 
 def test_expectation_channel_properties():
@@ -260,8 +263,8 @@ def test_expectation_channel_properties():
     d = n * n
     unitaries = element_unitaries(n, *rep_generators(n))
     units = fixed_units(n)
-    commutant = span_operators(
-        [units.units[p, q] for p in range(n) for q in range(n)])
+    grid = dyad_grid(units.units)
+    commutant = span_operators([grid[p, q] for p in range(n) for q in range(n)])
     rng = np.random.default_rng(77)
     for _ in range(5):
         x = random_hermitian(d, rng)
@@ -462,11 +465,11 @@ def test_theorem1_names_the_worst_base_index_and_form():
     res = verify_theorem1(n, tol=1e-10, unitaries=dataclasses.replace(unitaries, phase=phase))
     assert not res.passed
     assert res.details == 'both average forms, every base index s; worst at s = 1, unitary form'
-    # a stray ket |1, 0><1, 0| in x_00 is weighted by Tr(x_00 Q_s), which it
-    # raises for s = 1 alone
-    grid = fixed_units(n).units.copy()
-    grid[0, 0, n, n] += 1.0
-    res = verify_theorem1(n, tol=1e-10, units=dataclasses.replace(fixed_units(n), units=grid))
+    # a stray ket |1, 0> added to h_0^0 in the factor lies in the s = 1
+    # block, so it raises the weights Tr(x_qp Q_s) for s = 1 alone
+    factor = fixed_units(n).units.copy()
+    factor[0, 0, n] += 1.0
+    res = verify_theorem1(n, tol=1e-10, units=dataclasses.replace(fixed_units(n), units=factor))
     assert not res.passed
     assert res.details == 'both average forms, every base index s; worst at s = 1, trace form'
 

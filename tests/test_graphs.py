@@ -5,10 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exact_oracles
 import weylgraph.graphs
-from dense_oracles import dense_subspace_equal
+from dense_oracles import dense_subspace_equal, dyad_grid, z_grid
 from weylgraph.graphs import (
     anticlique_projector,
     check_knill_laflamme,
@@ -22,7 +23,7 @@ from weylgraph.graphs import (
     y_units,
     z_generators,
 )
-from weylgraph.covariant import q_projection
+from weylgraph.covariant import fixed_units, q_projection
 from weylgraph.linalg import (frob, span_operators, subspace_equal,
                               tensor_product, unit_roots)
 from weylgraph.weylrep import (GroupElement, change_of_basis, element_unitaries,
@@ -34,7 +35,7 @@ from weylgraph.weylrep import (GroupElement, change_of_basis, element_unitaries,
 
 def test_y_units_projections_and_completeness():
     n = 3
-    y = y_units(n)
+    y = dyad_grid(y_units(n))
     total = np.zeros((9, 9), dtype=complex)
     for m in range(n):
         u = y[m, m]
@@ -46,7 +47,7 @@ def test_y_units_projections_and_completeness():
 
 def test_y_units_adjoint_and_orthogonality():
     n = 3
-    y = y_units(n)
+    y = dyad_grid(y_units(n))
     for m in range(n):
         for l in range(n):
             assert frob(y[m, l].conj().T - y[l, m]) <= 1e-13
@@ -61,7 +62,7 @@ def test_y_units_clock_scaling():
     # conjugating by the clock image multiplies y_ml by w^(m-l)
     n = 3
     _, pi_m = rep_generators(n)
-    y = y_units(n)
+    y = dyad_grid(y_units(n))
     roots = unit_roots(n)
     for m in range(n):
         for l in range(n):
@@ -100,34 +101,42 @@ def test_h_family_closed_form(n):
 
 # -- the z family ------------------------------------------------------------
 
-def test_z_grid_is_q_independent():
-    n = 4
-    grid, _ = z_generators(n, 1)
-    for p in range(n):
-        for q in range(1, n):
-            assert frob(grid[q, p] - grid[0, p]) <= 1e-11
+@st.composite
+def y_grids(draw):
+    """(n, j, y): an arbitrary complex grid y of shape (n, n, D, D), not
+    necessarily built from any basis, and a label j in 0..n-1."""
+    n, size = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n, n, size, size)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return n, draw(st.integers(0, n - 1)), y
 
 
-def test_z_grid_collapses_to_reduced():
-    n = 3
-    for j in range(n):
-        grid, reduced = z_generators(n, j)
-        for q in range(n):
-            for p in range(n):
-                assert frob(grid[q, p] - reduced[(p - j) % n]) <= 1e-11
+@settings(max_examples=100, deadline=None)
+@given(y_grids())
+def test_z_grid_collapses_to_reduced_for_any_y(case):
+    # grid[q][p] = reduced[(p - j) mod n] for every q and j: shifting m and l
+    # by q only reorders the sum, whatever y is, so the unreduced grid checks
+    # nothing and the report computes only the reduced family
+    n, j, y = case
+    grid, reduced = z_grid(n, j, y)
+    scale = np.abs(y).sum()
+    for q in range(n):
+        for p in range(n):
+            assert frob(grid[q, p] - reduced[(p - j) % n]) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize('n', [2, 3, 4, 5])
 def test_z_reduced_is_scaled_block_projection(n):
     # reduced[c] = n Q_(-c mod n); equivalently Q_j = z_red[(-j) mod n] / n
-    _, reduced = z_generators(n, 0)
+    reduced = z_generators(n)
     for j in range(n):
         assert frob(q_projection(n, j) - reduced[(-j) % n] / n) <= 1e-11
 
 
 def test_z_span_dimension():
     n = 3
-    _, reduced = z_generators(n, 0)
+    reduced = z_generators(n)
     space = span_operators(reduced)
     assert space.dim == 3
     assert space.dim == exact_oracles.z_span_dim(n)
@@ -135,32 +144,47 @@ def test_z_span_dimension():
 
 @pytest.mark.parametrize('n', [3, 4])
 def test_families_match_defining_sums(n):
-    # loop references: the batched y and h constructions keep the loops'
-    # arithmetic, the z grid sums in another order
+    # loop references: the expanded y factor keeps the arithmetic of the
+    # block products; the h family sums through the factor in another order
     basis = entangled_basis(n)
-    roots = unit_roots(n)
     blocks = [basis.code_isometry(m) for m in range(n)]
-    y = y_units(n, basis)
+    factor = y_units(n, basis)
+    y = dyad_grid(factor)
     for m in range(n):
         for l in range(n):
             assert np.array_equal(y[m, l], blocks[m] @ blocks[l].conj().T)
-    h = h_generators(n, y)
-    assert np.array_equal(h[0], sum(y[m, m] for m in range(n)))
+    h = h_generators(n, factor)
+    assert frob(h[0] - sum(y[m, m] for m in range(n))) <= 1e-12
     for p in range(1, n):
         want = sum(y[(m + p) % n, m] + y[m, (m + p) % n] for m in range(n))
-        assert np.array_equal(h[p], want)
-    j = 1
-    grid, _ = z_generators(n, j, y)
-    for q in range(n):
-        for p in range(n):
-            want = sum(roots[((m - l) * (p - j)) % n] * y[(m + q) % n, (l + q) % n]
-                       for m in range(n) for l in range(n))
-            assert frob(grid[q, p] - want) <= 1e-12
+        assert frob(h[p] - want) <= 1e-12
 
 
-def test_z_rejects_bad_j():
-    with pytest.raises(ValueError):
-        z_generators(3, 3)
+@pytest.mark.parametrize('n', range(2, 9))
+def test_unit_factors_stay_n4_and_expand_to_the_loop_sums(n):
+    # the unit grids are kept as their basis vectors, 16 n^4 bytes each, and
+    # the z family as its n reduced generators; expanded, the factors are the
+    # per-pair defining sums
+    d = n * n
+    basis = entangled_basis(n)
+    x_factor = fixed_units(n, basis).units
+    y_factor = y_units(n, basis)
+    assert x_factor.nbytes == y_factor.nbytes == 16 * n ** 4
+    z = z_generators(n, y_factor)
+    assert len(z) == n and all(mat.shape == (d, d) for mat in z)
+    h = basis.vectors  # h[k, j] is h_k^j
+    x_grid, y_grid = dyad_grid(x_factor), dyad_grid(y_factor)
+    roots = unit_roots(n)
+    for a in range(n):
+        for b in range(n):
+            x_ab = sum(np.outer(h[k, a], h[k, b].conj()) for k in range(n))
+            y_ab = sum(np.outer(h[a, k], h[b, k].conj()) for k in range(n))
+            assert frob(x_grid[a, b] - x_ab) <= 1e-12
+            assert frob(y_grid[a, b] - y_ab) <= 1e-12
+    for c in range(n):
+        want = sum(roots[(c * (m - l)) % n] * y_grid[m, l]
+                   for m in range(n) for l in range(n))
+        assert frob(z[c] - want) <= 1e-12
 
 
 # -- the conjugation orbit ---------------------------------------------------
@@ -409,7 +433,7 @@ def test_span_audit_matches_the_dense_embedding(n):
     # densely embedded orbit bases
     unitaries = element_unitaries(n, *rep_generators(n))
     orbits = [graph_orbit(n, s, unitaries=unitaries).space for s in range(n)]
-    _, z_red = z_generators(n, 0)
+    z_red = z_generators(n)
     pairs = [(orbits[s1], orbits[s2]) for s1 in range(n) for s2 in range(s1 + 1, n)]
     pairs += [(orbits[0], span_operators(z_red)), (orbits[0], span_operators(h_generators(n)))]
     for v, w in pairs:
@@ -426,11 +450,11 @@ def test_off_diagonal_z_entry_fails_orbit_equals_z(monkeypatch):
     n = 3
     built = z_generators
 
-    def tampered(n_, j, y=None):
-        grid, reduced = built(n_, j, y)
+    def tampered(n_, y=None):
+        reduced = built(n_, y)
         reduced[1] = reduced[1].copy()
         reduced[1][0, 1] += 1e-6
-        return grid, reduced
+        return reduced
 
     monkeypatch.setattr(weylgraph.graphs, 'z_generators', tampered)
     checks, audit, _ = verify_theorem2(n)
@@ -445,17 +469,14 @@ def test_graphs_coincide_names_the_worst_comparison(n):
     unitaries = element_unitaries(n, *rep_generators(n))
     orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
     check = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)[0][0]
-    match = re.fullmatch(r'orbit graphs pairwise; z grid against the reduced family; '
-                         r'worst at (\(s1, s2\) = \(\d, \d\)|the z grid)', check.details)
+    match = re.fullmatch(r'orbit graphs pairwise; worst at (\(s1, s2\) = \(\d, \d\))',
+                         check.details)
     assert match
     # recomputing every comparison in the same order: the named one is the
     # first to reach the reported maximum
     residuals = [(subspace_equal(orbits[s1].space, orbits[s2].space).max_residual,
                   f'(s1, s2) = ({s1}, {s2})')
                  for s1 in range(n) for s2 in range(s1 + 1, n)]
-    grid, z_red = z_generators(n, 0)
-    residuals.append((float(np.linalg.norm(grid - np.array(z_red), axis=(2, 3)).max()),
-                      'the z grid'))
     first = next(where for r, where in residuals if r == check.max_residual)
     assert match.group(1) == first
     assert check.max_residual == max(r for r, _ in residuals)
