@@ -126,6 +126,27 @@ def test_z_grid_collapses_to_reduced_for_any_y(case):
             assert frob(grid[q, p] - reduced[(p - j) % n]) <= 1e-13 * scale
 
 
+def test_z_grid_is_q_independent():
+    n = 4
+    grid, _ = z_grid(n, 1, dyad_grid(y_units(n)))
+    for p in range(n):
+        for q in range(1, n):
+            assert frob(grid[q, p] - grid[0, p]) <= 1e-11
+
+
+def test_z_grid_collapses_to_reduced():
+    # on the entangled-basis y the collapsed grid is the library's z family
+    n = 3
+    y = dyad_grid(y_units(n))
+    z = z_generators(n)
+    for j in range(n):
+        grid, reduced = z_grid(n, j, y)
+        for q in range(n):
+            for p in range(n):
+                assert frob(grid[q, p] - reduced[(p - j) % n]) <= 1e-11
+                assert frob(grid[q, p] - z[(p - j) % n]) <= 1e-11
+
+
 @pytest.mark.parametrize('n', [2, 3, 4, 5])
 def test_z_reduced_is_scaled_block_projection(n):
     # reduced[c] = n Q_(-c mod n); equivalently Q_j = z_red[(-j) mod n] / n
