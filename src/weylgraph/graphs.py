@@ -9,12 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator,
-                     cluster_eigenpairs, frob, random_hermitian, span_operators,
-                     spectral_projections, subspace_equal, unit_roots)
+from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator, frob,
+                     random_hermitian, span_operators, spectral_projections,
+                     subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
 from .weylrep import (EntangledBasis, GroupAction, GroupElement,
-                      element_unitaries, entangled_basis, rep_generators)
+                      element_unitaries, entangled_basis, rep_generators,
+                      scatter_columns)
 from .covariant import q_projection
 
 # two spectral projections are considered the same object below this distance;
@@ -146,35 +147,41 @@ def check_knill_laflamme(generators, projection, tol: float = DEFAULT_TOL,
                            lambdas, worst, rank)
 
 
-def _compressions(b: np.ndarray, diagonals: np.ndarray, lam: np.ndarray):
-    """The traceless compressions b* X b - lambda I of the generators X whose
-    diagonals are the rows of diagonals, rows lo.. of every compression per
-    batch: one product against the entrywise conj(b[i, a]) b[i, c] table,
-    kept at most d x d per batch."""
+def _compressions(b: np.ndarray, diagonals: np.ndarray):
+    """The traceless compressions C = b* X b - lambda I of the generators X
+    whose diagonals are the rows of diagonals, as (lam, diag, off): the
+    scalars lambda = Tr(b* X b) / rank, the diagonals of every C (one product
+    with |b|^2), and an iterator over batches of off-diagonal entries, at
+    most d x d per batch.  The entry C[a, c] = sum_i conj(b[i, a]) x[i] b[i, c]
+    only gathers rows where several columns are nonzero, so only those rows
+    are read; the columns of one cycle cluster lie on distinct cycles, share
+    no row, and give no batch."""
     d, rank = b.shape
+    diag = diagonals @ (b.real ** 2 + b.imag ** 2)
+    lam = diag.sum(axis=1) / rank
+    shared = np.flatnonzero(np.count_nonzero(b, axis=1) > 1)
+    sub, x = b[shared], diagonals[:, shared]
     step = max(1, d // rank)
-    for lo in range(0, rank, step):
-        rows = b[:, lo:lo + step]
-        table = (rows.conj()[:, :, None] * b[:, None, :]).reshape(d, -1)
-        blk = (diagonals @ table).reshape(len(diagonals), rows.shape[1], rank)
-        a = np.arange(rows.shape[1])
-        blk[:, a, lo + a] -= lam[:, None]
-        yield blk
 
+    def off():
+        for lo in range(0, rank if len(shared) else 0, step):
+            pairs = sub[:, lo:lo + step, None].conj() * sub[:, None, :]
+            blk = (x @ pairs.reshape(len(shared), -1)).reshape(len(x), -1, rank)
+            a = np.arange(blk.shape[1])
+            blk[:, a, lo + a] = 0.0  # the diagonal entries are in diag
+            yield blk.reshape(len(x), -1)
 
-def _scalars(b: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
-    """lambda = Tr(b* X b) / rank for each generator X given by its diagonal."""
-    return diagonals @ (np.abs(b) ** 2).sum(axis=1) / b.shape[1]
+    return lam, diag - lam[:, None], off()
 
 
 def compress_diagonals(b: np.ndarray, diagonals: np.ndarray):
     """Knill-Laflamme compression by the isometry b of each generator X whose
     diagonal is a row of diagonals: the residuals || b* X b - lambda I ||_F
     and the scalars lambda = Tr(b* X b) / rank."""
-    lam = _scalars(b, diagonals)
-    squares = np.zeros(len(diagonals))
-    for blk in _compressions(b, diagonals, lam):
-        squares += (np.abs(blk) ** 2).sum(axis=(1, 2))
+    lam, diag, off = _compressions(b, diagonals)
+    squares = (np.abs(diag) ** 2).sum(axis=1)
+    for blk in off:
+        squares += (np.abs(blk) ** 2).sum(axis=1)
     return np.sqrt(squares), lam
 
 
@@ -183,10 +190,10 @@ def compression_gram(b: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
     compressions C_j = b* X_j b - lambda_j I of the generators X_j given by
     the rows of diagonals.  C is linear in X, so for X = sum_j c_j X_j the
     residual || C(X) ||_F is sqrt(c* G c)."""
-    gram = np.zeros((len(diagonals), len(diagonals)), dtype=complex)
-    for blk in _compressions(b, diagonals, _scalars(b, diagonals)):
-        flat = blk.reshape(len(diagonals), -1)
-        gram += flat.conj() @ flat.T
+    _, diag, off = _compressions(b, diagonals)
+    gram = diag.conj() @ diag.T
+    for blk in off:
+        gram += blk.conj() @ blk.T
     return gram
 
 
@@ -194,24 +201,33 @@ def kl_suite_extremes(n: int, w: np.ndarray, orbit_diagonals_by_s):
     """Worst || P_k X P_k - (1/n) P_k ||_F and |lambda - 1/n| over all (k, s, g)
     for generators X given by their diagonals and P_k = B_k B_k*, where
     B_k = w[:, k n:(k+1) n].  B_k* X B_k - lambda I is traceless, so its
-    distance to I/n is sqrt(residual^2 + n |lambda - 1/n|^2)."""
+    distance to I/n is sqrt(residual^2 + n |lambda - 1/n|^2).  Returns
+    (worst, lam_worst, (k, s, p, q)), the last naming the first strict
+    maximum of the residual in (k, s, g) order, where the g-th diagonal of
+    each s is the generator of the element (p, q) = divmod(g, n)."""
     x = np.concatenate([np.asarray(diags) for diags in orbit_diagonals_by_s])
-    worst = 0.0
-    lam_worst = 0.0
+    ends = np.cumsum([len(diags) for diags in orbit_diagonals_by_s])
+    worst, lam_worst, where = 0.0, 0.0, (0, 0, 0, 0)
     for k in range(n):
         residual, lam = compress_diagonals(w[:, k * n:(k + 1) * n], x)
         off = np.abs(lam - 1.0 / n)
-        worst = max(worst, float(np.sqrt(residual ** 2 + n * off ** 2).max()))
+        dist = np.sqrt(residual ** 2 + n * off ** 2)
+        i = int(np.argmax(dist))
+        if dist[i] > worst:
+            s = int(np.searchsorted(ends, i, side='right'))
+            g = i - (int(ends[s - 1]) if s else 0)
+            worst, where = float(dist[i]), (k, s, *divmod(g, n))
         lam_worst = max(lam_worst, float(off.max()))
-    return worst, lam_worst
+    return worst, lam_worst, where
 
 
 def kl_corollary_check(n: int, tol: float, w: np.ndarray,
                        orbit_diagonals_by_s) -> CheckResult:
     """Report-shaped wrapper around kl_suite_extremes."""
-    worst, lam_worst = kl_suite_extremes(n, w, orbit_diagonals_by_s)
+    worst, lam_worst, (k, s, p, q) = kl_suite_extremes(n, w, orbit_diagonals_by_s)
     return CheckResult('kl_anticliques', worst <= tol, worst,
-                       details=f'max |lambda - 1/n| = {lam_worst:.3e} over all (k, s, g)')
+                       details=f'max |lambda - 1/n| = {lam_worst:.3e} over all (k, s, g); '
+                               f'worst at k = {k}, s = {s}, g = ({p}, {q})')
 
 
 def spectral_match_check(n: int, tol: float, pi_m: np.ndarray,
@@ -277,20 +293,26 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
                       unitaries=None, orbit: OperatorGraph | None = None) -> Prop1Scan:
     """Scan spectral projections of every group unitary and test each one.
 
-    Each unitary's clusters come from the cycles of its monomial table
-    (GroupAction.eigenpairs) and must reassemble the dense unitary.  Dedup
-    reads the cluster columns b, never a dense P = b b*: a bucket by rank and
-    Re Tr(probe P) = Re <b, probe b>, then ||P1 - P2||_F^2 =
-    2 rank - 2 ||b1* b2||_F^2 below _MATCH_TOL^2.  The common list intersects
-    the rank >= 2 projections across all elements and is usually empty, since
-    only a unitary proportional to the identity admits the identity as a
-    cluster projection.  A projection's Knill-Laflamme residual is taken at
-    its first sighting from b, by compressing only the orthonormal diagonals
-    of orbit.space: a generator x = sum_j c_j e_j + delta has residual at most
-    sqrt(c* G c) + ||delta||_F, with G the Gram of the compressed basis
-    (compression_gram) and delta the generator's measured distance to the
-    span, since compressing by an isometry and removing the trace do not
-    increase the Frobenius norm.
+    Each unitary's clusters come in cycle blocks (GroupAction.clusters): its
+    eigenvectors live on the cycles of its monomial table, and the clusters
+    are guarded by the gather residual u V - V Lambda and the orthonormality
+    of each block, so no dense unitary or d x d product is formed.  A
+    cluster P = b b* is read through its columns on their cycles.  Dedup
+    buckets by rank and Re Tr(probe P), a probe[pos, pos] gather per cycle,
+    then matches when ||P1 - P2||_F^2 = 2 rank - 2 ||b1* b2||_F^2 is below
+    _MATCH_TOL^2, with b1* b2 read on the support of b1.  The common list
+    intersects the rank >= 2 projections across all elements and is usually
+    empty, since only a unitary proportional to the identity admits the
+    identity as a cluster projection.  A projection's Knill-Laflamme residual
+    is taken at its first sighting by compressing only the orthonormal
+    diagonals of orbit.space: a generator x = sum_j c_j e_j + delta has
+    residual at most sqrt(c* G c) + ||delta||_F, with G the Gram of the
+    compressed basis (compression_gram) and delta the generator's measured
+    distance to the span, since compressing by an isometry and removing the
+    trace do not increase the Frobenius norm.  The columns of one cluster lie
+    on distinct cycles, so each compression is diagonal, a weighted cycle
+    average per column, and G is an n x rank product; columns that do share
+    a cycle (only at a very large tol) get their off-diagonal entries.
     """
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
@@ -298,42 +320,62 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
         orbit = graph_orbit(n, s, tol, unitaries)
     # every generator in span coordinates, x = coef @ rows + defect, with the
     # defect's norm measured, so that a generator off the span still counts
-    rows = orbit.space.basis
+    span = orbit.space.basis
     diagonals = np.array([v for _, v in orbit.provenance])
-    coef = diagonals @ rows.conj().T
-    defect = np.linalg.norm(diagonals - coef @ rows, axis=1)
-    probe = random_hermitian(n * n, np.random.default_rng(23117))
+    coef = diagonals @ span.conj().T
+    defect = np.linalg.norm(diagonals - coef @ span, axis=1)
+    d = unitaries.perm.shape[-1]
+    probe = random_hermitian(d, np.random.default_rng(23117))
+    coef_h = coef.conj()
     records: list[ScanProjection] = []
-    isometries: list[np.ndarray] = []  # the cluster columns of each record
+    supports: list = []  # (rows, conjugate entries, column starts) of each record
     buckets: dict = {}
     common: list[int] | None = None
     for p in range(n):
+        # the n elements of one row p at a time: one stack of cycle blocks
+        clusters = unitaries.clusters(p, np.arange(n), tol)
+        traces = [round(t, 6) for t in clusters.traces(probe).tolist()]
+        ranks = clusters.ranks.tolist()
+        start, rows, entries, column = clusters.supports()
+        bounds, first = start.tolist(), clusters.first.tolist()
         for q in range(n):
-            eigs, vectors = unitaries.eigenpairs(p, q, tol)
             seen_rank2 = []
-            for lam, b in zip(*cluster_eigenpairs(eigs, vectors, unitaries.dense(p, q), tol)):
-                rank = b.shape[1]
-                key = (rank, round(float(np.vdot(b, probe @ b).real), 6))
+            for c in range(first[q], first[q + 1]):
+                rank, cut = ranks[c], slice(bounds[c], bounds[c + 1])
+                b = scatter_columns(d, rows[cut], entries[cut], column[cut], rank)
+                key = (rank, traces[c])
                 hit = next((idx for idx in buckets.get(key, ())
-                            if 2 * rank - 2 * frob(isometries[idx].conj().T @ b) ** 2
-                            <= _MATCH_TOL ** 2), None)
+                            if 2 * rank - 2 * _overlap(supports[idx], b) <= _MATCH_TOL ** 2),
+                           None)
                 if hit is None:
                     hit = len(records)
-                    isometries.append(b)
+                    supports.append((rows[cut], entries[cut].conj()[:, None],
+                                     np.searchsorted(column[cut], np.arange(rank))))
                     buckets.setdefault(key, []).append(hit)
-                    gram = compression_gram(b, rows)
-                    spanned = ((coef.conj() @ gram) * coef).sum(axis=1).real
+                    spanned = ((coef_h @ compression_gram(b, span)) * coef).sum(axis=1).real
                     worst = float((np.sqrt(np.maximum(spanned, 0.0)) + defect).max())
                     records.append(ScanProjection(
-                        (p, q), complex(lam), rank, 0, compresses=worst <= tol,
+                        (p, q), complex(clusters.values[c]), rank, 0, compresses=worst <= tol,
                         kl_residual=worst, is_anticlique=worst <= tol and rank >= 2))
                 records[hit].occurrences += 1
                 if rank >= 2:
                     seen_rank2.append(hit)
             common = seen_rank2 if common is None else \
                 [idx for idx in common if idx in seen_rank2]
-    return Prop1Scan(n, s, records,
-                     [isometries[idx] @ isometries[idx].conj().T for idx in (common or [])])
+    projectors = []
+    for idx in common or []:
+        rows, entries, starts = supports[idx]
+        column = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
+        projectors.append(scatter_columns(d, rows, entries[:, 0].conj(), column, len(starts)))
+    return Prop1Scan(n, s, records, [b @ b.conj().T for b in projectors])
+
+
+def _overlap(support, b: np.ndarray) -> float:
+    """||b1* b||_F^2 for b1 given by the (rows, conjugate entries, column
+    starts) of its columns: each entry of b1 meets only its own row of b."""
+    rows, entries, starts = support
+    blk = np.add.reduceat(b[rows] * entries, starts)
+    return np.vdot(blk, blk).real
 
 
 def verify_theorem2(n: int, tol: float = DEFAULT_TOL,

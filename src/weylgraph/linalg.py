@@ -21,12 +21,6 @@ DEFAULT_TOL = 1e-10
 class DegenerateClusteringError(ValueError):
     """Eigenvalue clusters could not be separated unambiguously."""
 
-    def __init__(self, gap: float):
-        super().__init__(
-            f"degenerate clustering: a linked cluster has diameter {gap:.6e}, "
-            "wider than the linking gap")
-        self.gap = gap
-
 
 def as_operator(a) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
@@ -109,56 +103,75 @@ def spectral_projections(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
                                  tuple(b.shape[1] for b in isometries))
 
 
-def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
-    """Group the eigenpairs of a unitary u into its spectral clusters.
+def cluster_eigenvalues(eigs, tol: float = DEFAULT_TOL):
+    """Group the eigenvalues of a unitary into its spectral clusters; a 2-D
+    eigs is a stack of spectra, one per row, each clustered on its own.
 
-    eigs[i] is the eigenvalue of the orthonormal column vectors[:, i].
-    Eigenvalues are single-linkage clustered on the unit circle with linking
-    gap 10*tol; a cluster whose diameter exceeds the gap is ambiguous and
-    raises DegenerateClusteringError.  Returns (eigenvalues, isometries)
-    ordered by the angle of the unimodular cluster representatives in
-    [0, 2*pi); isometries[c] holds the columns of cluster c.  Raises
-    ValueError if the clusters do not reassemble u.
+    One angular split: the eigenvalues are sorted by angle in [0, 2*pi) and
+    cut wherever two neighbours lie more than the linking gap 10*tol apart;
+    the first and last runs are one cluster when they meet across the wrap.
+    A cluster whose diameter exceeds the gap is ambiguous, and one whose mean
+    is zero (within tol) has no unimodular representative: both raise
+    DegenerateClusteringError.  Returns (values, labels): labels has the
+    shape of eigs and names the cluster of each eigenvalue, clusters are
+    numbered row by row and, within a row, in the order of the angle of
+    values in [0, 2*pi), and values[c] is the normalised mean of cluster c.
     """
-    eigs = np.asarray(eigs)
-    order = np.argsort(np.mod(np.angle(eigs), 2.0 * np.pi), kind='stable')
+    eigs = np.asarray(eigs, dtype=complex)
+    spectra = np.atleast_2d(eigs)
+    count, size = spectra.shape
     gap = 10.0 * tol
-    groups = [[order[0]]]
-    for idx in order[1:]:
-        if abs(eigs[idx] - eigs[groups[-1][-1]]) <= gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    # the circle wraps: the first and last angular clusters may be one cluster
-    if len(groups) > 1 and abs(eigs[groups[0][0]] - eigs[groups[-1][-1]]) <= gap:
-        groups[0] = groups.pop() + groups[0]
-    reps = []
-    for grp in groups:
-        vals = eigs[grp]
-        diam = float(np.abs(vals[:, None] - vals[None, :]).max())
-        if diam > gap:
-            raise DegenerateClusteringError(diam)
-        lam = complex(vals.mean())
-        reps.append(lam / abs(lam))
+    order = np.argsort(np.mod(np.angle(spectra), 2.0 * np.pi), axis=1, kind='stable')
+    ranked = np.take_along_axis(spectra, order, axis=1)
+    run = np.zeros((count, size), dtype=np.intp)
+    run[:, 1:] = np.cumsum(np.abs(np.diff(ranked, axis=1)) > gap, axis=1)
+    # the circle wraps: the last run joins the first
+    last = run[:, -1:]
+    run[(last > 0) & (np.abs(ranked[:, :1] - ranked[:, -1:]) <= gap) & (run == last)] = 0
+    runs = run.max(axis=1) + 1
+    run = (run + (np.cumsum(runs) - runs)[:, None]).ravel()  # numbered across rows
+    sizes = np.bincount(run)
+    members = ranked.ravel()[np.argsort(run, kind='stable')]
+    starts = np.cumsum(sizes) - sizes
+    # diameters over all pairs, one broadcast per distinct cluster size
+    diam = np.zeros(len(sizes))
+    for width in set(sizes[sizes > 1].tolist()):
+        which = np.flatnonzero(sizes == width)
+        vals = members[starts[which, None] + np.arange(width)]
+        diam[which] = np.abs(vals[:, :, None] - vals[:, None, :]).max(axis=(1, 2))
+    if (diam > gap).any():
+        raise DegenerateClusteringError(
+            f"degenerate clustering: a linked cluster has diameter "
+            f"{diam[np.argmax(diam > gap)]:.6e}, wider than the linking gap")
+    mean = np.add.reduceat(members, starts) / sizes
+    if (np.abs(mean) <= tol).any():
+        raise DegenerateClusteringError(
+            "degenerate clustering: a cluster's eigenvalues average to zero, "
+            "so it has no unimodular representative")
+    reps = mean / np.abs(mean)
+    # order each row's clusters by representative angle; a representative
+    # within the linking gap of +1 counts as angle 0 even when roundoff lands
+    # it just below the 2*pi wrap
+    angle = np.where(np.abs(reps - 1.0) <= gap, 0.0, np.mod(np.angle(reps), 2.0 * np.pi))
+    rank = np.lexsort((angle, np.repeat(np.arange(count), runs)))
+    labels = np.empty(count * size, dtype=np.intp)
+    labels[(order + size * np.arange(count)[:, None]).ravel()] = np.argsort(rank)[run]
+    return reps[rank], labels.reshape(eigs.shape)
 
-    # order clusters by representative angle; a representative within the
-    # linking gap of +1 counts as angle 0 even when roundoff lands it just
-    # below the 2*pi wrap
-    def _key(lam: complex) -> float:
-        if abs(lam - 1.0) <= gap:
-            return 0.0
-        return float(np.mod(np.angle(lam), 2.0 * np.pi))
 
-    cluster_order = sorted(range(len(groups)), key=lambda i: _key(reps[i]))
-    eigenvalues = np.array([reps[i] for i in cluster_order])
-    isometries = [vectors[:, np.array(groups[i])] for i in cluster_order]
-    # defensive: the decomposition must reassemble the input, as one product
-    # (V Lambda) V* over the columns in cluster order
-    cols = np.concatenate(isometries, axis=1)
-    lams = np.repeat(eigenvalues, [b.shape[1] for b in isometries])
-    if frob((cols * lams) @ cols.conj().T - u) > 100.0 * tol * u.shape[0]:
+def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
+    """Group the eigenpairs of a dense unitary u into its spectral clusters.
+
+    eigs[i] is the eigenvalue of the orthonormal column vectors[:, i], and
+    the clusters are those of cluster_eigenvalues.  Returns (eigenvalues,
+    isometries) in cluster order; isometries[c] holds the columns of cluster
+    c.  Raises ValueError if the clusters do not reassemble u, as the one
+    product (V Lambda_cluster) V*.
+    """
+    values, labels = cluster_eigenvalues(eigs, tol)
+    if frob((vectors * values[labels]) @ vectors.conj().T - u) > 100.0 * tol * u.shape[0]:
         raise ValueError("spectral decomposition failed to reconstruct the input")
-    return eigenvalues, isometries
+    return values, [vectors[:, labels == c] for c in range(len(values))]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator, frob, tensor_product, unit_roots
+from .linalg import (DEFAULT_TOL, as_operator, cluster_eigenvalues, frob,
+                     tensor_product, unit_roots)
 from .results import CheckResult
 
 
@@ -113,6 +115,89 @@ def rep_element(n: int, g: GroupElement, generators=None) -> np.ndarray:
     return u
 
 
+class CycleBlock(NamedTuple):
+    """The eigenpairs on the cycles of one length L of monomial unitaries.
+
+    positions[c] lists cycle c as i_0, perm[i_0], ..., starting at its least
+    index; vectors[c, :, j] is the eigenvector of values[c, j] on those
+    indices, zero elsewhere; owner[c] is the element of the cycle in a stack
+    of elements (0 for a single one)."""
+    positions: np.ndarray  # (cycles, L) int
+    values: np.ndarray     # (cycles, L) complex
+    vectors: np.ndarray    # (cycles, L, L) complex
+    owner: np.ndarray      # (cycles,) int
+
+
+@dataclass(frozen=True)
+class CycleClusters:
+    """The spectral clusters of a stack of monomial unitaries, columns kept
+    on their cycles.
+
+    Clusters are numbered across the stack, element by element and, within
+    an element, in angle order: element e owns the clusters first[e]:first[e+1].
+    values[c] is the unimodular representative of cluster c, and
+    labels[b][c, j] the cluster of the eigenvector blocks[b].vectors[c, :, j].
+    """
+    d: int
+    first: np.ndarray
+    values: np.ndarray
+    blocks: list
+    labels: list
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return np.bincount(np.concatenate([lab.ravel() for lab in self.labels]),
+                           minlength=len(self.values))
+
+    def traces(self, x: np.ndarray) -> np.ndarray:
+        """Re Tr(x P_c) for each cluster projection P_c: the sum over its
+        columns v of Re <v, x v>, read from x[pos, pos] on each cycle."""
+        out = np.zeros(len(self.values))
+        for b, lab in zip(self.blocks, self.labels):
+            sub = x[b.positions[:, :, None], b.positions[:, None, :]]
+            forms = (b.vectors.conj() * (sub @ b.vectors)).sum(axis=1).real
+            out += np.bincount(lab.ravel(), forms.ravel(), minlength=len(self.values))
+        return out
+
+    def supports(self):
+        """The entries of every column on its cycle, grouped by cluster:
+        (start, rows, entries, column), where cluster c owns the entries
+        start[c]:start[c+1], column by column, and entry e is entries[e] in
+        row rows[e] of column column[e] of its cluster."""
+        label, rows, entries, ident = [], [], [], []
+        first = 0
+        for b, lab in zip(self.blocks, self.labels):
+            count, size = lab.shape
+            label.append(np.repeat(lab.ravel(), size))
+            rows.append(np.broadcast_to(b.positions[:, None, :], (count, size, size)).ravel())
+            entries.append(b.vectors.transpose(0, 2, 1).ravel())
+            ident.append(np.repeat(first + np.arange(lab.size), size))
+            first += lab.size
+        label = np.concatenate(label)
+        order = np.argsort(label, kind='stable')
+        label, ident = label[order], np.concatenate(ident)[order]
+        start = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(self.values)))))
+        # number the columns in cluster order, then from 0 within each cluster
+        index = np.cumsum(np.concatenate(([True], ident[1:] != ident[:-1]))) - 1
+        column = index - index[start[:-1]][label]
+        return start, np.concatenate(rows)[order], np.concatenate(entries)[order], column
+
+    def isometry(self, c: int) -> np.ndarray:
+        """The columns of cluster c as a dense d x rank matrix."""
+        start, rows, entries, column = self.supports()
+        cut = slice(start[c], start[c + 1])
+        return scatter_columns(self.d, rows[cut], entries[cut], column[cut],
+                               int(self.ranks[c]))
+
+
+def scatter_columns(d: int, rows: np.ndarray, entries: np.ndarray,
+                    column: np.ndarray, rank: int) -> np.ndarray:
+    """The d x rank matrix holding entries[e] at (rows[e], column[e])."""
+    out = np.zeros((d, rank), dtype=complex)
+    out[rows, column] = entries
+    return out
+
+
 @dataclass(frozen=True)
 class GroupAction:
     """The n^2 unitaries piS^p piM^q as a monomial table.
@@ -166,46 +251,114 @@ class GroupAction:
         u[np.arange(d), self.perm[p, q]] = self.phase[p, q]
         return u
 
-    def eigenpairs(self, p: int, q: int, tol: float = DEFAULT_TOL):
-        """Eigenvalues and orthonormal eigenvector columns of piS^p piM^q.
+    def _rows(self, p, q):
+        """perm and phase of the elements (p, q), broadcast and raveled, one
+        row per element."""
+        d = self.perm.shape[-1]
+        return self.perm[p, q].reshape(-1, d), self.phase[p, q].reshape(-1, d)
+
+    def eigenpairs(self, p, q, tol: float = DEFAULT_TOL) -> list:
+        """Eigenpairs of piS^p piM^q, one CycleBlock per cycle length L.
 
         With (u v)[i] = phase[i] v[perm[i]], a cycle i_0 -> perm[i_0] -> ...
         of length L and phase product Phi contributes the L roots of
         lambda^L = Phi, each with an eigenvector on the cycle given by
         v[i_0] = 1/sqrt(L) and v[i_(m+1)] = lambda v[i_m] / phase[i_m].
-        ValueError if perm is not a permutation or u is not unitary within
-        tol, the test spectral_projections makes, here in O(d).
+        p and q may be index arrays: the elements (p, q), broadcast and
+        raveled, are stacked, and their cycles found together.  The cycles
+        come from pointer doubling and every cycle of one length is walked at
+        once, so no step loops over cycles.  ValueError if a perm is not a
+        permutation or a u is not unitary within tol, the test
+        spectral_projections makes, here in O(d).
         """
-        perm, phase = self.perm[p, q], self.phase[p, q]
-        d = perm.size
-        if not np.array_equal(np.sort(perm), np.arange(d)):
+        perm, phase = self._rows(p, q)
+        count, d = perm.shape
+        if not (np.sort(perm, axis=1) == np.arange(d)).all():
             raise ValueError("perm is not a permutation of range(d)")
-        if frob(np.abs(phase) ** 2 - 1.0) > tol * d:  # u* u = diag(|phase|^2)
+        # u* u = diag(|phase|^2)
+        if (np.linalg.norm(np.abs(phase) ** 2 - 1.0, axis=1) > tol * d).any():
             raise ValueError("input is not unitary within tolerance")
-        values = np.empty(d, dtype=complex)
-        vectors = np.zeros((d, d), dtype=complex)
-        seen = np.zeros(d, dtype=bool)
-        succ = perm.tolist()
-        col = 0
-        for start in range(d):
-            if seen[start]:
-                continue
-            cycle = [start]
-            while succ[cycle[-1]] != start:
-                cycle.append(succ[cycle[-1]])
-            seen[cycle] = True
-            size = len(cycle)
-            steps = phase[cycle]
-            total = np.prod(steps)
-            lam = abs(total) ** (1.0 / size) * np.exp(
-                1j * (np.angle(total) + 2.0 * np.pi * np.arange(size)) / size)
+        # one permutation of range(count d): element e acts on e d .. e d + d - 1
+        flat = (perm + d * np.arange(count)[:, None]).ravel()
+        phase = phase.ravel()
+        # least index on each cycle: after k doublings, low[i] is the least of
+        # i, perm[i], ..., perm^(2^k - 1)[i]
+        low, jump = np.arange(flat.size), flat
+        for _ in range(int(d - 1).bit_length()):
+            low, jump = np.minimum(low, low[jump]), jump[jump]
+        starts = np.flatnonzero(low == np.arange(flat.size))
+        sizes = np.bincount(low)[starts]
+        blocks = []
+        for size in sorted(set(sizes.tolist())):
+            # positions[:, m] = perm^m(start), doubling the known columns
+            positions, jump = starts[sizes == size, None], flat
+            while positions.shape[1] < size:
+                positions = np.concatenate((positions, jump[positions]), axis=1)
+                jump = jump[jump]
+            positions = positions[:, :size]
+            steps = phase[positions]
             # row m holds v[i_m] = lambda^m / (phase[i_0] ... phase[i_(m-1)])
-            m = np.arange(size)[:, None]
-            walk = np.concatenate(([1.0], np.cumprod(steps[:-1])))[:, None]
-            values[col:col + size] = lam
-            vectors[cycle, col:col + size] = lam ** m / walk / np.sqrt(size)
-            col += size
-        return values, vectors
+            walk = np.cumprod(steps, axis=1)
+            total = walk[:, -1:]
+            lam = np.abs(total) ** (1.0 / size) * np.exp(
+                1j * (np.angle(total) + 2.0 * np.pi * np.arange(size)) / size)
+            walk = np.sqrt(size) * walk / steps
+            vectors = lam[:, None, :] ** np.arange(size)[:, None] / walk[:, :, None]
+            owner = positions[:, 0] // d
+            blocks.append(CycleBlock(positions - d * owner[:, None], lam, vectors, owner))
+        return blocks
+
+    def clusters(self, p, q, tol: float = DEFAULT_TOL,
+                 blocks: list | None = None) -> CycleClusters:
+        """The spectral clusters of piS^p piM^q on its cycle blocks; p and q
+        may be index arrays, as in eigenpairs.
+
+        The eigenvalues of each element in eigenpairs (or in the explicit
+        blocks, so that mutation tests can feed tampered ones) are grouped
+        by cluster_eigenvalues.  The guard is the gather residual
+        R = u V - V Lambda_cluster, read as (u V)[i_m] = phase[i_m] V[i_(m+1)]
+        on each cycle, with the orthonormality defect E = V* V - I of every
+        block, after checking that the blocks walk the cycles of perm and
+        cover range(d) once, so that V is square.  Then
+        V Lambda V* - u = -R V* + u (V V* - I), ||V||_2^2 <= 1 + ||E||_2 and
+        V V* - I has the singular values of E, so
+        ||V Lambda V* - u||_F <= ||R|| sqrt(1 + ||E||) + ||u||_2 ||E||.
+        ValueError if that bound exceeds 100 tol d for an element.
+        """
+        perm, phase = self._rows(p, q)
+        count, d = perm.shape
+        if blocks is None:
+            blocks = self.eigenpairs(p, q, tol)
+        covered = np.concatenate([(b.positions + d * b.owner[:, None]).ravel() for b in blocks])
+        walks = np.array_equal(np.sort(covered), np.arange(count * d)) and all(
+            np.array_equal(perm[b.owner[:, None], b.positions],
+                           np.roll(b.positions, -1, axis=1)) for b in blocks)
+        if not walks:
+            raise ValueError("cycle blocks do not walk the cycles of the permutation")
+        # each element's eigenvalues as one row of a stack, so that every
+        # element is clustered on its own in one call
+        owner = np.concatenate([np.repeat(b.owner, b.values.shape[1]) for b in blocks])
+        order = np.argsort(owner, kind='stable')
+        spectra = np.concatenate([b.values.ravel() for b in blocks])[order]
+        values, stacked = cluster_eigenvalues(spectra.reshape(count, d), tol)
+        first = np.append(stacked.min(axis=1), len(values))
+        flat = np.empty(order.size, dtype=np.intp)
+        flat[order] = stacked.ravel()
+        ends = np.cumsum([b.values.size for b in blocks])
+        labels = [lab.reshape(b.values.shape)
+                  for b, lab in zip(blocks, np.split(flat, ends[:-1]))]
+        residual, defect = np.zeros(count), np.zeros(count)
+        for b, lab in zip(blocks, labels):
+            miss = (phase[b.owner[:, None], b.positions][:, :, None] * np.roll(b.vectors, -1, axis=1)
+                    - b.vectors * values[lab][:, None, :])
+            gram = b.vectors.conj().transpose(0, 2, 1) @ b.vectors - np.eye(b.vectors.shape[1])
+            residual += np.bincount(b.owner, (np.abs(miss) ** 2).sum(axis=(1, 2)), count)
+            defect += np.bincount(b.owner, (np.abs(gram) ** 2).sum(axis=(1, 2)), count)
+        residual, defect = np.sqrt(residual), np.sqrt(defect)
+        bound = residual * np.sqrt(1.0 + defect) + np.abs(phase).max(axis=1) * defect
+        if (bound > 100.0 * tol * d).any():
+            raise ValueError("spectral decomposition failed to reconstruct the input")
+        return CycleClusters(d, first, values, blocks, labels)
 
     @property
     def nbytes(self) -> int:
@@ -213,28 +366,32 @@ class GroupAction:
 
 
 def _powers(n: int, u: np.ndarray):
-    """Monomial tables (perm, phase) of u^0 .. u^(n-1), read off the largest
-    entry in each row of u."""
+    """Monomial tables (perm, angle) of u^0 .. u^(n-1), read off the largest
+    entry in each row of u: row i of u^k holds exp(1j angle[k, i]) in column
+    perm[k, i].  Angles add where phases would multiply, so a phase built
+    from them is unimodular to roundoff at every power."""
     rows = np.arange(u.shape[0])
     perm = np.argmax(np.abs(u), axis=1)
-    phase = u[rows, perm]
-    perms, phases = [rows], [np.ones(rows.size, dtype=complex)]
+    angle = np.angle(u[rows, perm])
+    perms, angles = [rows], [np.zeros(rows.size)]
     for _ in range(n - 1):
         # row i of A u is phase_A[i] times row perm_A[i] of u
-        phases.append(phases[-1] * phase[perms[-1]])
+        angles.append(angles[-1] + angle[perms[-1]])
         perms.append(perm[perms[-1]])
-    return np.array(perms), np.array(phases)
+    return np.array(perms), np.array(angles)
 
 
 def element_unitaries(n: int, pi_s: np.ndarray, pi_m: np.ndarray) -> GroupAction:
     """All n^2 products piS^p piM^q, indexed [p, q], via cumulative powers;
-    ValueError if the monomial form misses a generator by more than DEFAULT_TOL."""
-    s_perm, s_phase = _powers(n, pi_s)
-    m_perm, m_phase = _powers(n, pi_m)
+    ValueError if the monomial table misses a generator by more than
+    DEFAULT_TOL, as it does for an entry that is not unimodular."""
+    s_perm, s_angle = _powers(n, pi_s)
+    m_perm, m_angle = _powers(n, pi_m)
     q, rows = np.arange(n)[None, :, None], s_perm[:, None, :]
-    action = GroupAction(m_perm[q, rows], s_phase[:, None, :] * m_phase[q, rows])
+    action = GroupAction(m_perm[q, rows],
+                         np.exp(1j * (s_angle[:, None, :] + m_angle[q, rows])))
     if max(frob(action.dense(1, 0) - pi_s), frob(action.dense(0, 1) - pi_m)) > DEFAULT_TOL:
-        raise ValueError("generator is not monomial within tolerance")
+        raise ValueError("generator is not a monomial unitary within tolerance")
     return action
 
 

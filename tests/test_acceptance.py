@@ -159,7 +159,7 @@ def test_criterion_05_code_compression(capsys):
             orbit_diagonals.append([np.diagonal(x) for x in mats])
             off_diagonal = max(off_diagonal,
                                max(frob(x - np.diag(np.diagonal(x))) for x in mats))
-        worst, lam = kl_suite_extremes(n, w, orbit_diagonals)
+        worst, lam, _ = kl_suite_extremes(n, w, orbit_diagonals)
         res_worst = max(res_worst, worst + off_diagonal)
         lam_worst = max(lam_worst, lam)
     dt = time.perf_counter() - t0

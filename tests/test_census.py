@@ -1,20 +1,22 @@
-"""The group-wide spectral census from the cycles of the monomial table,
-against the dense Schur census it replaced, plus property and mutation tests
-for the cycle eigenpairs."""
+"""The group-wide spectral census from the cycle blocks of the monomial table,
+against the dense Schur census it replaced and its golden summaries, plus
+property and mutation tests for the cycle eigenpairs and their guard."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import weylgraph.graphs
+import weylgraph.weylrep
 from weylgraph.covariant import q_projection
 from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_TOL,
-                              anticlique_projector, compress_diagonals, graph_orbit,
-                              kl_suite_extremes, proposition1_scan)
+                              anticlique_projector, compress_diagonals,
+                              compression_gram, graph_orbit, kl_suite_extremes,
+                              proposition1_scan)
 from weylgraph.linalg import (DEFAULT_TOL, cluster_eigenpairs, frob,
-                              random_hermitian, spectral_projections, unit_roots)
-from weylgraph.weylrep import (GroupAction, change_of_basis, element_unitaries,
-                               rep_generators)
+                              random_hermitian, span_operators, spectral_projections,
+                              unit_roots)
+from weylgraph.weylrep import (GroupAction, GroupElement, change_of_basis,
+                               element_unitaries, rep_generators)
 
 
 def dense_census(n, s, tol=DEFAULT_TOL):
@@ -80,44 +82,185 @@ def test_cycle_census_matches_dense_census(n):
         assert abs(a.kl_residual - b.kl_residual) <= 1e-9
 
 
+def _dense_compression_residual(b, diagonals):
+    """max over the generators diag(x) of || b* diag(x) b - lambda I ||_F,
+    each compression formed densely."""
+    rank = b.shape[1]
+    worst = 0.0
+    for x in diagonals:
+        blk = (b.conj().T * x) @ b
+        worst = max(worst, frob(blk - np.trace(blk) / rank * np.eye(rank)))
+    return worst
+
+
+def _record_isometry(unitaries, rec, tol=DEFAULT_TOL):
+    """The dense columns of a census record's cluster at its first sighting."""
+    clusters = unitaries.clusters(*rec.element, tol)
+    c = int(np.argmin(np.abs(clusters.values - rec.eigenvalue)))
+    assert clusters.values[c] == rec.eigenvalue
+    return clusters.isometry(c)
+
+
 @pytest.mark.parametrize('n', range(2, 9))
-def test_span_census_matches_the_per_generator_compression(n, monkeypatch):
+def test_span_census_matches_the_per_generator_compression(n):
     # the census compresses only the n orthonormal diagonals of the orbit
-    # span; compressing each of the n^2 generators by the same isometry must
-    # give the same verdicts and, to roundoff, the same worst residual
+    # span; compressing each of the n^2 generators densely by the record's
+    # own isometry must give the same verdicts and, to roundoff, the same
+    # worst residual
     unitaries = element_unitaries(n, *rep_generators(n))
     orbit = graph_orbit(n, 0, unitaries=unitaries)
     diagonals = np.array([v for _, v in orbit.provenance])
-    seen = []
-    gram = weylgraph.graphs.compression_gram
-
-    def recording(b, rows):
-        seen.append(b)
-        return gram(b, rows)
-
-    monkeypatch.setattr(weylgraph.graphs, 'compression_gram', recording)
     scan = proposition1_scan(n, 0, unitaries=unitaries, orbit=orbit)
-    assert len(seen) == len(scan.projections)
-    for b, rec in zip(seen, scan.projections):
-        want = float(compress_diagonals(b, diagonals)[0].max())
+    for rec in scan.projections:
+        b = _record_isometry(unitaries, rec)
+        assert b.shape[1] == rec.rank
+        want = _dense_compression_residual(b, diagonals)
         assert abs(rec.kl_residual - want) <= 1e-12
+        assert abs(float(compress_diagonals(b, diagonals)[0].max()) - want) <= 1e-12
         assert rec.compresses == (want <= DEFAULT_TOL)
-        assert rec.is_anticlique == (want <= DEFAULT_TOL and b.shape[1] >= 2)
+        assert rec.is_anticlique == (want <= DEFAULT_TOL and rec.rank >= 2)
+
+
+def test_census_counts_the_off_diagonal_entries_of_a_shared_cycle():
+    # at a very large tol one cluster can hold two columns of one cycle, and
+    # their compressions then have off-diagonal entries: here a 2-cycle
+    # (eigenvalues 1 and -1) and a fixed point (eigenvalue 1) form one
+    # cluster at tol 0.25
+    tol = 0.25
+    table = _table([1, 0, 2], np.ones(3))
+    diagonals = np.random.default_rng(5).standard_normal((4, 3))
+    orbit = OperatorGraph(1, 0, span_operators(list(diagonals)),
+                          [(GroupElement(0, g), v) for g, v in enumerate(diagonals)])
+    [rec] = proposition1_scan(1, 0, tol, unitaries=table, orbit=orbit).projections
+    b = table.clusters(0, 0, tol).isometry(0)
+    assert rec.rank == b.shape[1] == 3
+    want = _dense_compression_residual(b, diagonals)
+    diagonal_only = max(frob(np.diag(np.diag((b.conj().T * x) @ b)) - np.mean(x) * np.eye(3))
+                        for x in diagonals)
+    assert want - diagonal_only > 0.1
+    assert abs(rec.kl_residual - want) <= 1e-12
+
+
+@pytest.mark.parametrize('seed', range(4))
+def test_compressions_of_a_dense_isometry_match_the_dense_forms(seed):
+    # every row shared by every column: the general case of _compressions
+    rng = np.random.default_rng(seed)
+    d, rank = 7, 3
+    b = np.linalg.qr(rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank)))[0]
+    diagonals = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+    comps = []
+    for x in diagonals:
+        blk = (b.conj().T * x) @ b
+        comps.append(blk - np.trace(blk) / rank * np.eye(rank))
+    residual, lam = compress_diagonals(b, diagonals)
+    assert np.allclose(residual, [frob(c) for c in comps], rtol=0.0, atol=1e-12)
+    assert np.allclose(lam, [np.trace((b.conj().T * x) @ b) / rank for x in diagonals],
+                       rtol=0.0, atol=1e-12)
+    want = np.array([[np.vdot(cj, ck) for ck in comps] for cj in comps])
+    assert np.abs(compression_gram(b, diagonals) - want).max() <= 1e-12
+
+
+# summary() of the dense-reconstruction census that the cycle blocks replaced, n = 2..16
+CENSUS_SUMMARIES = {
+    2: (7, 6), 3: (13, 12), 4: (31, 24), 5: (31, 30), 6: (91, 72), 7: (57, 56),
+    8: (127, 96), 9: (121, 108), 10: (217, 180), 11: (133, 132), 12: (403, 288),
+    13: (183, 182), 14: (399, 336), 15: (403, 360), 16: (511, 384),
+}
+
+
+@pytest.mark.parametrize('n', sorted(CENSUS_SUMMARIES))
+def test_census_summary_is_the_golden_one(n):
+    distinct, anti = CENSUS_SUMMARIES[n]
+    assert proposition1_scan(n, 0).summary() == (
+        f'common rank>=2 projections: 0; distinct spectral projections: {distinct} '
+        f'({distinct} of rank>=2, {anti} anticliques for the orbit)')
 
 
 def test_census_reconstruction_guard_catches_swapped_eigenvectors():
-    # two eigenvector columns of different eigenvalues exchanged: the
-    # clusters still look clean, but (V Lambda) V* is no longer the unitary
+    # two eigenvector columns of different eigenvalues exchanged within one
+    # cycle: the clusters still look clean, but u V is no longer V Lambda
     n = 3
     unitaries = element_unitaries(n, *rep_generators(n))
-    eigs, vectors = unitaries.eigenpairs(1, 1)
-    i, j = 0, int(np.argmax(np.abs(eigs - eigs[0]) > 1e-3))
-    assert j > 0
-    swapped = vectors.copy()
-    swapped[:, [i, j]] = swapped[:, [j, i]]
-    cluster_eigenpairs(eigs, vectors, unitaries.dense(1, 1))
+    blocks = unitaries.eigenpairs(1, 1)
+    block = blocks[-1]
+    assert block.values.shape[1] >= 2
+    assert abs(block.values[0, 0] - block.values[0, 1]) > 1e-3
+    vectors = block.vectors.copy()
+    vectors[0][:, [0, 1]] = vectors[0][:, [1, 0]]
+    unitaries.clusters(1, 1, blocks=blocks)
     with pytest.raises(ValueError, match='reconstruct'):
-        cluster_eigenpairs(eigs, swapped, unitaries.dense(1, 1))
+        unitaries.clusters(1, 1, blocks=blocks[:-1] + [block._replace(vectors=vectors)])
+
+
+def _tampered(unitaries, p, q, edit):
+    """The cycle blocks of (p, q) with edit applied to a copy of the vectors
+    of the longest cycles; the edit must change them."""
+    blocks = unitaries.eigenpairs(p, q)
+    block = blocks[-1]
+    vectors = block.vectors.copy()
+    edit(block, vectors)
+    assert not np.allclose(vectors, block.vectors)
+    return blocks[:-1] + [block._replace(vectors=vectors)]
+
+
+def test_cycle_guard_catches_a_wrong_cluster_representative(monkeypatch):
+    n = 3
+    unitaries = element_unitaries(n, *rep_generators(n))
+    clustered = weylgraph.weylrep.cluster_eigenvalues
+
+    def turned(eigs, tol):
+        values, labels = clustered(eigs, tol)
+        values = values.copy()
+        values[1] *= np.exp(1e-6j)
+        return values, labels
+
+    monkeypatch.setattr(weylgraph.weylrep, 'cluster_eigenvalues', turned)
+    with pytest.raises(ValueError, match='reconstruct'):
+        unitaries.clusters(1, 1)
+
+
+def test_cycle_guard_catches_a_shifted_phase_walk():
+    # the walk taken one step late, phase[i_0] ... phase[i_m] instead of
+    # phase[i_0] ... phase[i_(m-1)]: on a cycle with unequal phases the
+    # columns are no longer eigenvectors
+    n = 3
+    unitaries = element_unitaries(n, *rep_generators(n))
+    phase = unitaries.phase[1, 1]
+
+    def shift(block, vectors):
+        steps = phase[block.positions[0]]
+        assert np.ptp(np.angle(steps)) > 1e-3
+        size = len(steps)
+        m = np.arange(size)[:, None]
+        vectors[0] = block.values[0] ** m / np.cumprod(steps)[:, None] / np.sqrt(size)
+
+    with pytest.raises(ValueError, match='reconstruct'):
+        unitaries.clusters(1, 1, blocks=_tampered(unitaries, 1, 1, shift))
+
+
+def test_cycle_guard_catches_a_scaled_column():
+    # a scaled eigenvector is still an eigenvector: only the orthonormality
+    # defect of its block sees it
+    n = 3
+    unitaries = element_unitaries(n, *rep_generators(n))
+
+    def scale(block, vectors):
+        vectors[0, :, 0] *= 1.001
+
+    with pytest.raises(ValueError, match='reconstruct'):
+        unitaries.clusters(1, 1, blocks=_tampered(unitaries, 1, 1, scale))
+
+
+def test_cycle_guard_catches_a_column_swapped_between_cycles():
+    n = 3
+    unitaries = element_unitaries(n, *rep_generators(n))
+
+    def swap(block, vectors):
+        assert len(block.positions) >= 2
+        vectors[0, :, 0], vectors[1, :, 1] = block.vectors[1, :, 1], block.vectors[0, :, 0]
+
+    with pytest.raises(ValueError, match='reconstruct'):
+        unitaries.clusters(1, 1, blocks=_tampered(unitaries, 1, 1, swap))
 
 
 # -- the cycle eigenpairs ------------------------------------------------------
@@ -144,12 +287,26 @@ def monomials(draw):
     return _table(perm, phase)
 
 
+def _dense_eigenpairs(blocks, d):
+    """The eigenvalues and the d x d eigenvector matrix spelled out from the
+    cycle blocks, columns in block order."""
+    values, vectors, col = np.empty(d, dtype=complex), np.zeros((d, d), dtype=complex), 0
+    for block in blocks:
+        for positions, lam, vecs in zip(block.positions, block.values, block.vectors):
+            size = len(positions)
+            values[col:col + size] = lam
+            vectors[positions, col:col + size] = vecs
+            col += size
+    assert col == d
+    return values, vectors
+
+
 @settings(max_examples=150, deadline=None)
 @given(monomials())
 def test_eigenpairs_diagonalise_the_dense_unitary(table):
     u = table.dense(0, 0)
     d = u.shape[0]
-    values, vectors = table.eigenpairs(0, 0)
+    values, vectors = _dense_eigenpairs(table.eigenpairs(0, 0), d)
     assert frob(vectors.conj().T @ vectors - np.eye(d)) <= 1e-12
     assert frob(u @ vectors - vectors * values) <= 1e-12
     eigenvalues, isometries = cluster_eigenpairs(values, vectors, u)
@@ -158,6 +315,13 @@ def test_eigenpairs_diagonalise_the_dense_unitary(table):
     assert tuple(b.shape[1] for b in isometries) == dec.ranks
     assert np.abs(eigenvalues - dec.eigenvalues).max() <= 1e-9
     assert np.abs(projectors - dec.projectors).max() <= 1e-9
+    # the cycle path clusters alike, without the dense unitary
+    clusters = table.clusters(0, 0)
+    assert tuple(clusters.ranks) == dec.ranks
+    assert np.abs(clusters.values - dec.eigenvalues).max() <= 1e-9
+    for c, proj in enumerate(dec.projectors):
+        b = clusters.isometry(c)
+        assert np.abs(b @ b.conj().T - proj).max() <= 1e-9
 
 
 def test_eigenpairs_reject_a_non_permutation():
@@ -193,5 +357,5 @@ def test_census_catches_a_perturbed_generator_diagonal():
         assert not rec.is_anticlique
     diagonals = [[v for _, v in tampered]] + \
         [[v for _, v in g.provenance] for g in orbits[1:]]
-    worst, _ = kl_suite_extremes(n, change_of_basis(n), diagonals)
+    worst, _, _ = kl_suite_extremes(n, change_of_basis(n), diagonals)
     assert worst > 1e-10

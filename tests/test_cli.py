@@ -80,6 +80,20 @@ def test_tol_contract(argv, code, capsys):
         assert not spectral['pass']
 
 
+def test_verify_reports_a_zero_mean_cluster(tmp_path, capsys):
+    # at tol 0.5 the linking gap spans the circle, so a cluster can average
+    # to zero: the census refuses it as a degenerate clustering, in the report
+    out = tmp_path / 'report.json'
+    assert main(['verify', '--n', '4', '--tol', '0.5', '--json', str(out)]) == 1
+    assert capsys.readouterr().err == ''
+    obj = json.loads(out.read_text())
+    assert [c['id'] for c in obj['checks']] == list(CANONICAL_CHECK_ORDER)
+    spectral = obj['checks'][CANONICAL_CHECK_ORDER.index('spectral_pk_match')]
+    assert not spectral['pass']
+    assert spectral['details'].startswith('spectral clustering failed: ')
+    assert 'no unimodular representative' in spectral['details']
+
+
 @pytest.mark.parametrize('tol', [float('inf'), float('nan'), 0.0])
 def test_run_verification_rejects_bad_tol(tol):
     with pytest.raises(ValueError):

@@ -14,8 +14,10 @@ from weylgraph.graphs import (
     anticlique_projector,
     check_knill_laflamme,
     code_subspace,
+    compress_diagonals,
     graph_orbit,
     h_generators,
+    kl_corollary_check,
     kl_suite_extremes,
     proposition1_scan,
     spectral_match_check,
@@ -319,7 +321,7 @@ def test_kl_suite_extremes_small():
     unitaries = element_unitaries(n, *rep_generators(n))
     orbits = [[m for _, m in graph_orbit(n, s, unitaries=unitaries).provenance]
               for s in range(n)]
-    worst, lam_worst = kl_suite_extremes(n, w, orbits)
+    worst, lam_worst, _ = kl_suite_extremes(n, w, orbits)
     assert worst <= 1e-12
     assert lam_worst <= 1e-12
 
@@ -349,11 +351,34 @@ def test_kl_suite_extremes_matches_dense_oracle(n):
     rng = np.random.default_rng(n)
     diagonals = [list(rng.standard_normal((n * n, n * n))) for _ in range(2)]
     diagonals.append([v for _, v in graph_orbit(n, 0, unitaries=unitaries).provenance])
-    got = kl_suite_extremes(n, w, diagonals)
+    worst, lam_worst, _ = kl_suite_extremes(n, w, diagonals)
     want = dense_kl_suite_extremes(n, w, [[np.diag(v) for v in diags]
                                           for diags in diagonals])
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.allclose((worst, lam_worst), want, rtol=0.0, atol=1e-12)
     assert want[0] > 0.1
+
+
+@pytest.mark.parametrize('n', [3, 4])
+def test_kl_anticliques_names_a_tampered_orbit_diagonal(n):
+    # one entry of one orbit diagonal raised: the worst (k, s, g) is that
+    # diagonal, at the first code k with the largest residual for it
+    w = change_of_basis(n)
+    unitaries = element_unitaries(n, *rep_generators(n))
+    diagonals = [[v.copy() for _, v in graph_orbit(n, s, unitaries=unitaries).provenance]
+                 for s in range(n)]
+    s, p, q = n - 1, 1, 2
+    x = diagonals[s][p * n + q]
+    x[n + 1] += 1e-3
+    residuals = [float(np.hypot(r, np.sqrt(n) * abs(lam - 1.0 / n))[0])
+                 for r, lam in (compress_diagonals(w[:, k * n:(k + 1) * n], x[None])
+                                for k in range(n))]
+    k = int(np.argmax(residuals))
+    worst, _, where = kl_suite_extremes(n, w, diagonals)
+    assert where == (k, s, p, q)
+    assert worst == pytest.approx(residuals[k], abs=1e-15)
+    check = kl_corollary_check(n, 1e-10, w, diagonals)
+    assert not check.passed
+    assert check.details.endswith(f'; worst at k = {k}, s = {s}, g = ({p}, {q})')
 
 
 def test_kl_rejects_full_matrix_unit_family():

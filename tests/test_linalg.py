@@ -9,6 +9,7 @@ from dense_oracles import dense_embedding, dense_subspace_equal
 from weylgraph.linalg import (
     DegenerateClusteringError,
     cluster_eigenpairs,
+    cluster_eigenvalues,
     dft_unitary,
     frob,
     hs_inner,
@@ -212,6 +213,23 @@ def test_spectral_degenerate_gap():
     u = np.diag([1.0, np.exp(6e-10j), np.exp(1.2e-9j)]).astype(complex)
     with pytest.raises(DegenerateClusteringError):
         spectral_projections(u)
+
+
+def test_cluster_with_zero_mean_has_no_representative():
+    # the fourth roots of unity are one cluster at a gap wider than 2, and
+    # their mean is zero
+    with pytest.raises(DegenerateClusteringError, match='unimodular representative'):
+        cluster_eigenvalues(unit_roots(4), tol=0.5)
+    values, labels = cluster_eigenvalues(unit_roots(4)[[0, 0, 1]], tol=0.5)
+    assert labels.tolist() == [0, 0, 0]
+    assert abs(values[0] - np.exp(1j * np.arctan2(1, 2))) <= 1e-15
+
+
+def test_cluster_labels_follow_the_angle_order():
+    eigs = np.array([-1.0, 1j, 1.0 + 1e-13j, 1.0, -1j, 1.0 - 1e-13j])
+    values, labels = cluster_eigenvalues(eigs)
+    assert np.allclose(values, [1.0, 1j, -1.0, -1j], atol=1e-12)
+    assert labels.tolist() == [2, 1, 0, 0, 3, 0]
 
 
 def test_spectral_wraparound_cluster():
