@@ -14,8 +14,7 @@ from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator, frob,
                      subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
 from .weylrep import (EntangledBasis, GroupAction, GroupElement,
-                      element_unitaries, entangled_basis, rep_generators,
-                      scatter_columns)
+                      element_unitaries, entangled_basis, rep_generators)
 from .covariant import q_projection
 
 # two spectral projections are considered the same object below this distance;
@@ -297,7 +296,8 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     eigenvectors live on the cycles of its monomial table, and the clusters
     are guarded by the gather residual u V - V Lambda and the orthonormality
     of each block, so no dense unitary or d x d product is formed.  A
-    cluster P = b b* is read through its columns on their cycles.  Dedup
+    cluster P = b b* is read through its columns on their cycles
+    (ClusterColumns), and a record keeps a copy of those.  Dedup
     buckets by rank and Re Tr(probe P), a probe[pos, pos] gather per cycle,
     then matches when ||P1 - P2||_F^2 = 2 rank - 2 ||b1* b2||_F^2 is below
     _MATCH_TOL^2, with b1* b2 read on the support of b1.  The common list
@@ -324,33 +324,29 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     diagonals = np.array([v for _, v in orbit.provenance])
     coef = diagonals @ span.conj().T
     defect = np.linalg.norm(diagonals - coef @ span, axis=1)
-    d = unitaries.perm.shape[-1]
-    probe = random_hermitian(d, np.random.default_rng(23117))
+    probe = random_hermitian(unitaries.perm.shape[-1], np.random.default_rng(23117))
     coef_h = coef.conj()
     records: list[ScanProjection] = []
-    supports: list = []  # (rows, conjugate entries, column starts) of each record
+    supports: list = []  # the ClusterColumns of each record
     buckets: dict = {}
     common: list[int] | None = None
     for p in range(n):
         # the n elements of one row p at a time: one stack of cycle blocks
         clusters = unitaries.clusters(p, np.arange(n), tol)
         traces = [round(t, 6) for t in clusters.traces(probe).tolist()]
-        ranks = clusters.ranks.tolist()
-        start, rows, entries, column = clusters.supports()
-        bounds, first = start.tolist(), clusters.first.tolist()
+        columns, first = clusters.columns(), clusters.first.tolist()
         for q in range(n):
             seen_rank2 = []
             for c in range(first[q], first[q + 1]):
-                rank, cut = ranks[c], slice(bounds[c], bounds[c + 1])
-                b = scatter_columns(d, rows[cut], entries[cut], column[cut], rank)
+                cols = columns[c]
+                rank, b = cols.rank, cols.dense()
                 key = (rank, traces[c])
                 hit = next((idx for idx in buckets.get(key, ())
-                            if 2 * rank - 2 * _overlap(supports[idx], b) <= _MATCH_TOL ** 2),
+                            if 2 * rank - 2 * supports[idx].overlap(b) <= _MATCH_TOL ** 2),
                            None)
                 if hit is None:
                     hit = len(records)
-                    supports.append((rows[cut], entries[cut].conj()[:, None],
-                                     np.searchsorted(column[cut], np.arange(rank))))
+                    supports.append(cols.copy())
                     buckets.setdefault(key, []).append(hit)
                     spanned = ((coef_h @ compression_gram(b, span)) * coef).sum(axis=1).real
                     worst = float((np.sqrt(np.maximum(spanned, 0.0)) + defect).max())
@@ -362,20 +358,7 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
                     seen_rank2.append(hit)
             common = seen_rank2 if common is None else \
                 [idx for idx in common if idx in seen_rank2]
-    projectors = []
-    for idx in common or []:
-        rows, entries, starts = supports[idx]
-        column = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
-        projectors.append(scatter_columns(d, rows, entries[:, 0].conj(), column, len(starts)))
-    return Prop1Scan(n, s, records, [b @ b.conj().T for b in projectors])
-
-
-def _overlap(support, b: np.ndarray) -> float:
-    """||b1* b||_F^2 for b1 given by the (rows, conjugate entries, column
-    starts) of its columns: each entry of b1 meets only its own row of b."""
-    rows, entries, starts = support
-    blk = np.add.reduceat(b[rows] * entries, starts)
-    return np.vdot(blk, blk).real
+    return Prop1Scan(n, s, records, [supports[idx].projector() for idx in common or []])
 
 
 def verify_theorem2(n: int, tol: float = DEFAULT_TOL,

@@ -128,6 +128,44 @@ class CycleBlock(NamedTuple):
     owner: np.ndarray      # (cycles,) int
 
 
+class ClusterColumns(NamedTuple):
+    """The orthonormal columns of one spectral cluster, kept on their cycles:
+    entry e is entries[e] in row rows[e] of column column[e], and column a
+    owns the entries starts[a]:starts[a+1]; the rest of C^d is zero."""
+    d: int
+    rows: np.ndarray     # int
+    entries: np.ndarray  # complex
+    column: np.ndarray   # int, nondecreasing
+    starts: np.ndarray   # int, one per column
+
+    @property
+    def rank(self) -> int:
+        return len(self.starts)
+
+    def dense(self) -> np.ndarray:
+        """The columns as a d x rank isometry."""
+        out = np.zeros((self.d, self.rank), dtype=complex)
+        out[self.rows, self.column] = self.entries
+        return out
+
+    def copy(self) -> 'ClusterColumns':
+        """The same columns in arrays of their own, so that keeping them does
+        not keep the stack they were cut from."""
+        return ClusterColumns(self.d, self.rows.copy(), self.entries.copy(),
+                              self.column.copy(), self.starts.copy())
+
+    def overlap(self, b: np.ndarray) -> float:
+        """||B* b||_F^2 for B these columns and b a d x k matrix: each entry
+        of B meets only its own row of b."""
+        blk = np.add.reduceat(b[self.rows] * self.entries.conj()[:, None], self.starts)
+        return np.vdot(blk, blk).real
+
+    def projector(self) -> np.ndarray:
+        """The d x d orthogonal projection B B* onto the cluster."""
+        b = self.dense()
+        return b @ b.conj().T
+
+
 @dataclass(frozen=True)
 class CycleClusters:
     """The spectral clusters of a stack of monomial unitaries, columns kept
@@ -159,11 +197,9 @@ class CycleClusters:
             out += np.bincount(lab.ravel(), forms.ravel(), minlength=len(self.values))
         return out
 
-    def supports(self):
-        """The entries of every column on its cycle, grouped by cluster:
-        (start, rows, entries, column), where cluster c owns the entries
-        start[c]:start[c+1], column by column, and entry e is entries[e] in
-        row rows[e] of column column[e] of its cluster."""
+    def columns(self) -> list:
+        """The columns of every cluster on their cycles, one ClusterColumns
+        per cluster, in cluster order."""
         label, rows, entries, ident = [], [], [], []
         first = 0
         for b, lab in zip(self.blocks, self.labels):
@@ -176,26 +212,18 @@ class CycleClusters:
         label = np.concatenate(label)
         order = np.argsort(label, kind='stable')
         label, ident = label[order], np.concatenate(ident)[order]
-        start = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(self.values)))))
-        # number the columns in cluster order, then from 0 within each cluster
-        index = np.cumsum(np.concatenate(([True], ident[1:] != ident[:-1]))) - 1
-        column = index - index[start[:-1]][label]
-        return start, np.concatenate(rows)[order], np.concatenate(entries)[order], column
-
-    def isometry(self, c: int) -> np.ndarray:
-        """The columns of cluster c as a dense d x rank matrix."""
-        start, rows, entries, column = self.supports()
-        cut = slice(start[c], start[c + 1])
-        return scatter_columns(self.d, rows[cut], entries[cut], column[cut],
-                               int(self.ranks[c]))
-
-
-def scatter_columns(d: int, rows: np.ndarray, entries: np.ndarray,
-                    column: np.ndarray, rank: int) -> np.ndarray:
-    """The d x rank matrix holding entries[e] at (rows[e], column[e])."""
-    out = np.zeros((d, rank), dtype=complex)
-    out[rows, column] = entries
-    return out
+        rows, entries = np.concatenate(rows)[order], np.concatenate(entries)[order]
+        # the stable sort keeps each column's entries together: number the
+        # columns in cluster order, then from 0 within each cluster
+        head = np.concatenate(([True], ident[1:] != ident[:-1]))
+        ranks = self.ranks
+        tops = np.cumsum(ranks)
+        column = np.cumsum(head) - 1 - (tops - ranks)[label]
+        heads = np.flatnonzero(head)
+        ends = np.cumsum(np.bincount(label, minlength=len(self.values))).tolist()
+        tops = tops.tolist()
+        return [ClusterColumns(self.d, rows[lo:hi], entries[lo:hi], column[lo:hi], heads[a:b] - lo)
+                for lo, hi, a, b in zip([0] + ends, ends, [0] + tops, tops)]
 
 
 @dataclass(frozen=True)
@@ -308,14 +336,12 @@ class GroupAction:
             blocks.append(CycleBlock(positions - d * owner[:, None], lam, vectors, owner))
         return blocks
 
-    def clusters(self, p, q, tol: float = DEFAULT_TOL,
-                 blocks: list | None = None) -> CycleClusters:
+    def clusters(self, p, q, tol: float = DEFAULT_TOL) -> CycleClusters:
         """The spectral clusters of piS^p piM^q on its cycle blocks; p and q
         may be index arrays, as in eigenpairs.
 
-        The eigenvalues of each element in eigenpairs (or in the explicit
-        blocks, so that mutation tests can feed tampered ones) are grouped
-        by cluster_eigenvalues.  The guard is the gather residual
+        The eigenvalues of each element in eigenpairs are grouped by
+        cluster_eigenvalues.  The guard is the gather residual
         R = u V - V Lambda_cluster, read as (u V)[i_m] = phase[i_m] V[i_(m+1)]
         on each cycle, with the orthonormality defect E = V* V - I of every
         block, after checking that the blocks walk the cycles of perm and
@@ -327,8 +353,7 @@ class GroupAction:
         """
         perm, phase = self._rows(p, q)
         count, d = perm.shape
-        if blocks is None:
-            blocks = self.eigenpairs(p, q, tol)
+        blocks = self.eigenpairs(p, q, tol)
         covered = np.concatenate([(b.positions + d * b.owner[:, None]).ravel() for b in blocks])
         walks = np.array_equal(np.sort(covered), np.arange(count * d)) and all(
             np.array_equal(perm[b.owner[:, None], b.positions],

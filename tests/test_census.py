@@ -98,7 +98,7 @@ def _record_isometry(unitaries, rec, tol=DEFAULT_TOL):
     clusters = unitaries.clusters(*rec.element, tol)
     c = int(np.argmin(np.abs(clusters.values - rec.eigenvalue)))
     assert clusters.values[c] == rec.eigenvalue
-    return clusters.isometry(c)
+    return clusters.columns()[c].dense()
 
 
 @pytest.mark.parametrize('n', range(2, 9))
@@ -132,13 +132,41 @@ def test_census_counts_the_off_diagonal_entries_of_a_shared_cycle():
     orbit = OperatorGraph(1, 0, span_operators(list(diagonals)),
                           [(GroupElement(0, g), v) for g, v in enumerate(diagonals)])
     [rec] = proposition1_scan(1, 0, tol, unitaries=table, orbit=orbit).projections
-    b = table.clusters(0, 0, tol).isometry(0)
+    b = table.clusters(0, 0, tol).columns()[0].dense()
     assert rec.rank == b.shape[1] == 3
     want = _dense_compression_residual(b, diagonals)
     diagonal_only = max(frob(np.diag(np.diag((b.conj().T * x) @ b)) - np.mean(x) * np.eye(3))
                         for x in diagonals)
     assert want - diagonal_only > 0.1
     assert abs(rec.kl_residual - want) <= 1e-12
+
+
+def test_census_common_projection_is_the_dense_one():
+    # a one-element table: every rank >= 2 cluster is common, here the
+    # eigenvalue 1 of a 2-cycle and a fixed point
+    table = _table([1, 0, 2], np.ones(3))
+    diagonals = np.random.default_rng(5).standard_normal((4, 3))
+    orbit = OperatorGraph(1, 0, span_operators(list(diagonals)),
+                          [(GroupElement(0, g), v) for g, v in enumerate(diagonals)])
+    scan = proposition1_scan(1, 0, unitaries=table, orbit=orbit)
+    dec = spectral_projections(table.dense(0, 0))
+    assert [r.rank for r in scan.projections] == list(dec.ranks) == [2, 1]
+    [common] = scan.common
+    assert np.abs(common - dec.projectors[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize('n', [3, 4, 6])
+def test_cluster_overlaps_match_the_dense_products(n):
+    # ||B* b||_F^2 read on the support of B, against the dense product, for
+    # the clusters of two elements whose cycles differ
+    unitaries = element_unitaries(n, *rep_generators(n))
+    ones = unitaries.clusters(1, 1).columns()
+    others = [cols.dense() for cols in unitaries.clusters(0, 1).columns()]
+    for cols in ones:
+        dense = cols.dense()
+        assert frob(dense.conj().T @ dense - np.eye(cols.rank)) <= 1e-12
+        for b in others:
+            assert abs(cols.overlap(b) - frob(dense.conj().T @ b) ** 2) <= 1e-12
 
 
 @pytest.mark.parametrize('seed', range(4))
@@ -176,7 +204,7 @@ def test_census_summary_is_the_golden_one(n):
         f'({distinct} of rank>=2, {anti} anticliques for the orbit)')
 
 
-def test_census_reconstruction_guard_catches_swapped_eigenvectors():
+def test_census_reconstruction_guard_catches_swapped_eigenvectors(monkeypatch):
     # two eigenvector columns of different eigenvalues exchanged within one
     # cycle: the clusters still look clean, but u V is no longer V Lambda
     n = 3
@@ -187,20 +215,28 @@ def test_census_reconstruction_guard_catches_swapped_eigenvectors():
     assert abs(block.values[0, 0] - block.values[0, 1]) > 1e-3
     vectors = block.vectors.copy()
     vectors[0][:, [0, 1]] = vectors[0][:, [1, 0]]
-    unitaries.clusters(1, 1, blocks=blocks)
+    _feed(monkeypatch, blocks)
+    unitaries.clusters(1, 1)
+    _feed(monkeypatch, blocks[:-1] + [block._replace(vectors=vectors)])
     with pytest.raises(ValueError, match='reconstruct'):
-        unitaries.clusters(1, 1, blocks=blocks[:-1] + [block._replace(vectors=vectors)])
+        unitaries.clusters(1, 1)
 
 
-def _tampered(unitaries, p, q, edit):
-    """The cycle blocks of (p, q) with edit applied to a copy of the vectors
-    of the longest cycles; the edit must change them."""
+def _feed(monkeypatch, blocks):
+    """Make GroupAction.eigenpairs hand out the given cycle blocks."""
+    monkeypatch.setattr(GroupAction, 'eigenpairs',
+                        lambda self, p, q, tol=DEFAULT_TOL: blocks)
+
+
+def _tampered(monkeypatch, unitaries, p, q, edit):
+    """Feed clusters the cycle blocks of (p, q) with edit applied to a copy
+    of the vectors of the longest cycles; the edit must change them."""
     blocks = unitaries.eigenpairs(p, q)
     block = blocks[-1]
     vectors = block.vectors.copy()
     edit(block, vectors)
     assert not np.allclose(vectors, block.vectors)
-    return blocks[:-1] + [block._replace(vectors=vectors)]
+    _feed(monkeypatch, blocks[:-1] + [block._replace(vectors=vectors)])
 
 
 def test_cycle_guard_catches_a_wrong_cluster_representative(monkeypatch):
@@ -219,7 +255,7 @@ def test_cycle_guard_catches_a_wrong_cluster_representative(monkeypatch):
         unitaries.clusters(1, 1)
 
 
-def test_cycle_guard_catches_a_shifted_phase_walk():
+def test_cycle_guard_catches_a_shifted_phase_walk(monkeypatch):
     # the walk taken one step late, phase[i_0] ... phase[i_m] instead of
     # phase[i_0] ... phase[i_(m-1)]: on a cycle with unequal phases the
     # columns are no longer eigenvectors
@@ -234,11 +270,12 @@ def test_cycle_guard_catches_a_shifted_phase_walk():
         m = np.arange(size)[:, None]
         vectors[0] = block.values[0] ** m / np.cumprod(steps)[:, None] / np.sqrt(size)
 
+    _tampered(monkeypatch, unitaries, 1, 1, shift)
     with pytest.raises(ValueError, match='reconstruct'):
-        unitaries.clusters(1, 1, blocks=_tampered(unitaries, 1, 1, shift))
+        unitaries.clusters(1, 1)
 
 
-def test_cycle_guard_catches_a_scaled_column():
+def test_cycle_guard_catches_a_scaled_column(monkeypatch):
     # a scaled eigenvector is still an eigenvector: only the orthonormality
     # defect of its block sees it
     n = 3
@@ -247,11 +284,12 @@ def test_cycle_guard_catches_a_scaled_column():
     def scale(block, vectors):
         vectors[0, :, 0] *= 1.001
 
+    _tampered(monkeypatch, unitaries, 1, 1, scale)
     with pytest.raises(ValueError, match='reconstruct'):
-        unitaries.clusters(1, 1, blocks=_tampered(unitaries, 1, 1, scale))
+        unitaries.clusters(1, 1)
 
 
-def test_cycle_guard_catches_a_column_swapped_between_cycles():
+def test_cycle_guard_catches_a_column_swapped_between_cycles(monkeypatch):
     n = 3
     unitaries = element_unitaries(n, *rep_generators(n))
 
@@ -259,8 +297,9 @@ def test_cycle_guard_catches_a_column_swapped_between_cycles():
         assert len(block.positions) >= 2
         vectors[0, :, 0], vectors[1, :, 1] = block.vectors[1, :, 1], block.vectors[0, :, 0]
 
+    _tampered(monkeypatch, unitaries, 1, 1, swap)
     with pytest.raises(ValueError, match='reconstruct'):
-        unitaries.clusters(1, 1, blocks=_tampered(unitaries, 1, 1, swap))
+        unitaries.clusters(1, 1)
 
 
 # -- the cycle eigenpairs ------------------------------------------------------
@@ -319,9 +358,9 @@ def test_eigenpairs_diagonalise_the_dense_unitary(table):
     clusters = table.clusters(0, 0)
     assert tuple(clusters.ranks) == dec.ranks
     assert np.abs(clusters.values - dec.eigenvalues).max() <= 1e-9
-    for c, proj in enumerate(dec.projectors):
-        b = clusters.isometry(c)
-        assert np.abs(b @ b.conj().T - proj).max() <= 1e-9
+    for cols, proj, rank in zip(clusters.columns(), dec.projectors, dec.ranks):
+        assert cols.rank == rank
+        assert np.abs(cols.projector() - proj).max() <= 1e-9
 
 
 def test_eigenpairs_reject_a_non_permutation():
