@@ -334,11 +334,11 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
         # the n elements of one row p at a time: one stack of cycle blocks
         clusters = unitaries.clusters(p, np.arange(n), tol)
         traces = [round(t, 6) for t in clusters.traces(probe).tolist()]
-        columns, first = clusters.columns(), clusters.first.tolist()
+        first = clusters.first.tolist()
         for q in range(n):
             seen_rank2 = []
             for c in range(first[q], first[q + 1]):
-                cols = columns[c]
+                cols = clusters.columns(c)
                 rank, b = cols.rank, cols.dense()
                 key = (rank, traces[c])
                 hit = next((idx for idx in buckets.get(key, ())

@@ -130,13 +130,12 @@ class CycleBlock(NamedTuple):
 
 class ClusterColumns(NamedTuple):
     """The orthonormal columns of one spectral cluster, kept on their cycles:
-    entry e is entries[e] in row rows[e] of column column[e], and column a
-    owns the entries starts[a]:starts[a+1]; the rest of C^d is zero."""
+    column a holds entries[starts[a]:starts[a+1]] in the rows
+    rows[starts[a]:starts[a+1]] of C^d and is zero elsewhere."""
     d: int
     rows: np.ndarray     # int
     entries: np.ndarray  # complex
-    column: np.ndarray   # int, nondecreasing
-    starts: np.ndarray   # int, one per column
+    starts: np.ndarray   # int, one per column, increasing from 0
 
     @property
     def rank(self) -> int:
@@ -144,15 +143,15 @@ class ClusterColumns(NamedTuple):
 
     def dense(self) -> np.ndarray:
         """The columns as a d x rank isometry."""
+        column = np.searchsorted(self.starts, np.arange(len(self.rows)), side='right') - 1
         out = np.zeros((self.d, self.rank), dtype=complex)
-        out[self.rows, self.column] = self.entries
+        out[self.rows, column] = self.entries
         return out
 
     def copy(self) -> 'ClusterColumns':
         """The same columns in arrays of their own, so that keeping them does
         not keep the stack they were cut from."""
-        return ClusterColumns(self.d, self.rows.copy(), self.entries.copy(),
-                              self.column.copy(), self.starts.copy())
+        return ClusterColumns(self.d, self.rows.copy(), self.entries.copy(), self.starts.copy())
 
     def overlap(self, b: np.ndarray) -> float:
         """||B* b||_F^2 for B these columns and b a d x k matrix: each entry
@@ -197,9 +196,19 @@ class CycleClusters:
             out += np.bincount(lab.ravel(), forms.ravel(), minlength=len(self.values))
         return out
 
-    def columns(self) -> list:
-        """The columns of every cluster on their cycles, one ClusterColumns
-        per cluster, in cluster order."""
+    def columns(self, c: int) -> ClusterColumns:
+        """The columns of cluster c on their cycles."""
+        rows, entries, heads, ends, tops = self._sorted
+        lo, hi = ends[c], ends[c + 1]
+        return ClusterColumns(self.d, rows[lo:hi], entries[lo:hi],
+                              heads[tops[c]:tops[c + 1]] - lo)
+
+    @cached_property
+    def _sorted(self):
+        """The entries of every column, grouped by cluster, as (rows,
+        entries, heads, ends, tops): cluster c owns the entries
+        ends[c]:ends[c+1] and the columns tops[c]:tops[c+1], and column k
+        starts at entry heads[k]."""
         label, rows, entries, ident = [], [], [], []
         first = 0
         for b, lab in zip(self.blocks, self.labels):
@@ -211,19 +220,13 @@ class CycleClusters:
             first += lab.size
         label = np.concatenate(label)
         order = np.argsort(label, kind='stable')
-        label, ident = label[order], np.concatenate(ident)[order]
-        rows, entries = np.concatenate(rows)[order], np.concatenate(entries)[order]
-        # the stable sort keeps each column's entries together: number the
-        # columns in cluster order, then from 0 within each cluster
-        head = np.concatenate(([True], ident[1:] != ident[:-1]))
-        ranks = self.ranks
-        tops = np.cumsum(ranks)
-        column = np.cumsum(head) - 1 - (tops - ranks)[label]
-        heads = np.flatnonzero(head)
-        ends = np.cumsum(np.bincount(label, minlength=len(self.values))).tolist()
-        tops = tops.tolist()
-        return [ClusterColumns(self.d, rows[lo:hi], entries[lo:hi], column[lo:hi], heads[a:b] - lo)
-                for lo, hi, a, b in zip([0] + ends, ends, [0] + tops, tops)]
+        ident = np.concatenate(ident)[order]
+        # the stable sort keeps each column's entries together
+        heads = np.flatnonzero(np.concatenate(([True], ident[1:] != ident[:-1])))
+        ends = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(self.values)))))
+        tops = np.concatenate(([0], np.cumsum(self.ranks)))
+        return (np.concatenate(rows)[order], np.concatenate(entries)[order], heads,
+                ends.tolist(), tops.tolist())
 
 
 @dataclass(frozen=True)

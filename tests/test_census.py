@@ -98,7 +98,7 @@ def _record_isometry(unitaries, rec, tol=DEFAULT_TOL):
     clusters = unitaries.clusters(*rec.element, tol)
     c = int(np.argmin(np.abs(clusters.values - rec.eigenvalue)))
     assert clusters.values[c] == rec.eigenvalue
-    return clusters.columns()[c].dense()
+    return clusters.columns(c).dense()
 
 
 @pytest.mark.parametrize('n', range(2, 9))
@@ -132,7 +132,7 @@ def test_census_counts_the_off_diagonal_entries_of_a_shared_cycle():
     orbit = OperatorGraph(1, 0, span_operators(list(diagonals)),
                           [(GroupElement(0, g), v) for g, v in enumerate(diagonals)])
     [rec] = proposition1_scan(1, 0, tol, unitaries=table, orbit=orbit).projections
-    b = table.clusters(0, 0, tol).columns()[0].dense()
+    b = table.clusters(0, 0, tol).columns(0).dense()
     assert rec.rank == b.shape[1] == 3
     want = _dense_compression_residual(b, diagonals)
     diagonal_only = max(frob(np.diag(np.diag((b.conj().T * x) @ b)) - np.mean(x) * np.eye(3))
@@ -160,9 +160,9 @@ def test_cluster_overlaps_match_the_dense_products(n):
     # ||B* b||_F^2 read on the support of B, against the dense product, for
     # the clusters of two elements whose cycles differ
     unitaries = element_unitaries(n, *rep_generators(n))
-    ones = unitaries.clusters(1, 1).columns()
-    others = [cols.dense() for cols in unitaries.clusters(0, 1).columns()]
-    for cols in ones:
+    ones, others = unitaries.clusters(1, 1), unitaries.clusters(0, 1)
+    others = [others.columns(c).dense() for c in range(len(others.values))]
+    for cols in map(ones.columns, range(len(ones.values))):
         dense = cols.dense()
         assert frob(dense.conj().T @ dense - np.eye(cols.rank)) <= 1e-12
         for b in others:
@@ -358,7 +358,8 @@ def test_eigenpairs_diagonalise_the_dense_unitary(table):
     clusters = table.clusters(0, 0)
     assert tuple(clusters.ranks) == dec.ranks
     assert np.abs(clusters.values - dec.eigenvalues).max() <= 1e-9
-    for cols, proj, rank in zip(clusters.columns(), dec.projectors, dec.ranks):
+    for c, (proj, rank) in enumerate(zip(dec.projectors, dec.ranks)):
+        cols = clusters.columns(c)
         assert cols.rank == rank
         assert np.abs(cols.projector() - proj).max() <= 1e-9
 
