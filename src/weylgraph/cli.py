@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 at least one identity check fails, 2 usage
-error, 3 i/o error.  Discrepancy entries never change the exit code; they are
-audit findings, not failures.
+error, including a modulus too large for memory (refused up front by an
+estimate, or a MemoryError while building), 3 i/o error.  Discrepancy entries
+never change the exit code; they are audit findings, not failures.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f'weylgraph: i/o error: {exc}', file=sys.stderr)
         return 3
+    except MemoryError:
+        print('weylgraph: error: out of memory; try a smaller modulus', file=sys.stderr)
+        return 2
 
 
 class _UsageError(ValueError):
@@ -169,8 +173,9 @@ def _cmd_kl_check(args) -> int:
     _require(0 <= args.k < n, '--k must lie in 0..n-1')
     _require(0 <= args.s < n, '--s must lie in 0..n-1')
     _require_tol(args.tol)
+    _require_memory(n)
     orbit = graph_orbit(n, args.s, args.tol)
-    labeled = [((g.p, g.q), np.diag(v)) for g, v in orbit.provenance]
+    labeled = (((g.p, g.q), np.diag(v)) for g, v in orbit.provenance)
     projector = anticlique_projector(n, args.k)
     result = check_knill_laflamme(labeled, projector, args.tol,
                                   n=n, k=args.k, s=args.s)

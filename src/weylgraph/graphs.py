@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator, frob,
-                     random_hermitian, span_operators, spectral_projections,
-                     subspace_equal, unit_roots)
+                     random_hermitian, span_operators, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
 from .weylrep import (EntangledBasis, GroupAction, GroupElement,
                       element_unitaries, entangled_basis, rep_generators)
@@ -229,28 +228,31 @@ def kl_corollary_check(n: int, tol: float, w: np.ndarray,
                                f'worst at k = {k}, s = {s}, g = ({p}, {q})')
 
 
-def spectral_match_check(n: int, tol: float, pi_m: np.ndarray,
+def spectral_match_check(n: int, tol: float, pi_m: np.ndarray, unitaries: GroupAction,
                          basis: EntangledBasis,
                          extra_details: str | None = None) -> CheckResult:
-    """The spectral clusters of the clock image must be exactly {(w^k, P_k)}."""
-    dec = spectral_projections(pi_m, tol)
+    """The spectral clusters of the clock image must be exactly {(w^k, P_k)}:
+    those of the table's element (0, 1) in cycle blocks (GroupAction.clusters),
+    plus ||table(0, 1) - pi_m||_F in the residual, so that pi_m is certified."""
+    clusters = unitaries.clusters(0, 1, tol)
+    gap = frob(unitaries.dense(0, 1) - pi_m)
     roots = unit_roots(n)
     worst = 0.0
     parts = []
-    if len(dec.eigenvalues) != n:
+    if len(clusters.values) != n:
         worst = float(n)
-        parts.append(f'expected {n} clusters, found {len(dec.eigenvalues)}')
+        parts.append(f'expected {n} clusters, found {len(clusters.values)}')
     else:
-        for k in range(n):
-            if dec.ranks[k] != n:
+        for k, rank in enumerate(clusters.ranks.tolist()):
+            if rank != n:
                 worst = max(worst, float(n))
             pk = anticlique_projector(n, k, basis)
             worst = max(worst,
-                        abs(complex(dec.eigenvalues[k]) - complex(roots[k])),
-                        frob(dec.projectors[k] - pk))
+                        abs(complex(clusters.values[k]) - complex(roots[k])),
+                        frob(clusters.columns(k).projector() - pk))
     if extra_details:
         parts.append(extra_details)
-    return CheckResult('spectral_pk_match', worst <= tol, worst,
+    return CheckResult('spectral_pk_match', worst + gap <= tol, worst + gap,
                        details='; '.join(parts) if parts else None)
 
 
@@ -370,7 +372,7 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
     Returns (checks, audit, discrepancies).  The conjugation orbit is the
     ground truth; the h-family comparison is recorded as data, and any
     dimension mismatch becomes a structured discrepancy entry instead of a
-    failure.
+    failure, with the Gram spectra that span_operators diagonalised.
     """
     basis = basis if basis is not None else entangled_basis(n)
     if unitaries is None:
@@ -406,22 +408,15 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
                        cmp_z.equal, cmp_h.equal)
     discrepancies = []
     if not cmp_h.equal:
-        h_gram = np.linalg.eigvalsh(_gram([m.reshape(-1) for m in h_list]))
-        orbit_gram = np.linalg.eigvalsh(_gram([v for _, v in orbit_graphs[0].provenance]))
         discrepancies.append(Discrepancy(
             claim='Theorem 2: the graph coincides with the span of the symmetric '
                   'pair-sum family {h_p}',
             observed=f'dim span{{h_p}} = {h_space.dim} but dim of the conjugation '
                      f'orbit = {orbit_space.dim} at n = {n}; the family satisfies '
                      f'h_p = h_(n-p) exactly, so it spans floor(n/2)+1 directions; '
-                     f'h Gram spectrum [{_fmt_spectrum(h_gram)}]; '
-                     f'orbit Gram spectrum [{_fmt_spectrum(orbit_gram)}]'))
+                     f'h Gram spectrum [{_fmt_spectrum(h_space.gram_spectrum)}]; '
+                     f'orbit Gram spectrum [{_fmt_spectrum(orbit_space.gram_spectrum)}]'))
     return checks, audit, discrepancies
-
-
-def _gram(flat_rows) -> np.ndarray:
-    f = np.array(flat_rows)
-    return f.conj() @ f.T
 
 
 def _fmt_spectrum(values) -> str:

@@ -180,11 +180,13 @@ class OperatorSubspace:
 
     basis has shape (dim, d, d), or (dim, d) when every basis element is a
     diagonal operator given by its diagonal; build_tol is the relative Gram
-    cutoff used to build it.
+    cutoff used to build it, and gram_spectrum the ascending eigenvalues of
+    the generators' Hilbert-Schmidt Gram that span_operators diagonalised.
     """
     ambient_dim: int
     basis: np.ndarray
     build_tol: float
+    gram_spectrum: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -200,8 +202,7 @@ class OperatorSubspace:
     def residual(self, x) -> float:
         """Frobenius distance from x to the subspace; x is a d x d matrix or
         the length-d diagonal of a diagonal operator."""
-        x = np.asarray(x, dtype=complex)[None]
-        return float(_distances(OperatorSubspace(self.ambient_dim, x, 0.0), self)[0])
+        return float(_distances(np.asarray(x, dtype=complex)[None], self.basis)[0])
 
 
 def _split(ops: np.ndarray):
@@ -220,8 +221,8 @@ def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSu
     diagonal of a diagonal operator: their Hilbert-Schmidt Gram is the Gram of
     the diagonals, and the basis is kept as (dim, d) diagonals.  Dimension
     counting and the basis both come from the eigendecomposition of the Gram
-    matrix (order-independent, unlike sequential Gram-Schmidt); the rank
-    cutoff is tol times the largest Gram eigenvalue.
+    matrix (order-independent, unlike sequential Gram-Schmidt), whose
+    eigenvalues the subspace keeps; the rank cutoff is tol times the largest.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
@@ -237,10 +238,10 @@ def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSu
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         warnings.warn("all generators are numerically zero; returning the zero subspace")
-        return OperatorSubspace(d, np.zeros((0, *shape), dtype=complex), tol)
+        return OperatorSubspace(d, np.zeros((0, *shape), dtype=complex), tol, w)
     keep = np.nonzero(w > tol * lam_max)[0][::-1]
     rows = (v[:, keep] / np.sqrt(w[keep])).T @ flat
-    return OperatorSubspace(d, rows.reshape(-1, *shape), tol)
+    return OperatorSubspace(d, rows.reshape(-1, *shape), tol, w)
 
 
 class SubspaceComparison(NamedTuple):
@@ -265,18 +266,18 @@ def subspace_equal(v: OperatorSubspace, w: OperatorSubspace,
     worst = 0.0
     for a, b in ((v, w), (w, v)):
         if a.dim:
-            worst = max(worst, float(_distances(a, b).max()))
+            worst = max(worst, float(_distances(a.basis, b.basis).max()))
     return SubspaceComparison(v.dim == w.dim and worst <= tol, worst)
 
 
-def _distances(a: OperatorSubspace, b: OperatorSubspace) -> np.ndarray:
-    """Frobenius distance from each basis element of a to the span of b."""
-    (da, oa), (db, ob) = _split(a.basis), _split(b.basis)
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius distance from each operator in the stack a to the span of b."""
+    (da, oa), (db, ob) = _split(a), _split(b)
     coef = da @ db.conj().T  # coef[i, j] = <b_j, a_i>
-    if a.diagonal or b.diagonal:
+    if a.ndim == 2 or b.ndim == 2:
         # one side has no off-diagonal entries, so the residual's are those
         # of the projection (a diagonal) or of the element itself (b diagonal)
-        off = coef @ ob if a.diagonal else oa
+        off = coef @ ob if a.ndim == 2 else oa
     else:
         coef += oa @ ob.conj().T
         off = oa - coef @ ob

@@ -79,7 +79,7 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
 
     try:
         scan = proposition1_scan(n, 0, tol, unitaries=unitaries, orbit=orbit_graphs[0])
-        checks.append(spectral_match_check(n, tol, pi_m, basis,
+        checks.append(spectral_match_check(n, tol, pi_m, unitaries, basis,
                                            extra_details=scan.summary()))
     except ValueError as exc:  # the spectrum cannot be clustered at this tolerance
         checks.append(CheckResult('spectral_pk_match', False, float(n),

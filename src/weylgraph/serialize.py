@@ -86,9 +86,12 @@ def matrix_to_obj(m) -> dict:
     """Interchange object for a square matrix or a column vector.
 
     A d x d matrix carries d^2 entries row-major; a length-d vector (a d x 1
-    matrix) carries d entries.  Every entry is an [re, im] pair.
+    matrix) carries d entries.  Every entry is an [re, im] pair.  A length-1
+    vector is refused: its object would be that of a 1 x 1 matrix.
     """
     arr = np.asarray(m, dtype=complex)
+    if arr.shape == (1,):
+        raise ValueError('a length-1 vector encodes as a 1 x 1 matrix; pass it as one')
     if arr.ndim == 1:
         dim = arr.shape[0]
         flat = arr

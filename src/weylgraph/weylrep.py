@@ -298,9 +298,9 @@ class GroupAction:
         p and q may be index arrays: the elements (p, q), broadcast and
         raveled, are stacked, and their cycles found together.  The cycles
         come from pointer doubling and every cycle of one length is walked at
-        once, so no step loops over cycles.  ValueError if a perm is not a
-        permutation or a u is not unitary within tol, the test
-        spectral_projections makes, here in O(d).
+        once, so no step loops over cycles.  verify takes every spectrum from
+        here; Schur (spectral_projections) is the tests' oracle.  ValueError if
+        a perm is not a permutation or a u is not unitary within tol, in O(d).
         """
         perm, phase = self._rows(p, q)
         count, d = perm.shape

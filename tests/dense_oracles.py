@@ -3,6 +3,8 @@ densely embedded bases, the covariant resolution with dense atoms, and the
 dense unit grids with the unreduced z grid.  Each is the code the fast path
 replaced, kept here so the tests can hold the two against each other."""
 
+import dataclasses
+
 import numpy as np
 
 from weylgraph.linalg import OperatorSubspace, frob, unit_roots
@@ -37,8 +39,7 @@ def dense_embedding(space: OperatorSubspace) -> OperatorSubspace:
     """The same subspace with every basis element a dense d x d matrix."""
     if not space.diagonal:
         return space
-    d = space.ambient_dim
-    return OperatorSubspace(d, space.basis[:, :, None] * np.eye(d), space.build_tol)
+    return dataclasses.replace(space, basis=space.basis[:, :, None] * np.eye(space.ambient_dim))
 
 
 def dense_subspace_equal(v: OperatorSubspace, w: OperatorSubspace, tol: float):

@@ -198,8 +198,8 @@ def test_criterion_07_spectral_identification(capsys):
     ok = True
     for n in range(2, 13):
         basis = entangled_basis(n)
-        _, pi_m = rep_generators(n, basis)
-        res = spectral_match_check(n, 1e-9, pi_m, basis)
+        pi_s, pi_m = rep_generators(n, basis)
+        res = spectral_match_check(n, 1e-9, pi_m, element_unitaries(n, pi_s, pi_m), basis)
         worst = max(worst, res.max_residual)
         ok = ok and res.passed
     dt = time.perf_counter() - t0

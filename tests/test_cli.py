@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,13 +129,15 @@ def test_scan_rejects_bad_range(capsys):
 @pytest.mark.parametrize('argv', [
     ['scan', '--n-min', '2', '--n-max', '64'],
     ['verify', '--n', '64'],
+    ['kl-check', '--n', '64', '--k', '0', '--s', '0'],
 ])
 def test_refuses_modulus_past_physical_memory(argv, capsys, monkeypatch):
     # 64 MiB + 200 n^5 bytes, above the measured peak of verify, is about
     # 215 GB at n = 64: refused before anything is built
     def build(*_):
-        raise AssertionError('run_verification called')
+        raise AssertionError('builder called')
     monkeypatch.setattr('weylgraph.cli.run_verification', build)
+    monkeypatch.setattr('weylgraph.cli.graph_orbit', build)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ''
@@ -268,6 +271,38 @@ def test_kl_check_io_error(tmp_path, capsys):
                  '--json', str(missing)]) == 3
 
 
+def test_kl_check_holds_one_generator_at_a_time(tmp_path):
+    # the n^2 generators diag(v) take 16 n^6 bytes together; the check
+    # iterates over them once, so only one need exist at a time
+    n = 12
+    tracemalloc.start()
+    try:
+        code = main(['kl-check', '--n', str(n), '--k', '0', '--s', '0',
+                     '--json', str(tmp_path / 'kl.json')])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * n ** 6 / 8
+
+
+@pytest.mark.parametrize('builder, argv', [
+    ('rep_generators', ['export', '--n', '4', '--what', 'piS']),
+    ('graph_orbit', ['kl-check', '--n', '4', '--k', '0', '--s', '0']),
+])
+def test_out_of_memory_is_a_usage_error(builder, argv, capsys, monkeypatch):
+    # a MemoryError is exit 2 with one stderr line, never a traceback and
+    # never exit 1, the code of a failed check
+    def build(*_):
+        raise MemoryError
+    monkeypatch.setattr(f'weylgraph.cli.{builder}', build)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err.count('\n') == 1
+    assert 'out of memory' in captured.err
+
+
 # -- serialization ------------------------------------------------------------
 
 def test_format_float_17_digits():
@@ -301,6 +336,16 @@ def test_vector_roundtrip():
     assert obj['dim'] == 4
     assert len(obj['entries']) == 4
     assert frob(obj_to_matrix(obj) - v) <= 1e-15
+
+
+def test_length_one_vector_is_refused():
+    # its object would be the one of a 1 x 1 matrix, which obj_to_matrix
+    # returns; a 1 x 1 matrix itself still round-trips
+    with pytest.raises(ValueError, match='length-1'):
+        matrix_to_obj(np.array([2.0j]))
+    obj = matrix_to_obj(np.array([[2.0j]]))
+    assert obj == {'dim': 1, 'entries': [[0.0, 2.0]]}
+    assert obj_to_matrix(obj).shape == (1, 1)
 
 
 def test_matrix_obj_validation():

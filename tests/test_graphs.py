@@ -1,14 +1,17 @@
 """Tests for the y/h/z generator families, the conjugation-orbit graphs, the
 code anticliques, and the span audit."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import exact_oracles
 import weylgraph.graphs
+import weylgraph.linalg
 from dense_oracles import dense_subspace_equal, dyad_grid, z_grid
 from weylgraph.graphs import (
     anticlique_projector,
@@ -26,8 +29,9 @@ from weylgraph.graphs import (
     z_generators,
 )
 from weylgraph.covariant import fixed_units, q_projection
-from weylgraph.linalg import (frob, span_operators, subspace_equal,
-                              tensor_product, unit_roots)
+from weylgraph.linalg import (frob, span_operators, spectral_projections,
+                              subspace_equal, tensor_product, unit_roots)
+from weylgraph.report import run_verification
 from weylgraph.weylrep import (GroupElement, change_of_basis, element_unitaries,
                                entangled_basis, rep_element, rep_generators,
                                shift_clock)
@@ -287,10 +291,77 @@ def test_anticlique_projectors_complete():
 def test_spectral_clusters_match_anticliques():
     n = 4
     basis = entangled_basis(n)
-    _, pi_m = rep_generators(n, basis)
-    res = spectral_match_check(n, 1e-9, pi_m, basis)
+    pi_s, pi_m = rep_generators(n, basis)
+    res = spectral_match_check(n, 1e-9, pi_m, element_unitaries(n, pi_s, pi_m), basis)
     assert res.passed
     assert res.max_residual <= 1e-9
+
+
+def _spectral_inputs(n):
+    basis = entangled_basis(n)
+    pi_s, pi_m = rep_generators(n, basis)
+    return basis, pi_m, element_unitaries(n, pi_s, pi_m)
+
+
+@pytest.mark.parametrize('n', range(2, 17))
+def test_spectral_match_passes_at_the_default_tol(n):
+    basis, pi_m, unitaries = _spectral_inputs(n)
+    res = spectral_match_check(n, 1e-10, pi_m, unitaries, basis)
+    assert res.passed
+    assert res.details is None
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_spectral_match_clusters_are_the_schur_ones(n):
+    # the dense Schur decomposition of piM is the oracle of the cycle path
+    _, pi_m, unitaries = _spectral_inputs(n)
+    dec = spectral_projections(pi_m)
+    clusters = unitaries.clusters(0, 1)
+    assert tuple(clusters.ranks) == dec.ranks
+    assert np.abs(clusters.values - dec.eigenvalues).max() <= 1e-12
+    for c, proj in enumerate(dec.projectors):
+        assert frob(clusters.columns(c).projector() - proj) <= 1e-12
+
+
+def _one_entry_moved(pi_m, unitaries, basis):
+    pi_m = pi_m.copy()
+    pi_m[1, 2] += 1e-6
+    return pi_m, unitaries, basis
+
+
+def _one_phase_rotated(pi_m, unitaries, basis):
+    phase = unitaries.phase.copy()
+    phase[0, 1, 3] *= np.exp(1e-6j)
+    return pi_m, dataclasses.replace(unitaries, phase=phase), basis
+
+
+def _codes_swapped(pi_m, unitaries, basis):
+    vectors = basis.vectors.copy()
+    vectors[[0, 1]] = vectors[[1, 0]]
+    return pi_m, unitaries, dataclasses.replace(basis, vectors=vectors)
+
+
+@pytest.mark.parametrize('n', [3, 8])
+@pytest.mark.parametrize('mutate', [_one_entry_moved, _one_phase_rotated, _codes_swapped])
+def test_spectral_match_catches_a_mutation(n, mutate):
+    # piM off the table, the table off piM, and a basis whose codes do not
+    # follow the clock phases: each fails, at the default tol
+    basis, pi_m, unitaries = _spectral_inputs(n)
+    res = spectral_match_check(n, 1e-10, *mutate(pi_m, unitaries, basis))
+    assert not res.passed
+    assert res.max_residual > 1e-8
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_verify_needs_no_schur_and_no_gram_rebuild(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError('dense spectral path called')
+
+    monkeypatch.setattr(scipy.linalg, 'schur', refuse)
+    monkeypatch.setattr(weylgraph.linalg, 'spectral_projections', refuse)
+    monkeypatch.setattr(np.linalg, 'eigvalsh', refuse)
+    report = run_verification(n)
+    assert report.all_passed()
 
 
 def test_kl_scalar_on_identity():
@@ -471,6 +542,23 @@ def test_theorem2_audit_dimensions(n):
     assert d.claim.startswith('Theorem 2')
     assert f'dim span{{h_p}} = {n // 2 + 1}' in d.observed
     assert 'floor(n/2)+1' in d.observed
+
+
+@pytest.mark.parametrize('n', [3, 6])
+def test_theorem2_gram_spectra_are_the_dense_ones(n):
+    # the spectra the h-family discrepancy prints come from span_operators;
+    # the oracle rebuilds both Gram matrices and takes eigvalsh
+    unitaries = element_unitaries(n, *rep_generators(n))
+    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+    (found,) = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)[2]
+    flat_h = np.array([h.reshape(-1) for h in h_generators(n)])
+    flat_orbit = np.array([v for _, v in orbits[0].provenance])
+    for name, flat in (('h', flat_h), ('orbit', flat_orbit)):
+        printed = re.search(rf'{name} Gram spectrum \[([^]]*)\]', found.observed).group(1)
+        got = np.array([float(v) for v in printed.split(', ')])
+        want = np.linalg.eigvalsh(flat.conj() @ flat.T)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 @pytest.mark.parametrize('n', range(2, 9))
