@@ -16,8 +16,9 @@ import sys
 import numpy as np
 
 from .covariant import q_projection
-from .graphs import (anticlique_projector, check_knill_laflamme, graph_orbit,
-                     h_generators, z_generators)
+from .graphs import (AnticliqueReport, anticlique_projector, compress_diagonals,
+                     graph_orbit, h_generators, z_generators)
+from .linalg import frob
 from .report import run_verification
 from .serialize import anticlique_to_obj, dumps, matrix_to_obj, report_to_obj
 from .weylrep import entangled_basis, rep_generators, shift_clock
@@ -175,10 +176,16 @@ def _cmd_kl_check(args) -> int:
     _require_tol(args.tol)
     _require_memory(n)
     orbit = graph_orbit(n, args.s, args.tol)
-    labeled = (((g.p, g.q), np.diag(v)) for g, v in orbit.provenance)
-    projector = anticlique_projector(n, args.k)
-    result = check_knill_laflamme(labeled, projector, args.tol,
-                                  n=n, k=args.k, s=args.s)
+    # P_k = b b* for the code isometry b, so ||b* X b - lambda I||_F is the
+    # dense ||P_k X P_k - lambda P_k||_F of check_knill_laflamme, taken on
+    # the diagonals of the orbit generators
+    b = entangled_basis(n).code_isometry(args.k)
+    if frob(b.conj().T @ b - np.eye(n)) > args.tol * n * n:
+        raise ValueError('code isometry is not orthonormal within tolerance')
+    residuals, lams = compress_diagonals(b, np.array([v for _, v in orbit.provenance]))
+    worst = float(residuals.max())
+    lambdas = {(g.p, g.q): complex(lam) for (g, _), lam in zip(orbit.provenance, lams)}
+    result = AnticliqueReport(n, args.k, args.s, worst <= args.tol, lambdas, worst, n)
     _write(dumps(anticlique_to_obj(result)) + '\n', args.json_path)
     return 0 if result.is_anticlique else 1
 

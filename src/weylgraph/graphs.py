@@ -233,7 +233,12 @@ def spectral_match_check(n: int, tol: float, pi_m: np.ndarray, unitaries: GroupA
                          extra_details: str | None = None) -> CheckResult:
     """The spectral clusters of the clock image must be exactly {(w^k, P_k)}:
     those of the table's element (0, 1) in cycle blocks (GroupAction.clusters),
-    plus ||table(0, 1) - pi_m||_F in the residual, so that pi_m is certified."""
+    plus ||table(0, 1) - pi_m||_F in the residual, so that pi_m is certified.
+
+    A cluster of rank n with isometry B is compared with P_k = C C*, C the
+    k-th code isometry, without forming either projector: for two d x n
+    isometries ||B B* - C C*||_F = sqrt(2) ||B - C (C* B)||_F, which is zero
+    only when C C* = B B*.  A cluster of another rank scores n."""
     clusters = unitaries.clusters(0, 1, tol)
     gap = frob(unitaries.dense(0, 1) - pi_m)
     roots = unit_roots(n)
@@ -244,12 +249,12 @@ def spectral_match_check(n: int, tol: float, pi_m: np.ndarray, unitaries: GroupA
         parts.append(f'expected {n} clusters, found {len(clusters.values)}')
     else:
         for k, rank in enumerate(clusters.ranks.tolist()):
+            worst = max(worst, abs(complex(clusters.values[k]) - complex(roots[k])))
             if rank != n:
                 worst = max(worst, float(n))
-            pk = anticlique_projector(n, k, basis)
-            worst = max(worst,
-                        abs(complex(clusters.values[k]) - complex(roots[k])),
-                        frob(clusters.columns(k).projector() - pk))
+                continue
+            b, c = clusters.columns(k).dense(), basis.code_isometry(k)
+            worst = max(worst, 2 ** 0.5 * frob(b - c @ (c.conj().T @ b)))
     if extra_details:
         parts.append(extra_details)
     return CheckResult('spectral_pk_match', worst + gap <= tol, worst + gap,

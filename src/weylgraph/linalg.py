@@ -4,6 +4,10 @@ spectral projections of unitaries, and operator-subspace (Gram-rank) arithmetic.
 All operators are square numpy arrays of complex128.  Identities are exact in
 exact arithmetic, so every check here is residual-based with an absolute
 tolerance (default 1e-10).
+
+All of it runs on numpy's LAPACK and BLAS, so the program loads one BLAS
+library with one thread pool; the one exception is the Schur test oracle
+spectral_projections (see its docstring).
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-10
 
@@ -90,8 +93,12 @@ def spectral_projections(u, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Cluster the spectrum of a unitary and return the spectral projections.
 
     The eigenpairs come from a complex Schur decomposition and are grouped by
-    cluster_eigenpairs.
+    cluster_eigenpairs.  It is the dense test oracle of the cycle-block path
+    and the only caller of scipy, whose wheel bundles an OpenBLAS of its own:
+    scipy is imported here, when the oracle runs, never by the program.
     """
+    import scipy.linalg
+
     u = as_operator(u)
     d = u.shape[0]
     if frob(u.conj().T @ u - np.eye(d)) > tol * d:
@@ -221,8 +228,10 @@ def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSu
     diagonal of a diagonal operator: their Hilbert-Schmidt Gram is the Gram of
     the diagonals, and the basis is kept as (dim, d) diagonals.  Dimension
     counting and the basis both come from the eigendecomposition of the Gram
-    matrix (order-independent, unlike sequential Gram-Schmidt), whose
-    eigenvalues the subspace keeps; the rank cutoff is tol times the largest.
+    matrix (order-independent, unlike sequential Gram-Schmidt), taken with
+    numpy's eigh, whose ascending eigenvalues the subspace keeps; the rank
+    cutoff is tol times the largest.  Generators with a non-finite entry
+    raise ValueError.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
@@ -233,8 +242,10 @@ def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSu
     if any(m.shape[0] != d for m in mats):
         raise ValueError("generators must share one dimension")
     flat = np.array([m.reshape(-1) for m in mats])
+    if not np.isfinite(flat).all():
+        raise ValueError("generator entries must be finite")
     shape = (d,) if diagonal else (d, d)
-    w, v = scipy.linalg.eigh(flat.conj() @ flat.T)
+    w, v = np.linalg.eigh(flat.conj() @ flat.T)
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         warnings.warn("all generators are numerically zero; returning the zero subspace")

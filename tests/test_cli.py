@@ -10,11 +10,11 @@ import pytest
 
 from weylgraph.cli import main
 from weylgraph.covariant import q_projection
-from weylgraph.graphs import anticlique_projector
+from weylgraph.graphs import anticlique_projector, check_knill_laflamme, graph_orbit
 from weylgraph.linalg import frob, tensor_product
 from weylgraph.report import run_verification
-from weylgraph.serialize import (CANONICAL_CHECK_ORDER, dumps, format_float,
-                                 matrix_to_obj, obj_to_matrix)
+from weylgraph.serialize import (CANONICAL_CHECK_ORDER, anticlique_to_obj, dumps,
+                                 format_float, matrix_to_obj, obj_to_matrix)
 from weylgraph.weylrep import entangled_basis
 
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -160,17 +160,35 @@ def test_module_entry_point(child_env):
     assert json.loads(proc.stdout)['n'] == 2
 
 
-def test_verify_is_identical_across_blas_thread_counts(child_env, tmp_path):
+@pytest.mark.parametrize('n', [8, 10])
+def test_verify_is_identical_across_blas_thread_counts(n, child_env, tmp_path):
     # the trace form of the average runs through BLAS products
     outputs = []
     for threads in ('1', '2'):
         path = tmp_path / f'verify-{threads}.json'
         proc = subprocess.run(
-            [sys.executable, '-m', 'weylgraph', 'verify', '--n', '8', '--json', str(path)],
+            [sys.executable, '-m', 'weylgraph', 'verify', '--n', str(n), '--json', str(path)],
             capture_output=True, env={**child_env, 'OPENBLAS_NUM_THREADS': threads})
         assert proc.returncode == 0
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_the_commands_load_no_scipy(child_env):
+    # scipy's wheel bundles a second OpenBLAS with its own thread pool; only
+    # the Schur test oracle may load it
+    script = (
+        'import contextlib, io, sys\n'
+        'from weylgraph.cli import main\n'
+        'with contextlib.redirect_stdout(io.StringIO()):\n'
+        '    codes = [main(["verify", "--n", "4"]),\n'
+        '             main(["kl-check", "--n", "4", "--k", "1", "--s", "2"]),\n'
+        '             main(["export", "--n", "4", "--what", "P", "--k", "1"])]\n'
+        'print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n')
+    proc = subprocess.run([sys.executable, '-c', script],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == '[0, 0, 0] []'
 
 
 # -- export --------------------------------------------------------------------
@@ -260,6 +278,27 @@ def test_kl_check_compression_scalars(tmp_path):
         assert abs(im) <= 1e-10
 
 
+@pytest.mark.parametrize('n', range(2, 9))
+def test_kl_check_matches_the_dense_check(n, tmp_path):
+    # kl-check compresses the orbit diagonals by the code isometry; the dense
+    # P_k X P_k of check_knill_laflamme is its oracle, for every (k, s)
+    out = tmp_path / 'kl.json'
+    for s in range(n):
+        labeled = [((g.p, g.q), np.diag(v)) for g, v in graph_orbit(n, s).provenance]
+        for k in range(n):
+            dense = anticlique_to_obj(check_knill_laflamme(
+                labeled, anticlique_projector(n, k), n=n, k=k, s=s))
+            assert main(['kl-check', '--n', str(n), '--k', str(k), '--s', str(s),
+                         '--json', str(out)]) == (0 if dense['is_anticlique'] else 1)
+            obj = json.loads(out.read_text())
+            assert [obj[key] for key in ('n', 'k', 's', 'is_anticlique')] == \
+                [dense[key] for key in ('n', 'k', 's', 'is_anticlique')]
+            assert list(obj['lambda']) == list(dense['lambda'])
+            assert np.abs(np.array(list(obj['lambda'].values()))
+                          - np.array(list(dense['lambda'].values()))).max() <= 1e-12
+            assert abs(obj['max_residual'] - dense['max_residual']) <= 1e-12
+
+
 def test_kl_check_rejects_bad_indices(capsys):
     assert main(['kl-check', '--n', '3', '--k', '3', '--s', '0']) == 2
     assert main(['kl-check', '--n', '3', '--k', '0', '--s', '-1']) == 2
@@ -272,8 +311,8 @@ def test_kl_check_io_error(tmp_path, capsys):
 
 
 def test_kl_check_holds_one_generator_at_a_time(tmp_path):
-    # the n^2 generators diag(v) take 16 n^6 bytes together; the check
-    # iterates over them once, so only one need exist at a time
+    # the n^2 generators diag(v) would take 16 n^6 bytes together; the
+    # check compresses their diagonals and forms none of them
     n = 12
     tracemalloc.start()
     try:

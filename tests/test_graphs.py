@@ -352,6 +352,27 @@ def test_spectral_match_catches_a_mutation(n, mutate):
     assert res.max_residual > 1e-8
 
 
+def _dense_spectral_match(n, pi_m, unitaries, basis):
+    """The spectral_pk_match residual with both projectors formed densely."""
+    clusters = unitaries.clusters(0, 1)
+    assert clusters.ranks.tolist() == [n] * n
+    roots = unit_roots(n)
+    worst = max(max(abs(complex(clusters.values[k]) - complex(roots[k])),
+                    frob(clusters.columns(k).projector() - anticlique_projector(n, k, basis)))
+                for k in range(n))
+    return worst + frob(unitaries.dense(0, 1) - pi_m)
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_spectral_match_agrees_with_dense_projectors(n):
+    # for rank-n isometries sqrt(2) ||B - C (C* B)||_F = ||B B* - C C*||_F,
+    # on the true codes and on swapped ones
+    basis, pi_m, unitaries = _spectral_inputs(n)
+    for inputs in ((pi_m, unitaries, basis), _codes_swapped(pi_m, unitaries, basis)):
+        res = spectral_match_check(n, 1e-10, *inputs)
+        assert abs(res.max_residual - _dense_spectral_match(n, *inputs)) <= 1e-12
+
+
 @pytest.mark.parametrize('n', range(2, 9))
 def test_verify_needs_no_schur_and_no_gram_rebuild(n, monkeypatch):
     def refuse(*args, **kwargs):
