@@ -12,8 +12,8 @@ import numpy as np
 from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator, frob,
                      random_hermitian, span_operators, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
-from .weylrep import (EntangledBasis, GroupAction, GroupElement,
-                      element_unitaries, entangled_basis, rep_generators)
+from .weylrep import (EntangledBasis, GroupAction, element_unitaries,
+                      entangled_basis, rep_generators)
 from .covariant import q_projection
 
 # two spectral projections are considered the same object below this distance;
@@ -66,7 +66,7 @@ class OperatorGraph:
     n: int
     s: int
     space: OperatorSubspace
-    provenance: list  # [(GroupElement, diagonal of u Q_s u*)] in lexicographic order
+    provenance: list  # [((p, q), diagonal of u Q_s u*)] in lexicographic order
 
 
 def graph_orbit(n: int, s: int, tol: float = DEFAULT_TOL,
@@ -79,7 +79,7 @@ def graph_orbit(n: int, s: int, tol: float = DEFAULT_TOL,
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
     diagonals = unitaries.orbit_diagonals(np.diagonal(q_projection(n, s)))
-    provenance = [(GroupElement(p, q), diagonals[p, q])
+    provenance = [((p, q), diagonals[p, q])
                   for p in range(n) for q in range(n)]
     return OperatorGraph(n, s, span_operators([v for _, v in provenance], tol),
                          provenance)
@@ -92,14 +92,6 @@ def anticlique_projector(n: int, k: int, basis: EntangledBasis | None = None) ->
     basis = basis if basis is not None else entangled_basis(n)
     block = basis.code_isometry(k)
     return block @ block.conj().T
-
-
-def code_subspace(n: int, k: int, basis: EntangledBasis | None = None) -> list:
-    """The orthonormal family h_k^0 .. h_k^{n-1} spanning the k-th code."""
-    if not 0 <= k < n:
-        raise ValueError("k out of range")
-    basis = basis if basis is not None else entangled_basis(n)
-    return [basis.vector(k, j) for j in range(n)]
 
 
 @dataclass
@@ -195,10 +187,10 @@ def compression_gram(b: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
     return gram
 
 
-def kl_suite_extremes(n: int, w: np.ndarray, orbit_diagonals_by_s):
+def kl_suite_extremes(n: int, basis: EntangledBasis, orbit_diagonals_by_s):
     """Worst || P_k X P_k - (1/n) P_k ||_F and |lambda - 1/n| over all (k, s, g)
     for generators X given by their diagonals and P_k = B_k B_k*, where
-    B_k = w[:, k n:(k+1) n].  B_k* X B_k - lambda I is traceless, so its
+    B_k = basis.code_isometry(k).  B_k* X B_k - lambda I is traceless, so its
     distance to I/n is sqrt(residual^2 + n |lambda - 1/n|^2).  Returns
     (worst, lam_worst, (k, s, p, q)), the last naming the first strict
     maximum of the residual in (k, s, g) order, where the g-th diagonal of
@@ -207,7 +199,7 @@ def kl_suite_extremes(n: int, w: np.ndarray, orbit_diagonals_by_s):
     ends = np.cumsum([len(diags) for diags in orbit_diagonals_by_s])
     worst, lam_worst, where = 0.0, 0.0, (0, 0, 0, 0)
     for k in range(n):
-        residual, lam = compress_diagonals(w[:, k * n:(k + 1) * n], x)
+        residual, lam = compress_diagonals(basis.code_isometry(k), x)
         off = np.abs(lam - 1.0 / n)
         dist = np.sqrt(residual ** 2 + n * off ** 2)
         i = int(np.argmax(dist))
@@ -219,10 +211,10 @@ def kl_suite_extremes(n: int, w: np.ndarray, orbit_diagonals_by_s):
     return worst, lam_worst, where
 
 
-def kl_corollary_check(n: int, tol: float, w: np.ndarray,
+def kl_corollary_check(n: int, tol: float, basis: EntangledBasis,
                        orbit_diagonals_by_s) -> CheckResult:
     """Report-shaped wrapper around kl_suite_extremes."""
-    worst, lam_worst, (k, s, p, q) = kl_suite_extremes(n, w, orbit_diagonals_by_s)
+    worst, lam_worst, (k, s, p, q) = kl_suite_extremes(n, basis, orbit_diagonals_by_s)
     return CheckResult('kl_anticliques', worst <= tol, worst,
                        details=f'max |lambda - 1/n| = {lam_worst:.3e} over all (k, s, g); '
                                f'worst at k = {k}, s = {s}, g = ({p}, {q})')
@@ -278,7 +270,8 @@ class Prop1Scan:
     """Spectral-projection census over the whole group.
 
     common lists the rank >= 2 projections occurring in the spectral
-    decomposition of every group unitary simultaneously; projections lists
+    decomposition of every group unitary simultaneously, each as the
+    ClusterColumns of its first sighting; projections lists
     every distinct projection seen anywhere, each with its compression verdict
     against the orbit graph.  Findings are recorded, never presumed.
     """
@@ -365,7 +358,7 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
                     seen_rank2.append(hit)
             common = seen_rank2 if common is None else \
                 [idx for idx in common if idx in seen_rank2]
-    return Prop1Scan(n, s, records, [supports[idx].projector() for idx in common or []])
+    return Prop1Scan(n, s, records, [supports[idx] for idx in common or []])
 
 
 def verify_theorem2(n: int, tol: float = DEFAULT_TOL,

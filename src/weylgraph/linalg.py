@@ -54,14 +54,6 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt pairing Tr(A* B), conjugate-linear in the first slot."""
-    a, b = as_operator(a), as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return complex(np.vdot(a, b))
-
-
 def dft_unitary(n: int) -> np.ndarray:
     """Discrete Fourier matrix F[k, j] = exp(2*pi*i*k*j/n)/sqrt(n)."""
     if n < 1:

@@ -26,12 +26,11 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Run every check at modulus n and collect the canonical report."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
+    if not 0 < tol < 1:  # at tol >= 1 span_operators keeps no direction
+        raise ValueError("tol must be positive and finite, and below 1")
     start = time.perf_counter()
     d = n * n
     basis = entangled_basis(n)
-    w = basis.flat()
     pi_s, pi_m = rep_generators(n, basis=basis)
     unitaries = element_unitaries(n, pi_s, pi_m)
     units = fixed_units(n, basis=basis)
@@ -75,7 +74,7 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
 
     orbit_graphs = [graph_orbit(n, s, tol, unitaries) for s in range(n)]
     checks.append(kl_corollary_check(
-        n, tol, w, [[v for _, v in g.provenance] for g in orbit_graphs]))
+        n, tol, basis, [[v for _, v in g.provenance] for g in orbit_graphs]))
 
     try:
         scan = proposition1_scan(n, 0, tol, unitaries=unitaries, orbit=orbit_graphs[0])

@@ -1,5 +1,7 @@
 """Shift and clock operators on C^n, the entangled basis grid on C^(n*n), and
-the reducible unitary action they induce there, kept as one monomial table.
+the reducible unitary action they induce there, kept as one monomial table
+indexed by (p, q): conjugation u x u* cancels the central phase w^r, so the
+label of piS^p piM^q is all of the group that the graphs see.
 
 The grid vector h[k][0] is the Fourier-weighted diagonal ket
 (1/sqrt(n)) sum_j w^(kj) |jj> with w = exp(2*pi*i/n), and h[k][j] applies the
@@ -15,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, as_operator, cluster_eigenvalues, frob,
-                     tensor_product, unit_roots)
+from .linalg import (DEFAULT_TOL, as_operator, cluster_eigenvalues, dft_unitary,
+                     frob, tensor_product, unit_roots)
 from .results import CheckResult
 
 
@@ -56,8 +58,8 @@ def entangled_basis(n: int) -> EntangledBasis:
     """Build the full grid from the defining sums."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    amp = dft_unitary(n)
     idx = np.arange(n)
-    amp = unit_roots(n)[np.outer(idx, idx) % n] / np.sqrt(n)
     j, a = idx[:, None], idx[None, :]
     vectors = np.zeros((n, n, n, n), dtype=complex)
     # h_k^j carries amp[k, a] on |a, a+j>: shifting the second factor rolls it
@@ -65,54 +67,22 @@ def entangled_basis(n: int) -> EntangledBasis:
     return EntangledBasis(n, vectors.reshape(n, n, n * n))
 
 
-def change_of_basis(n: int, basis: EntangledBasis | None = None) -> np.ndarray:
-    """Unitary W with column k*n+j equal to h_k^j (standard basis -> grid)."""
-    basis = basis if basis is not None else entangled_basis(n)
-    return basis.flat()
-
-
 def rep_generators(n: int, basis: EntangledBasis | None = None):
     """Images of S and M acting on the grid: k -> k+1 and k -> w^k, block-wise.
 
-    Built by conjugating S (x) I and M (x) I through the change of basis, so
-    that column k*n+j of the grid plays the role of |k> (x) |j>.
+    Built by conjugating S (x) I and M (x) I through the change of basis
+    W = basis.flat(), so that column k*n+j of the grid plays the role of
+    |k> (x) |j>.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    w = change_of_basis(n, basis)
+    w = (basis if basis is not None else entangled_basis(n)).flat()
     s, m = shift_clock(n)
     eye = np.eye(n, dtype=complex)
     wt = w.conj().T
     pi_s = w @ tensor_product(s, eye) @ wt
     pi_m = w @ tensor_product(m, eye) @ wt
     return pi_s, pi_m
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Label (p, q, r) for the unitary w^r S^p M^q; exponents live mod n."""
-    p: int
-    q: int
-    r: int = 0
-
-    def normalized(self, n: int) -> 'GroupElement':
-        return GroupElement(self.p % n, self.q % n, self.r % n)
-
-
-def compose(n: int, g: GroupElement, h: GroupElement) -> GroupElement:
-    """Group product; moving M^q past S^p' costs the central phase w^(q p')."""
-    return GroupElement((g.p + h.p) % n, (g.q + h.q) % n,
-                        (g.r + h.r + g.q * h.p) % n)
-
-
-def rep_element(n: int, g: GroupElement, generators=None) -> np.ndarray:
-    """The unitary w^r piS^p piM^q for a group label."""
-    pi_s, pi_m = generators if generators is not None else rep_generators(n)
-    g = g.normalized(n)
-    u = np.linalg.matrix_power(pi_s, g.p) @ np.linalg.matrix_power(pi_m, g.q)
-    if g.r:
-        u = unit_roots(n)[g.r] * u
-    return u
 
 
 class CycleBlock(NamedTuple):
@@ -158,11 +128,6 @@ class ClusterColumns(NamedTuple):
         of B meets only its own row of b."""
         blk = np.add.reduceat(b[self.rows] * self.entries.conj()[:, None], self.starts)
         return np.vdot(blk, blk).real
-
-    def projector(self) -> np.ndarray:
-        """The d x d orthogonal projection B B* onto the cluster."""
-        b = self.dense()
-        return b @ b.conj().T
 
 
 @dataclass(frozen=True)
@@ -238,11 +203,6 @@ class GroupAction:
     """
     perm: np.ndarray   # shape (n, n, d), int
     phase: np.ndarray  # shape (n, n, d), complex
-
-    def conj(self, p: int, q: int, x: np.ndarray) -> np.ndarray:
-        """u x u* for u = piS^p piM^q."""
-        perm, phase = self.perm[p, q], self.phase[p, q]
-        return phase[:, None] * x[np.ix_(perm, perm)] * phase.conj()
 
     @cached_property
     def classes(self):
@@ -430,12 +390,14 @@ def verify_representation(n: int, tol: float = DEFAULT_TOL,
 
     Explicit pi_s / pi_m overrides exist so mutation tests can feed in
     tampered generators; failures come back as results, not exceptions.
+    Each override, one or both, must be a finite square matrix (ValueError).
     """
     basis = basis if basis is not None else entangled_basis(n)
     if pi_s is None or pi_m is None:
         built = rep_generators(n, basis=basis)
-        pi_s = built[0] if pi_s is None else as_operator(pi_s)
-        pi_m = built[1] if pi_m is None else as_operator(pi_m)
+        pi_s = built[0] if pi_s is None else pi_s
+        pi_m = built[1] if pi_m is None else pi_m
+    pi_s, pi_m = as_operator(pi_s), as_operator(pi_m)
     d = n * n
     eye = np.eye(d, dtype=complex)
     s, m = shift_clock(n)

@@ -1,13 +1,26 @@
-"""Dense references for the fast paths: the operator-span comparison on
-densely embedded bases, the covariant resolution with dense atoms, and the
-dense unit grids with the unreduced z grid.  Each is the code the fast path
-replaced, kept here so the tests can hold the two against each other."""
+"""Dense references for the fast paths: the group elements by matrix powers,
+cluster projectors, the operator-span comparison on densely embedded bases,
+the covariant resolution with dense atoms, and the dense unit grids with the
+unreduced z grid.  Each is the code the fast path replaced, kept here so the
+tests can hold the two against each other."""
 
 import dataclasses
 
 import numpy as np
 
 from weylgraph.linalg import OperatorSubspace, frob, unit_roots
+
+
+def rep_element(pi_s: np.ndarray, pi_m: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The group element piS^p piM^q as a product of dense matrix powers."""
+    return np.linalg.matrix_power(pi_s, p) @ np.linalg.matrix_power(pi_m, q)
+
+
+def cluster_projector(columns) -> np.ndarray:
+    """The d x d orthogonal projection B B* onto the columns B of a
+    ClusterColumns."""
+    b = columns.dense()
+    return b @ b.conj().T
 
 
 def dyad_grid(blocks: np.ndarray) -> np.ndarray:

@@ -20,9 +20,8 @@ from weylgraph.covariant import (covariant_resolution, expectation_avg,
                                  resolution_mass_check, verify_theorem1)
 from weylgraph.graphs import kl_suite_extremes, spectral_match_check, verify_theorem2
 from weylgraph.linalg import frob, random_hermitian
-from weylgraph.weylrep import (change_of_basis, element_unitaries,
-                               entangled_basis, rep_generators,
-                               verify_representation)
+from weylgraph.weylrep import (element_unitaries, entangled_basis,
+                               rep_generators, verify_representation)
 
 # Frozen output of the exact-arithmetic rank oracle (tests/exact_oracles.py),
 # recorded before the floating-point implementation existed:
@@ -149,17 +148,17 @@ def test_criterion_05_code_compression(capsys):
     res_worst = 0.0
     lam_worst = 0.0
     for n in range(2, 11):
-        w = change_of_basis(n)
         unitaries = element_unitaries(n, *rep_generators(n))
+        dense = [unitaries.dense(p, q) for p in range(n) for q in range(n)]
         orbit_diagonals = []
         off_diagonal = 0.0
         for s in range(n):
             base = q_projection(n, s)
-            mats = [unitaries.conj(p, q, base) for p in range(n) for q in range(n)]
+            mats = [u @ base @ u.conj().T for u in dense]
             orbit_diagonals.append([np.diagonal(x) for x in mats])
             off_diagonal = max(off_diagonal,
                                max(frob(x - np.diag(np.diagonal(x))) for x in mats))
-        worst, lam, _ = kl_suite_extremes(n, w, orbit_diagonals)
+        worst, lam, _ = kl_suite_extremes(n, entangled_basis(n), orbit_diagonals)
         res_worst = max(res_worst, worst + off_diagonal)
         lam_worst = max(lam_worst, lam)
     dt = time.perf_counter() - t0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylgraph.weylrep
+from dense_oracles import cluster_projector
 from weylgraph.covariant import q_projection
 from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_TOL,
                               anticlique_projector, compress_diagonals,
@@ -15,8 +16,8 @@ from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_T
 from weylgraph.linalg import (DEFAULT_TOL, cluster_eigenpairs, frob,
                               random_hermitian, span_operators, spectral_projections,
                               unit_roots)
-from weylgraph.weylrep import (GroupAction, GroupElement, change_of_basis,
-                               element_unitaries, rep_generators)
+from weylgraph.weylrep import (GroupAction, element_unitaries, entangled_basis,
+                               rep_generators)
 
 
 def dense_census(n, s, tol=DEFAULT_TOL):
@@ -130,7 +131,7 @@ def test_census_counts_the_off_diagonal_entries_of_a_shared_cycle():
     table = _table([1, 0, 2], np.ones(3))
     diagonals = np.random.default_rng(5).standard_normal((4, 3))
     orbit = OperatorGraph(1, 0, span_operators(list(diagonals)),
-                          [(GroupElement(0, g), v) for g, v in enumerate(diagonals)])
+                          [((0, g), v) for g, v in enumerate(diagonals)])
     [rec] = proposition1_scan(1, 0, tol, unitaries=table, orbit=orbit).projections
     b = table.clusters(0, 0, tol).columns(0).dense()
     assert rec.rank == b.shape[1] == 3
@@ -147,12 +148,12 @@ def test_census_common_projection_is_the_dense_one():
     table = _table([1, 0, 2], np.ones(3))
     diagonals = np.random.default_rng(5).standard_normal((4, 3))
     orbit = OperatorGraph(1, 0, span_operators(list(diagonals)),
-                          [(GroupElement(0, g), v) for g, v in enumerate(diagonals)])
+                          [((0, g), v) for g, v in enumerate(diagonals)])
     scan = proposition1_scan(1, 0, unitaries=table, orbit=orbit)
     dec = spectral_projections(table.dense(0, 0))
     assert [r.rank for r in scan.projections] == list(dec.ranks) == [2, 1]
     [common] = scan.common
-    assert np.abs(common - dec.projectors[0]).max() <= 1e-12
+    assert np.abs(cluster_projector(common) - dec.projectors[0]).max() <= 1e-12
 
 
 @pytest.mark.parametrize('n', [3, 4, 6])
@@ -361,7 +362,7 @@ def test_eigenpairs_diagonalise_the_dense_unitary(table):
     for c, (proj, rank) in enumerate(zip(dec.projectors, dec.ranks)):
         cols = clusters.columns(c)
         assert cols.rank == rank
-        assert np.abs(cols.projector() - proj).max() <= 1e-9
+        assert np.abs(cluster_projector(cols) - proj).max() <= 1e-9
 
 
 def test_eigenpairs_reject_a_non_permutation():
@@ -397,5 +398,5 @@ def test_census_catches_a_perturbed_generator_diagonal():
         assert not rec.is_anticlique
     diagonals = [[v for _, v in tampered]] + \
         [[v for _, v in g.provenance] for g in orbits[1:]]
-    worst, _, _ = kl_suite_extremes(n, change_of_basis(n), diagonals)
+    worst, _, _ = kl_suite_extremes(n, entangled_basis(n), diagonals)
     assert worst > 1e-10

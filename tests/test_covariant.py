@@ -81,12 +81,14 @@ def test_units_matrix_algebra():
 # -- the group average -------------------------------------------------------
 
 def loop_average(table, x):
-    """The defining sum (1/n^2) sum_pq u x u*, one conjugation per element."""
+    """The defining sum (1/n^2) sum_pq u x u*, one dense conjugation per
+    element."""
     n = table.perm.shape[0]
     acc = np.zeros(x.shape, dtype=complex)
     for p in range(n):
         for q in range(n):
-            acc += table.conj(p, q, x)
+            u = table.dense(p, q)
+            acc += u @ x @ u.conj().T
     return acc / (n * n)
 
 

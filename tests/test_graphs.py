@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 import exact_oracles
 import weylgraph.graphs
 import weylgraph.linalg
-from dense_oracles import dense_subspace_equal, dyad_grid, z_grid
+from dense_oracles import (cluster_projector, dense_subspace_equal, dyad_grid,
+                           rep_element, z_grid)
 from weylgraph.graphs import (
     anticlique_projector,
     check_knill_laflamme,
-    code_subspace,
     compress_diagonals,
     graph_orbit,
     h_generators,
@@ -32,8 +32,7 @@ from weylgraph.covariant import fixed_units, q_projection
 from weylgraph.linalg import (frob, span_operators, spectral_projections,
                               subspace_equal, tensor_product, unit_roots)
 from weylgraph.report import run_verification
-from weylgraph.weylrep import (GroupElement, change_of_basis, element_unitaries,
-                               entangled_basis, rep_element, rep_generators,
+from weylgraph.weylrep import (element_unitaries, entangled_basis, rep_generators,
                                shift_clock)
 
 
@@ -227,11 +226,10 @@ def test_orbit_contains_base_and_identity():
 def test_orbit_provenance_complete(n):
     generators = rep_generators(n)
     unitaries = element_unitaries(n, *generators)
-    dense = [rep_element(n, GroupElement(p, q), generators)
-             for p in range(n) for q in range(n)]
+    dense = [rep_element(*generators, p, q) for p in range(n) for q in range(n)]
     for s in range(n):
         graph = graph_orbit(n, s, unitaries=unitaries)
-        labels = [(g.p, g.q) for g, _ in graph.provenance]
+        labels = [label for label, _ in graph.provenance]
         assert labels == [(p, q) for p in range(n) for q in range(n)]
         # the diagonals really are the conjugated base projection, which the
         # dense product shows to have nothing off the diagonal
@@ -320,7 +318,7 @@ def test_spectral_match_clusters_are_the_schur_ones(n):
     assert tuple(clusters.ranks) == dec.ranks
     assert np.abs(clusters.values - dec.eigenvalues).max() <= 1e-12
     for c, proj in enumerate(dec.projectors):
-        assert frob(clusters.columns(c).projector() - proj) <= 1e-12
+        assert frob(cluster_projector(clusters.columns(c)) - proj) <= 1e-12
 
 
 def _one_entry_moved(pi_m, unitaries, basis):
@@ -358,7 +356,8 @@ def _dense_spectral_match(n, pi_m, unitaries, basis):
     assert clusters.ranks.tolist() == [n] * n
     roots = unit_roots(n)
     worst = max(max(abs(complex(clusters.values[k]) - complex(roots[k])),
-                    frob(clusters.columns(k).projector() - anticlique_projector(n, k, basis)))
+                    frob(cluster_projector(clusters.columns(k))
+                         - anticlique_projector(n, k, basis)))
                 for k in range(n))
     return worst + frob(unitaries.dense(0, 1) - pi_m)
 
@@ -399,7 +398,7 @@ def test_kl_orbit_compression():
     graph = graph_orbit(n, 0)
     pk = anticlique_projector(n, 1)
     report = check_knill_laflamme(
-        [((g.p, g.q), np.diag(v)) for g, v in graph.provenance], pk, tol=1e-10,
+        [(label, np.diag(v)) for label, v in graph.provenance], pk, tol=1e-10,
         n=n, k=1, s=0)
     assert report.is_anticlique
     assert report.max_residual <= 1e-10
@@ -409,11 +408,10 @@ def test_kl_orbit_compression():
 
 def test_kl_suite_extremes_small():
     n = 3
-    w = change_of_basis(n)
     unitaries = element_unitaries(n, *rep_generators(n))
     orbits = [[m for _, m in graph_orbit(n, s, unitaries=unitaries).provenance]
               for s in range(n)]
-    worst, lam_worst, _ = kl_suite_extremes(n, w, orbits)
+    worst, lam_worst, _ = kl_suite_extremes(n, entangled_basis(n), orbits)
     assert worst <= 1e-12
     assert lam_worst <= 1e-12
 
@@ -437,14 +435,14 @@ def dense_kl_suite_extremes(n, w, orbit_matrices_by_s):
 
 @pytest.mark.parametrize('n', range(2, 9))
 def test_kl_suite_extremes_matches_dense_oracle(n):
-    w = change_of_basis(n)
+    basis = entangled_basis(n)
     unitaries = element_unitaries(n, *rep_generators(n))
     # generic diagonal generators, so both sides have residuals to agree on
     rng = np.random.default_rng(n)
     diagonals = [list(rng.standard_normal((n * n, n * n))) for _ in range(2)]
     diagonals.append([v for _, v in graph_orbit(n, 0, unitaries=unitaries).provenance])
-    worst, lam_worst, _ = kl_suite_extremes(n, w, diagonals)
-    want = dense_kl_suite_extremes(n, w, [[np.diag(v) for v in diags]
+    worst, lam_worst, _ = kl_suite_extremes(n, basis, diagonals)
+    want = dense_kl_suite_extremes(n, basis.flat(), [[np.diag(v) for v in diags]
                                           for diags in diagonals])
     assert np.allclose((worst, lam_worst), want, rtol=0.0, atol=1e-12)
     assert want[0] > 0.1
@@ -454,7 +452,7 @@ def test_kl_suite_extremes_matches_dense_oracle(n):
 def test_kl_anticliques_names_a_tampered_orbit_diagonal(n):
     # one entry of one orbit diagonal raised: the worst (k, s, g) is that
     # diagonal, at the first code k with the largest residual for it
-    w = change_of_basis(n)
+    basis = entangled_basis(n)
     unitaries = element_unitaries(n, *rep_generators(n))
     diagonals = [[v.copy() for _, v in graph_orbit(n, s, unitaries=unitaries).provenance]
                  for s in range(n)]
@@ -462,13 +460,13 @@ def test_kl_anticliques_names_a_tampered_orbit_diagonal(n):
     x = diagonals[s][p * n + q]
     x[n + 1] += 1e-3
     residuals = [float(np.hypot(r, np.sqrt(n) * abs(lam - 1.0 / n))[0])
-                 for r, lam in (compress_diagonals(w[:, k * n:(k + 1) * n], x[None])
+                 for r, lam in (compress_diagonals(basis.code_isometry(k), x[None])
                                 for k in range(n))]
     k = int(np.argmax(residuals))
-    worst, _, where = kl_suite_extremes(n, w, diagonals)
+    worst, _, where = kl_suite_extremes(n, basis, diagonals)
     assert where == (k, s, p, q)
     assert worst == pytest.approx(residuals[k], abs=1e-15)
-    check = kl_corollary_check(n, 1e-10, w, diagonals)
+    check = kl_corollary_check(n, 1e-10, basis, diagonals)
     assert not check.passed
     assert check.details.endswith(f'; worst at k = {k}, s = {s}, g = ({p}, {q})')
 
@@ -640,7 +638,7 @@ def test_graphs_coincide_names_the_worst_comparison(n):
 # -- the code subspaces -------------------------------------------------------
 
 def test_code_subspace_bell_pair():
-    vecs = code_subspace(2, 0)
+    vecs = entangled_basis(2).code_isometry(0).T
     r = 1.0 / np.sqrt(2.0)
     assert frob(vecs[0] - np.array([r, 0, 0, r])) <= 1e-15
     assert frob(vecs[1] - np.array([0, r, r, 0])) <= 1e-15
@@ -650,7 +648,7 @@ def test_code_subspace_lies_under_projector():
     n = 3
     for k in range(n):
         pk = anticlique_projector(n, k)
-        for v in code_subspace(n, k):
+        for v in entangled_basis(n).code_isometry(k).T:
             assert frob(pk @ v - v) <= 1e-12
 
 
@@ -658,6 +656,6 @@ def test_code_vectors_maximally_entangled():
     # all Schmidt coefficients equal 1/sqrt(n)
     n = 3
     for k in range(n):
-        for v in code_subspace(n, k):
+        for v in entangled_basis(n).code_isometry(k).T:
             sv = np.linalg.svd(v.reshape(n, n), compute_uv=False)
             assert frob(sv - np.full(n, 1.0 / np.sqrt(n))) <= 1e-12

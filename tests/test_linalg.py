@@ -12,7 +12,6 @@ from weylgraph.linalg import (
     cluster_eigenvalues,
     dft_unitary,
     frob,
-    hs_inner,
     random_hermitian,
     span_operators,
     spectral_projections,
@@ -71,37 +70,6 @@ def test_tensor_mixed_product():
 def test_tensor_rejects_nonsquare():
     with pytest.raises(ValueError):
         tensor_product(np.zeros((2, 3)), np.eye(2))
-
-
-# -- hs_inner ----------------------------------------------------------------
-
-def test_hs_inner_identity():
-    eye = np.eye(4, dtype=complex)
-    assert hs_inner(eye, eye) == pytest.approx(4.0)
-
-
-def test_hs_inner_orthogonal_paulis():
-    assert abs(hs_inner(X, Z)) <= 1e-15
-
-
-def test_hs_inner_positivity():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    val = hs_inner(a, a)
-    assert abs(val.imag) <= 1e-12
-    assert val.real == pytest.approx(np.sum(np.abs(a) ** 2))
-
-
-def test_hs_inner_conjugate_symmetry():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-
-def test_hs_inner_dim_mismatch():
-    with pytest.raises(ValueError):
-        hs_inner(np.eye(2), np.eye(3))
 
 
 # -- dft_unitary -------------------------------------------------------------

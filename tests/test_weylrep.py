@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracles import rep_element
 from weylgraph.linalg import frob, tensor_product, unit_roots
 from weylgraph.weylrep import (
-    GroupElement,
-    change_of_basis,
-    compose,
     element_unitaries,
     entangled_basis,
-    rep_element,
     rep_generators,
     shift_clock,
     verify_representation,
@@ -94,7 +91,7 @@ def test_grid_orthonormal(n):
 def test_change_of_basis_columns():
     n = 3
     basis = entangled_basis(n)
-    w = change_of_basis(n, basis)
+    w = basis.flat()
     for k in range(n):
         for j in range(n):
             e = np.zeros(n * n)
@@ -106,7 +103,7 @@ def test_change_of_basis_coefficients():
     # <h_k^j'| s, s+j> = w^(-k s)/sqrt(n) on block j' = j and zero elsewhere
     n = 3
     basis = entangled_basis(n)
-    w = change_of_basis(n, basis)
+    w = basis.flat()
     roots = unit_roots(n)
     for s in range(n):
         for j in range(n):
@@ -122,7 +119,7 @@ def test_change_of_basis_coefficients():
 def test_bell_expansion_of_product_ket():
     # |00> = (h[0][0] + h[1][0]) / sqrt(2) at n = 2
     basis = entangled_basis(2)
-    w = change_of_basis(2, basis)
+    w = basis.flat()
     e00 = np.zeros(4)
     e00[0] = 1.0
     coeff = w.conj().T @ e00
@@ -160,40 +157,30 @@ def test_rep_closed_form_general(n):
 
 def test_rep_element_identity():
     n = 3
-    u = rep_element(n, GroupElement(0, 0))
+    u = element_unitaries(n, *rep_generators(n)).dense(0, 0)
     assert frob(u - np.eye(n * n)) <= 1e-13
-
-
-def test_rep_element_central_phase():
-    n = 3
-    base = rep_element(n, GroupElement(1, 2))
-    phased = rep_element(n, GroupElement(1, 2, 2))
-    assert frob(phased - unit_roots(n)[2] * base) <= 1e-13
 
 
 def test_rep_element_weyl_swap():
     # M S = w S M carries over to the induced action
     n = 3
-    gens = rep_generators(n)
-    lhs = rep_element(n, GroupElement(0, 1), gens) @ rep_element(n, GroupElement(1, 0), gens)
-    rhs = unit_roots(n)[1] * rep_element(n, GroupElement(1, 1), gens)
+    table = element_unitaries(n, *rep_generators(n))
+    lhs = table.dense(0, 1) @ table.dense(1, 0)
+    rhs = unit_roots(n)[1] * table.dense(1, 1)
     assert frob(lhs - rhs) <= 1e-12
 
 
 def test_composition_law():
+    # the table multiplies by the Heisenberg-Weyl law: moving piM^q past
+    # piS^p' costs the central phase w^(q p'), which conjugation cancels
     n = 4
-    gens = rep_generators(n)
+    table = element_unitaries(n, *rep_generators(n))
     rng = np.random.default_rng(314)
     for _ in range(20):
-        g = GroupElement(*rng.integers(0, n, size=3))
-        h = GroupElement(*rng.integers(0, n, size=3))
-        lhs = rep_element(n, g, gens) @ rep_element(n, h, gens)
-        rhs = rep_element(n, compose(n, g, h), gens)
+        p, q, pp, qp = rng.integers(0, n, size=4)
+        lhs = table.dense(p, q) @ table.dense(pp, qp)
+        rhs = unit_roots(n)[q * pp % n] * table.dense((p + pp) % n, (q + qp) % n)
         assert frob(lhs - rhs) <= 1e-11 * n * n
-
-
-def test_group_element_normalized():
-    assert GroupElement(5, -1, 7).normalized(4) == GroupElement(1, 3, 3)
 
 
 def test_element_unitaries_table():
@@ -205,7 +192,7 @@ def test_element_unitaries_table():
         assert table.nbytes == 24 * n ** 4
         for p in range(n):
             for q in range(n):
-                want = rep_element(n, GroupElement(p, q), (pi_s, pi_m))
+                want = rep_element(pi_s, pi_m, p, q)
                 assert frob(table.dense(p, q) - want) <= 1e-12, (n, p, q)
 
 
@@ -214,14 +201,17 @@ def test_element_unitaries_table():
     st.just(n), st.integers(0, n - 1), st.integers(0, n - 1),
     st.integers(0, 2 ** 32 - 1))))
 def test_conj_matches_dense_oracle(case):
+    # conjugating a diagonal by a table element is the gather of
+    # orbit_diagonals; the dense product u diag(v) u* is its oracle, and it
+    # has nothing off the diagonal
     n, p, q, seed = case
     d = n * n
     pi_s, pi_m = rep_generators(n)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    u = rep_element(n, GroupElement(p, q), (pi_s, pi_m))
-    got = element_unitaries(n, pi_s, pi_m).conj(p, q, x)
-    assert frob(got - u @ x @ u.conj().T) <= 1e-12 * d
+    v = np.random.default_rng(seed).standard_normal(d)
+    u = rep_element(pi_s, pi_m, p, q)
+    want = u @ np.diag(v) @ u.conj().T
+    got = element_unitaries(n, pi_s, pi_m).orbit_diagonals(v)[p, q]
+    assert frob(np.diag(got) - want) <= 1e-12 * d
 
 
 def test_element_unitaries_composes_generic_monomials():
@@ -237,7 +227,7 @@ def test_element_unitaries_composes_generic_monomials():
     table = element_unitaries(n, *gens)
     for p in range(n):
         for q in range(n):
-            want = rep_element(n, GroupElement(p, q), gens)
+            want = rep_element(*gens, p, q)
             assert frob(table.dense(p, q) - want) <= 1e-12
 
 
@@ -308,3 +298,23 @@ def test_verify_representation_catches_tampering():
     failed = [c for c in results if not c.passed]
     assert failed
     assert max(c.max_residual for c in failed) >= 1.0
+
+
+def test_verify_representation_takes_both_overrides_as_lists():
+    n = 3
+    pi_s, pi_m = rep_generators(n)
+    want = verify_representation(n, pi_s=pi_s, pi_m=pi_m)
+    got = verify_representation(n, pi_s=pi_s.tolist(), pi_m=pi_m.tolist())
+    assert [(c.check_id, c.passed, c.max_residual) for c in got] == \
+        [(c.check_id, c.passed, c.max_residual) for c in want]
+
+
+@pytest.mark.parametrize('which', [(0,), (1,), (0, 1)])
+def test_verify_representation_rejects_a_nan_override(which):
+    n = 3
+    gens = [g.copy() for g in rep_generators(n)]
+    for i in which:
+        gens[i][0, 0] = np.nan
+    overrides = {name: gens[i] for i, name in enumerate(('pi_s', 'pi_m')) if i in which}
+    with pytest.raises(ValueError, match='finite'):
+        verify_representation(n, **overrides)
