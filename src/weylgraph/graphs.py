@@ -5,14 +5,14 @@ the span audit that compares all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator, frob,
                      random_hermitian, span_operators, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
-from .weylrep import (EntangledBasis, GroupAction, element_unitaries,
+from .weylrep import (ClusterColumns, EntangledBasis, GroupAction, element_unitaries,
                       entangled_basis, rep_generators)
 from .covariant import q_projection
 
@@ -62,17 +62,44 @@ def z_generators(n: int, y: np.ndarray | None = None) -> list:
 
 @dataclass(frozen=True)
 class OperatorGraph:
-    """Conjugation orbit of a base projection, orthonormalized, with provenance."""
+    """Conjugation orbit of a base projection, orthonormalized, with provenance.
+
+    The span is taken from the class rows, the generator diagonal of the
+    first element of each permutation class of the table: elements of one
+    class conjugate a diagonal to the same diagonal, up to the roundoff of
+    |phase|^2.  spread, the largest Frobenius distance from a generator's
+    diagonal to its class row, is measured, and every residual that stands
+    for the generators rather than the rows adds it."""
     n: int
     s: int
     space: OperatorSubspace
     provenance: list  # [((p, q), diagonal of u Q_s u*)] in lexicographic order
+    rows: np.ndarray  # (classes, d): the class rows, in the order of GroupAction.grouping
+    spread: float
+
+
+def _class_span(diagonals: np.ndarray, label: np.ndarray, tol: float = DEFAULT_TOL):
+    """(space, rows, spread) for generator diagonals (one row per element)
+    grouped by label: rows[k] is the diagonal of the first element of class
+    k, and spread the largest distance from a diagonal to its class row.
+    The span is that of the rows, each weighted by the square root of its
+    class size m, so that its Gram diag(sqrt m) G diag(sqrt m) has the
+    nonzero spectrum of the Gram of all the diagonals; the space keeps that
+    spectrum padded with one zero per further element, as the Gram of all
+    of them would have it when the spread is 0."""
+    first = np.unique(label, return_index=True)[1]
+    rows = diagonals[first]
+    spread = float(np.linalg.norm(diagonals - rows[label], axis=1).max())
+    space = span_operators(np.sqrt(np.bincount(label))[:, None] * rows, tol)
+    spectrum = np.sort(np.concatenate((space.gram_spectrum, np.zeros(len(label) - len(rows)))))
+    return replace(space, gram_spectrum=spectrum), rows, spread
 
 
 def graph_orbit(n: int, s: int, tol: float = DEFAULT_TOL,
                 unitaries: GroupAction | None = None) -> OperatorGraph:
     """Span of u Q_s u* over the n^2 group unitaries, taken from the diagonals
-    of the generators (diagonal for monomial u); the basis is kept as n
+    of the generators (diagonal for monomial u), one class row per
+    permutation class (GroupAction.grouping); the basis is kept as n
     orthonormal diagonals."""
     if not 0 <= s < n:
         raise ValueError("s out of range")
@@ -81,8 +108,9 @@ def graph_orbit(n: int, s: int, tol: float = DEFAULT_TOL,
     diagonals = unitaries.orbit_diagonals(np.diagonal(q_projection(n, s)))
     provenance = [((p, q), diagonals[p, q])
                   for p in range(n) for q in range(n)]
-    return OperatorGraph(n, s, span_operators([v for _, v in provenance], tol),
-                         provenance)
+    space, rows, spread = _class_span(diagonals.reshape(n * n, -1),
+                                      unitaries.grouping[1], tol)
+    return OperatorGraph(n, s, space, provenance, rows, spread)
 
 
 def anticlique_projector(n: int, k: int, basis: EntangledBasis | None = None) -> np.ndarray:
@@ -173,18 +201,6 @@ def compress_diagonals(b: np.ndarray, diagonals: np.ndarray):
     for blk in off:
         squares += (np.abs(blk) ** 2).sum(axis=1)
     return np.sqrt(squares), lam
-
-
-def compression_gram(b: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
-    """G[j, k] = <C_j, C_k>, the Hilbert-Schmidt Gram of the traceless
-    compressions C_j = b* X_j b - lambda_j I of the generators X_j given by
-    the rows of diagonals.  C is linear in X, so for X = sum_j c_j X_j the
-    residual || C(X) ||_F is sqrt(c* G c)."""
-    _, diag, off = _compressions(b, diagonals)
-    gram = diag.conj() @ diag.T
-    for blk in off:
-        gram += blk.conj() @ blk.T
-    return gram
 
 
 def kl_suite_extremes(n: int, basis: EntangledBasis, orbit_diagonals_by_s):
@@ -288,77 +304,201 @@ class Prop1Scan:
                 f'({rank2} of rank>=2, {anti} anticliques for the orbit)')
 
 
+# the census takes the table in stacks of consecutive elements whose cycle
+# blocks hold at most this many eigenvector entries (an element holding more
+# is a stack of its own): one element per stack pays numpy's call overhead
+# n^2 times, and one stack of the whole table holds every block at once
+_STACK_ENTRIES = 1 << 13
+
+
+def _stacks(entries: np.ndarray, budget: int) -> list:
+    """Runs (lo, hi) of consecutive elements that hold at most budget
+    entries between them, unless one element alone holds more."""
+    bounds, held = [0], 0
+    for e, size in enumerate(entries.tolist()):
+        if held + size > budget and e > bounds[-1]:
+            bounds.append(e)
+            held = 0
+        held += size
+    bounds.append(len(entries))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _compression_residuals(columns, tops: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|| b* diag(x) b - lambda I ||_F for each row x of rows and each
+    cluster b, the columns tops[j]:tops[j+1] of the ClusterColumns columns,
+    shape (len(rows), clusters).  Columns on distinct cycles share no row,
+    so the compression is diagonal, its entry a the sum of |b[i, a]|^2 x[i]
+    over the rows of column a: one segment sum over the columns per row x
+    gives it for every cluster at once, holding one gather of the entries
+    at a time.  Columns that share a cycle also have off-diagonal entries,
+    which this leaves out."""
+    weight = columns.entries.real ** 2 + columns.entries.imag ** 2
+    diag = np.array([np.add.reduceat(x[columns.rows] * weight, columns.starts) for x in rows])
+    ranks = np.diff(tops)
+    lam = np.add.reduceat(diag, tops[:-1], axis=1) / ranks
+    off = diag - np.repeat(lam, ranks, axis=1)
+    return np.sqrt(np.add.reduceat(off.real ** 2 + off.imag ** 2, tops[:-1], axis=1))
+
+
+class _Census:
+    """The census across stacks of elements of a table with qs elements
+    per p: the records in first-sighting order, the columns of each
+    (supports), the dedup buckets, which map (rank, Re Tr(probe P) to 6
+    places) to record indices in record order, the clusters' record
+    indices (hits) and the common list so far."""
+
+    def __init__(self, tol: float, orbit: OperatorGraph, probe: np.ndarray, qs: int):
+        self.tol, self.orbit, self.probe, self.qs = tol, orbit, probe, qs
+        self.records: list[ScanProjection] = []
+        self.supports: list = []
+        self.buckets: dict = {}
+        self.hits: list = []
+        self.common: list | None = None
+
+    def add(self, clusters, lo: int) -> None:
+        """Count the clusters of the stack of elements lo, lo + 1, ... and
+        test the projections seen first there."""
+        ranks = clusters.ranks
+        keys = list(zip(ranks.tolist(),
+                        [round(t, 6) for t in clusters.traces(self.probe).tolist()]))
+        hits, new = self._match(clusters, keys)
+        self.hits.append(hits)
+        if new:
+            self._record(clusters, new, lo)
+        if self.common != []:
+            first, seen, ranks = clusters.first.tolist(), hits.tolist(), ranks.tolist()
+            for e in range(len(first) - 1):
+                mine = [seen[c] for c in range(first[e], first[e + 1]) if ranks[c] >= 2]
+                self.common = mine if self.common is None else \
+                    [idx for idx in self.common if idx in mine]
+
+    def _match(self, clusters, keys):
+        """The record index of each cluster of a stack, and its first
+        sightings in cluster order.
+
+        The clusters of one key compare, round by round, with the records of
+        their bucket in record order, every pair of a round in one gather
+        (CycleClusters.overlaps); a match ends a cluster's search.  When a
+        key's bucket is used up, the first cluster still searching is a
+        first sighting, appended to the bucket, and the others compare with
+        it next.  So each cluster gets the first record in record order that
+        matches it, as one pass in cluster order would find.  A first
+        sighting c counts as -1 - c until the stack is done, when the first
+        sightings take their record indices in cluster order."""
+        groups: dict = {}
+        for c, key in enumerate(keys):
+            groups.setdefault(key, []).append(c)
+        touched, at = list(groups), dict.fromkeys(groups, 0)
+        hits = np.empty(len(keys), dtype=np.intp)
+        fresh: dict = {}
+        while groups:
+            refs, cs = [], []
+            for key in list(groups):
+                group, bucket = groups[key], self.buckets.setdefault(key, [])
+                if at[key] == len(bucket):
+                    c = group.pop(0)
+                    fresh[c] = clusters.columns(c)
+                    hits[c] = -1 - c
+                    bucket.append(-1 - c)
+                    if not group:
+                        del groups[key]
+                        continue
+                refs += [bucket[at[key]]] * len(group)
+                cs += group
+                at[key] += 1
+            if not cs:
+                break
+            overlap = clusters.overlaps(
+                [self.supports[r] if r >= 0 else fresh[-1 - r] for r in refs], cs)
+            cs, refs = np.array(cs), np.array(refs)
+            same = 2 * clusters.ranks[cs] - 2 * overlap <= _MATCH_TOL ** 2
+            hits[cs[same]] = refs[same]
+            found = set(cs[same].tolist())
+            for key in list(groups):
+                groups[key] = [c for c in groups[key] if c not in found]
+                if not groups[key]:
+                    del groups[key]
+        new = sorted(fresh)
+        index = np.empty(len(keys), dtype=np.intp)
+        index[new] = len(self.records) + np.arange(len(new))
+        late = hits < 0
+        hits[late] = index[-1 - hits[late]]
+        for key in touched:
+            bucket = self.buckets[key]
+            for i in range(len(bucket) - 1, -1, -1):
+                if bucket[i] >= 0:
+                    break
+                bucket[i] = int(index[-1 - bucket[i]])
+        return hits, new
+
+    def _record(self, clusters, new: list, lo: int) -> None:
+        """Keep the columns of the first sightings new and test each for
+        Knill-Laflamme against the orbit: every generator is within the
+        orbit's spread of its class row, and compressing by an isometry and
+        removing the trace do not increase the Frobenius norm, so the
+        largest residual over the class rows plus the spread bounds the
+        residual of every generator."""
+        columns, tops = clusters.select(new)
+        rows = self.orbit.rows
+        worst = _compression_residuals(columns, tops, rows).max(axis=0)
+        for j in np.flatnonzero(clusters.shared[new]):
+            worst[j] = compress_diagonals(clusters.columns(new[j]).dense(), rows)[0].max()
+        worst = worst + self.orbit.spread
+        bounds = np.append(columns.starts, len(columns.rows))[tops].tolist()
+        owner = (np.searchsorted(clusters.first, new, side='right') - 1).tolist()
+        for j, c in enumerate(new):
+            a, b = bounds[j], bounds[j + 1]
+            self.supports.append(ClusterColumns(columns.d, columns.rows[a:b], columns.entries[a:b],
+                                                columns.starts[tops[j]:tops[j + 1]] - a))
+            rank, w = int(clusters.ranks[c]), float(worst[j])
+            self.records.append(ScanProjection(
+                divmod(lo + owner[j], self.qs), complex(clusters.values[c]), rank, 0,
+                compresses=w <= self.tol, kl_residual=w,
+                is_anticlique=w <= self.tol and rank >= 2))
+
+    def result(self, n: int, s: int) -> Prop1Scan:
+        counts = np.bincount(np.concatenate(self.hits), minlength=len(self.records))
+        for rec, count in zip(self.records, counts.tolist()):
+            rec.occurrences = count
+        return Prop1Scan(n, s, self.records, [self.supports[idx] for idx in self.common or []])
+
+
 def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
                       unitaries=None, orbit: OperatorGraph | None = None) -> Prop1Scan:
     """Scan spectral projections of every group unitary and test each one.
 
-    Each unitary's clusters come in cycle blocks (GroupAction.clusters): its
-    eigenvectors live on the cycles of its monomial table, and the clusters
-    are guarded by the gather residual u V - V Lambda and the orthonormality
-    of each block, so no dense unitary or d x d product is formed.  A
-    cluster P = b b* is read through its columns on their cycles
-    (ClusterColumns), and a record keeps a copy of those.  Dedup
-    buckets by rank and Re Tr(probe P), a probe[pos, pos] gather per cycle,
-    then matches when ||P1 - P2||_F^2 = 2 rank - 2 ||b1* b2||_F^2 is below
-    _MATCH_TOL^2, with b1* b2 read on the support of b1.  The common list
-    intersects the rank >= 2 projections across all elements and is usually
-    empty, since only a unitary proportional to the identity admits the
-    identity as a cluster projection.  A projection's Knill-Laflamme residual
-    is taken at its first sighting by compressing only the orthonormal
-    diagonals of orbit.space: a generator x = sum_j c_j e_j + delta has
-    residual at most sqrt(c* G c) + ||delta||_F, with G the Gram of the
-    compressed basis (compression_gram) and delta the generator's measured
-    distance to the span, since compressing by an isometry and removing the
-    trace do not increase the Frobenius norm.  The columns of one cluster lie
-    on distinct cycles, so each compression is diagonal, a weighted cycle
-    average per column, and G is an n x rank product; columns that do share
-    a cycle (only at a very large tol) get their off-diagonal entries.
+    The table is taken in stacks of consecutive elements sized by
+    _STACK_ENTRIES.  Each stack's clusters come in cycle blocks
+    (GroupAction.clusters): the eigenvectors live on the cycles of the
+    monomial table, and the clusters are guarded by the gather residual
+    u V - V Lambda and the orthonormality of each block, so no dense unitary
+    or d x d product is formed.  A cluster P = b b* is read through its
+    columns on their cycles (ClusterColumns), and a record keeps those, cut
+    from arrays of its stack's first sightings (CycleClusters.select) so
+    that the stack itself is not kept.  Dedup buckets by rank and
+    Re Tr(probe P), a probe[pos, pos]
+    gather per cycle, then matches when ||P1 - P2||_F^2 = 2 rank -
+    2 ||b1* b2||_F^2 is below _MATCH_TOL^2, round by round (_Census._match).
+    The common list intersects the rank >= 2 projections across all
+    elements and is usually empty, since only a unitary proportional to the
+    identity admits the identity as a cluster projection.  A projection's
+    Knill-Laflamme residual is taken at its first sighting, against the
+    orbit's class rows plus its spread (_Census._record); columns that share
+    a cycle (only at a very large tol) get their off-diagonal entries from
+    compress_diagonals.
     """
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
     if orbit is None:
         orbit = graph_orbit(n, s, tol, unitaries)
-    # every generator in span coordinates, x = coef @ rows + defect, with the
-    # defect's norm measured, so that a generator off the span still counts
-    span = orbit.space.basis
-    diagonals = np.array([v for _, v in orbit.provenance])
-    coef = diagonals @ span.conj().T
-    defect = np.linalg.norm(diagonals - coef @ span, axis=1)
+    qs = unitaries.perm.shape[1]
     probe = random_hermitian(unitaries.perm.shape[-1], np.random.default_rng(23117))
-    coef_h = coef.conj()
-    records: list[ScanProjection] = []
-    supports: list = []  # the ClusterColumns of each record
-    buckets: dict = {}
-    common: list[int] | None = None
-    for p in range(n):
-        # the n elements of one row p at a time: one stack of cycle blocks
-        clusters = unitaries.clusters(p, np.arange(n), tol)
-        traces = [round(t, 6) for t in clusters.traces(probe).tolist()]
-        first = clusters.first.tolist()
-        for q in range(n):
-            seen_rank2 = []
-            for c in range(first[q], first[q + 1]):
-                cols = clusters.columns(c)
-                rank, b = cols.rank, cols.dense()
-                key = (rank, traces[c])
-                hit = next((idx for idx in buckets.get(key, ())
-                            if 2 * rank - 2 * supports[idx].overlap(b) <= _MATCH_TOL ** 2),
-                           None)
-                if hit is None:
-                    hit = len(records)
-                    supports.append(cols.copy())
-                    buckets.setdefault(key, []).append(hit)
-                    spanned = ((coef_h @ compression_gram(b, span)) * coef).sum(axis=1).real
-                    worst = float((np.sqrt(np.maximum(spanned, 0.0)) + defect).max())
-                    records.append(ScanProjection(
-                        (p, q), complex(clusters.values[c]), rank, 0, compresses=worst <= tol,
-                        kl_residual=worst, is_anticlique=worst <= tol and rank >= 2))
-                records[hit].occurrences += 1
-                if rank >= 2:
-                    seen_rank2.append(hit)
-            common = seen_rank2 if common is None else \
-                [idx for idx in common if idx in seen_rank2]
-    return Prop1Scan(n, s, records, [supports[idx] for idx in common or []])
+    census = _Census(tol, orbit, probe, qs)
+    for lo, hi in _stacks(unitaries.cycle_entries(), _STACK_ENTRIES):
+        p, q = divmod(np.arange(lo, hi), qs)
+        census.add(unitaries.clusters(p, q, tol), lo)
+    return census.result(n, s)
 
 
 def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
@@ -370,7 +510,10 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
     Returns (checks, audit, discrepancies).  The conjugation orbit is the
     ground truth; the h-family comparison is recorded as data, and any
     dimension mismatch becomes a structured discrepancy entry instead of a
-    failure, with the Gram spectra that span_operators diagonalised.
+    failure, with the Gram spectra that span_operators diagonalised (for
+    the orbit, the n^2-member spectrum that _class_span keeps).  An orbit's
+    span is that of its class rows, so every comparison adds the spread of
+    each orbit in it to the subspace residual.
     """
     basis = basis if basis is not None else entangled_basis(n)
     if unitaries is None:
@@ -382,30 +525,35 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
     h_list = h_generators(n, y)
     z_red = z_generators(n, y)
 
-    # residuals in a fixed order, so the first strict maximum is named
+    # residuals in a fixed order, so the first strict maximum is named; each
+    # orbit's spread counts, since its span is that of its class rows
     pair_equal = True
     coincide_worst, where = 0.0, (0, 1)
     for s1 in range(n):
         for s2 in range(s1 + 1, n):
-            cmp_ = subspace_equal(orbit_graphs[s1].space, orbit_graphs[s2].space, tol)
-            if cmp_.max_residual > coincide_worst:
-                coincide_worst, where = cmp_.max_residual, (s1, s2)
-            pair_equal = pair_equal and cmp_.equal
+            g1, g2 = orbit_graphs[s1], orbit_graphs[s2]
+            cmp_ = subspace_equal(g1.space, g2.space, tol)
+            residual = cmp_.max_residual + g1.spread + g2.spread
+            if residual > coincide_worst:
+                coincide_worst, where = residual, (s1, s2)
+            pair_equal = pair_equal and cmp_.equal and residual <= tol
     checks = [CheckResult('graphs_coincide', pair_equal, coincide_worst,
                           details=f'orbit graphs pairwise; worst at '
                                   f'(s1, s2) = ({where[0]}, {where[1]})')]
 
     z_space = span_operators(z_red, tol)
     h_space = span_operators(h_list, tol)
-    orbit_space = orbit_graphs[0].space
+    orbit_space, spread = orbit_graphs[0].space, orbit_graphs[0].spread
     cmp_z = subspace_equal(orbit_space, z_space, tol)
     cmp_h = subspace_equal(orbit_space, h_space, tol)
-    checks.append(CheckResult('orbit_equals_z', cmp_z.equal, cmp_z.max_residual))
+    z_residual = cmp_z.max_residual + spread
+    z_equal = cmp_z.equal and z_residual <= tol
+    h_equal = cmp_h.equal and cmp_h.max_residual + spread <= tol
+    checks.append(CheckResult('orbit_equals_z', z_equal, z_residual))
 
-    audit = GraphAudit(orbit_space.dim, z_space.dim, h_space.dim,
-                       cmp_z.equal, cmp_h.equal)
+    audit = GraphAudit(orbit_space.dim, z_space.dim, h_space.dim, z_equal, h_equal)
     discrepancies = []
-    if not cmp_h.equal:
+    if not h_equal:
         discrepancies.append(Discrepancy(
             claim='Theorem 2: the graph coincides with the span of the symmetric '
                   'pair-sum family {h_p}',

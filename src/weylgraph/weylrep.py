@@ -118,17 +118,6 @@ class ClusterColumns(NamedTuple):
         out[self.rows, column] = self.entries
         return out
 
-    def copy(self) -> 'ClusterColumns':
-        """The same columns in arrays of their own, so that keeping them does
-        not keep the stack they were cut from."""
-        return ClusterColumns(self.d, self.rows.copy(), self.entries.copy(), self.starts.copy())
-
-    def overlap(self, b: np.ndarray) -> float:
-        """||B* b||_F^2 for B these columns and b a d x k matrix: each entry
-        of B meets only its own row of b."""
-        blk = np.add.reduceat(b[self.rows] * self.entries.conj()[:, None], self.starts)
-        return np.vdot(blk, blk).real
-
 
 @dataclass(frozen=True)
 class CycleClusters:
@@ -146,7 +135,7 @@ class CycleClusters:
     blocks: list
     labels: list
 
-    @property
+    @cached_property
     def ranks(self) -> np.ndarray:
         return np.bincount(np.concatenate([lab.ravel() for lab in self.labels]),
                            minlength=len(self.values))
@@ -162,11 +151,96 @@ class CycleClusters:
         return out
 
     def columns(self, c: int) -> ClusterColumns:
-        """The columns of cluster c on their cycles."""
+        """The columns of cluster c on their cycles, as views of the stack."""
         rows, entries, heads, ends, tops = self._sorted
         lo, hi = ends[c], ends[c + 1]
         return ClusterColumns(self.d, rows[lo:hi], entries[lo:hi],
                               heads[tops[c]:tops[c + 1]] - lo)
+
+    def select(self, cs):
+        """The columns of the clusters cs, one after another, in arrays of
+        their own, so that keeping them does not keep the stack: (columns,
+        tops), where cluster cs[j] owns the columns tops[j]:tops[j+1] of the
+        ClusterColumns columns."""
+        rows, entries, heads, ends, tops = self._sorted
+        cs = np.asarray(cs, dtype=np.intp)
+        ends, tops = np.asarray(ends), np.asarray(tops)
+        lo, hi = ends[cs], ends[cs + 1]
+        ranks = tops[cs + 1] - tops[cs]
+        # column k of the selection starts at heads[k] less the entries skipped
+        skipped = np.repeat(lo - (np.cumsum(hi - lo) - (hi - lo)), ranks)
+        at = _ranges(lo, hi)
+        return (ClusterColumns(self.d, rows[at], entries[at],
+                               heads[_ranges(tops[cs], tops[cs + 1])] - skipped),
+                np.concatenate(([0], np.cumsum(ranks))))
+
+    def overlaps(self, columns: list, cs) -> np.ndarray:
+        """||B_j* C_j||_F^2 for each pair of a ClusterColumns B_j = columns[j]
+        and the columns C_j of cluster cs[j] of this stack, in one gather:
+        each entry of B_j meets the entries of C_j in its own row, which
+        _by_row holds, and the products are summed into the blocks B_j* C_j
+        by one bincount."""
+        values, slots, _ = self._by_row
+        cs = np.asarray(cs, dtype=np.intp)
+        count = len(columns)
+        sizes = np.array([len(b.rows) for b in columns], dtype=np.intp)
+        ranks = np.array([b.rank for b in columns], dtype=np.intp)
+        pair = np.repeat(np.arange(count), sizes)
+        # the column of each entry, counted across all the B_j
+        mark = np.zeros(len(pair), dtype=np.intp)
+        mark[np.concatenate([b.starts for b in columns])
+             + np.repeat(np.cumsum(sizes) - sizes, ranks)] = 1
+        width = self.ranks[cs]
+        cells = ranks * width
+        # block j, B_j* C_j row by row, starts at cell offset[j]; its row a
+        # is column a + skipped[j] of all the B_j
+        offset = np.cumsum(cells) - cells
+        skipped = np.cumsum(ranks) - ranks
+        at = cs[pair] * self.d + np.concatenate([b.rows for b in columns])
+        cell = (offset - skipped * width)[pair] + (np.cumsum(mark) - 1) * width[pair]
+        cell = cell[:, None] + slots[at]
+        prod = np.concatenate([b.entries for b in columns]).conj()[:, None] * values[at]
+        # real and imaginary parts side by side, summed in one bincount
+        sums = np.bincount((2 * cell[:, :, None] + (0, 1)).ravel(),
+                           prod.view(np.float64).ravel(), 2 * int(cells.sum()))
+        return np.add.reduceat(sums ** 2, 2 * offset)
+
+    @property
+    def shared(self) -> np.ndarray:
+        """shared[c]: whether two columns of cluster c lie on one cycle."""
+        return self._by_row[2]
+
+    @cached_property
+    def _by_row(self):
+        """Every cluster's columns read by row, as (values, slots, shared):
+        row i of cluster c is row c d + i of the (clusters d, m) arrays,
+        whose slot j holds the j-th column of c through row i, as its entry
+        there in values and its index within the cluster in slots (0 and 0
+        for none); m is the most columns of one cluster through one row, and
+        shared[c] tells whether two columns of c pass through one row.  The
+        columns of one cluster lie on distinct cycles, so m is 1, unless a
+        tol wide enough to join two eigenvalues of one cycle puts two of its
+        eigenvectors in one cluster."""
+        rows, entries, heads, _, tops = self._sorted
+        ranks = self.ranks
+        count = len(self.values)
+        owner = np.repeat(np.arange(count), ranks)
+        # a column's first row is the least index of its cycle
+        cycle = owner * self.d + rows[heads]
+        order = np.argsort(cycle, kind='stable')
+        run = np.concatenate(([True], cycle[order][1:] != cycle[order][:-1]))
+        slot = np.empty(len(heads), dtype=np.intp)
+        slot[order] = np.arange(len(heads)) - np.maximum.accumulate(
+            np.where(run, np.arange(len(heads)), 0))
+        width = int(slot.max()) + 1
+        size = np.diff(np.append(heads, len(rows)))
+        at = (np.repeat(owner * self.d, size) + rows) * width + np.repeat(slot, size)
+        values = np.zeros(count * self.d * width, dtype=complex)
+        values[at] = entries
+        slots = np.zeros(count * self.d * width, dtype=np.intp)
+        slots[at] = np.repeat(np.arange(len(heads)) - np.asarray(tops)[owner], size)
+        shared = np.bincount(owner, slot > 0, count) > 0
+        return (values.reshape(-1, width), slots.reshape(-1, width), shared)
 
     @cached_property
     def _sorted(self):
@@ -174,24 +248,19 @@ class CycleClusters:
         entries, heads, ends, tops): cluster c owns the entries
         ends[c]:ends[c+1] and the columns tops[c]:tops[c+1], and column k
         starts at entry heads[k]."""
-        label, rows, entries, ident = [], [], [], []
-        first = 0
-        for b, lab in zip(self.blocks, self.labels):
-            count, size = lab.shape
-            label.append(np.repeat(lab.ravel(), size))
-            rows.append(np.broadcast_to(b.positions[:, None, :], (count, size, size)).ravel())
-            entries.append(b.vectors.transpose(0, 2, 1).ravel())
-            ident.append(np.repeat(first + np.arange(lab.size), size))
-            first += lab.size
-        label = np.concatenate(label)
+        label = np.concatenate([lab.ravel() for lab in self.labels])
+        size = np.concatenate([np.full(lab.size, lab.shape[1]) for lab in self.labels])
+        rows = np.concatenate([np.broadcast_to(b.positions[:, None, :], b.vectors.shape).ravel()
+                               for b in self.blocks])
+        entries = np.concatenate([b.vectors.transpose(0, 2, 1).ravel() for b in self.blocks])
+        # the columns sorted by cluster, stably, each with its entries
         order = np.argsort(label, kind='stable')
-        ident = np.concatenate(ident)[order]
-        # the stable sort keeps each column's entries together
-        heads = np.flatnonzero(np.concatenate(([True], ident[1:] != ident[:-1])))
-        ends = np.concatenate(([0], np.cumsum(np.bincount(label, minlength=len(self.values)))))
+        start, size = (np.cumsum(size) - size)[order], size[order]
+        at = _ranges(start, start + size)
+        heads = np.cumsum(size) - size
         tops = np.concatenate(([0], np.cumsum(self.ranks)))
-        return (np.concatenate(rows)[order], np.concatenate(entries)[order], heads,
-                ends.tolist(), tops.tolist())
+        ends = np.append(heads, len(at))[tops]
+        return rows[at], entries[at], heads, ends.tolist(), tops.tolist()
 
 
 @dataclass(frozen=True)
@@ -205,16 +274,29 @@ class GroupAction:
     phase: np.ndarray  # shape (n, n, d), complex
 
     @cached_property
-    def classes(self):
-        """The table grouped by permutation: (perms, weights), where perms[k]
-        is the k-th distinct permutation (sorted) and weights[k] the d x d
-        matrix W_k = sum phase phase* over the elements that carry it.
+    def grouping(self):
+        """The table grouped by permutation: (perms, label), where perms[k]
+        is the k-th distinct permutation in sorted order and label[e] the
+        class of the e-th element in (p, q) order.  The rows are compared as
+        big-endian byte strings, whose byte order is the numeric order, so
+        the classes come out as np.unique(axis=0) sorts them, at a tenth of
+        its cost.
 
         Computed once per table: change a table by dataclasses.replace, not in
         place."""
         d = self.perm.shape[-1]
-        perms, label = np.unique(self.perm.reshape(-1, d), axis=0, return_inverse=True)
-        label = label.ravel()
+        flat = self.perm.reshape(-1, d)
+        keys = np.ascontiguousarray(flat, dtype='>i8').view(np.dtype((np.void, 8 * d)))
+        _, first, label = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+        return flat[first], label.ravel()
+
+    @cached_property
+    def classes(self):
+        """The table grouped by permutation: (perms, weights), where perms
+        are those of grouping and weights[k] the d x d matrix
+        W_k = sum phase phase* over the elements that carry perms[k]."""
+        d = self.perm.shape[-1]
+        perms, label = self.grouping
         phase = self.phase.reshape(-1, d)
         weights = np.array([phase[label == k].T @ phase[label == k].conj()
                             for k in range(len(perms))])
@@ -234,6 +316,16 @@ class GroupAction:
         """Diagonals of u diag(v) u* for every u = piS^p piM^q, shape (n, n, d):
         u is monomial, so entry i is |phase[i]|^2 v[perm[i]], one gather."""
         return (self.phase * self.phase.conj()).real * np.asarray(v)[self.perm]
+
+    def cycle_entries(self) -> np.ndarray:
+        """The eigenvector entries that eigenpairs holds for each element, in
+        (p, q) order: a cycle of length L has L eigenvectors of L entries, so
+        an element holds the sum of L^2 over its cycles.  Elements of one
+        class share their cycles, so one member of each is walked."""
+        perms, label = self.grouping
+        count, d = perms.shape
+        low = _least_on_cycles((perms + d * np.arange(count)[:, None]).ravel(), d)
+        return np.bincount(low)[low].reshape(count, d).sum(axis=1)[label]
 
     def dense(self, p: int, q: int) -> np.ndarray:
         """The unitary piS^p piM^q as a dense matrix."""
@@ -272,11 +364,7 @@ class GroupAction:
         # one permutation of range(count d): element e acts on e d .. e d + d - 1
         flat = (perm + d * np.arange(count)[:, None]).ravel()
         phase = phase.ravel()
-        # least index on each cycle: after k doublings, low[i] is the least of
-        # i, perm[i], ..., perm^(2^k - 1)[i]
-        low, jump = np.arange(flat.size), flat
-        for _ in range(int(d - 1).bit_length()):
-            low, jump = np.minimum(low, low[jump]), jump[jump]
+        low = _least_on_cycles(flat, d)
         starts = np.flatnonzero(low == np.arange(flat.size))
         sizes = np.bincount(low)[starts]
         blocks = []
@@ -351,6 +439,23 @@ class GroupAction:
     @property
     def nbytes(self) -> int:
         return self.perm.nbytes + self.phase.nbytes
+
+
+def _least_on_cycles(flat: np.ndarray, d: int) -> np.ndarray:
+    """The least index on the cycle of each index of a permutation flat of
+    range(count d) whose cycles are at most d long, by pointer doubling:
+    after k doublings, low[i] is the least of i, flat[i], ...,
+    flat^(2^k - 1)[i]."""
+    low, jump = np.arange(flat.size), flat
+    for _ in range(int(d - 1).bit_length()):
+        low, jump = np.minimum(low, low[jump]), jump[jump]
+    return low
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenated ranges lo[j]:hi[j]."""
+    size = hi - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(int(size.sum()))
 
 
 def _powers(n: int, u: np.ndarray):

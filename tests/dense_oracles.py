@@ -1,5 +1,6 @@
 """Dense references for the fast paths: the group elements by matrix powers,
-cluster projectors, the operator-span comparison on densely embedded bases,
+cluster projectors, the orbit span of every generator, the operator-span
+comparison on densely embedded bases,
 the covariant resolution with dense atoms, and the dense unit grids with the
 unreduced z grid.  Each is the code the fast path replaced, kept here so the
 tests can hold the two against each other."""
@@ -8,7 +9,7 @@ import dataclasses
 
 import numpy as np
 
-from weylgraph.linalg import OperatorSubspace, frob, unit_roots
+from weylgraph.linalg import OperatorSubspace, frob, span_operators, unit_roots
 
 
 def rep_element(pi_s: np.ndarray, pi_m: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -21,6 +22,12 @@ def cluster_projector(columns) -> np.ndarray:
     ClusterColumns."""
     b = columns.dense()
     return b @ b.conj().T
+
+
+def member_span(diagonals: np.ndarray, tol: float = 1e-10) -> OperatorSubspace:
+    """The span of all the generator diagonals, one per group element, from
+    one eigh of their Gram, which is n^2 x n^2 for an orbit."""
+    return span_operators(list(diagonals), tol)
 
 
 def dyad_grid(blocks: np.ndarray) -> np.ndarray:

@@ -2,22 +2,24 @@
 against the dense Schur census it replaced and its golden summaries, plus
 property and mutation tests for the cycle eigenpairs and their guard."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylgraph.graphs
 import weylgraph.weylrep
 from dense_oracles import cluster_projector
 from weylgraph.covariant import q_projection
 from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_TOL,
-                              anticlique_projector, compress_diagonals,
-                              compression_gram, graph_orbit, kl_suite_extremes,
-                              proposition1_scan)
+                              _class_span, anticlique_projector, compress_diagonals,
+                              graph_orbit, kl_suite_extremes, proposition1_scan,
+                              verify_theorem2)
 from weylgraph.linalg import (DEFAULT_TOL, cluster_eigenpairs, frob,
-                              random_hermitian, span_operators, spectral_projections,
-                              unit_roots)
-from weylgraph.weylrep import (GroupAction, element_unitaries, entangled_basis,
-                               rep_generators)
+                              random_hermitian, spectral_projections, unit_roots)
+from weylgraph.weylrep import (ClusterColumns, CycleClusters, GroupAction, element_unitaries,
+                               entangled_basis, rep_generators)
 
 
 def dense_census(n, s, tol=DEFAULT_TOL):
@@ -102,10 +104,57 @@ def _record_isometry(unitaries, rec, tol=DEFAULT_TOL):
     return clusters.columns(c).dense()
 
 
+@pytest.mark.parametrize('n', [2, 3, 4, 5, 6])
+def test_census_rounds_match_the_dense_census_when_every_key_collides(n, monkeypatch):
+    # every cluster of one rank in one bucket: each cluster then compares
+    # with the records of its rank round by round, and must still find the
+    # first match in record order, both within one stack of the whole table
+    # and, with one element per stack, against buckets of many records
+    monkeypatch.setattr(CycleClusters, 'traces',
+                        lambda self, x: np.zeros(len(self.values)))
+    dense = dense_census(n, 0)
+    for budget in (weylgraph.graphs._STACK_ENTRIES, 1):
+        monkeypatch.setattr(weylgraph.graphs, '_STACK_ENTRIES', budget)
+        fast = proposition1_scan(n, 0)
+        assert len(fast.projections) == len(dense.projections)
+        for a, b in zip(fast.projections, dense.projections):
+            assert (a.element, a.rank, a.occurrences, a.is_anticlique) == \
+                (b.element, b.rank, b.occurrences, b.is_anticlique)
+            assert abs(a.eigenvalue - b.eigenvalue) <= 1e-9
+            assert abs(a.kl_residual - b.kl_residual) <= 1e-9
+
+
+def test_census_stacks_peak_below_theorem2():
+    # theorem 2 sets the peak of verify; the census's stacks, bounded by
+    # _STACK_ENTRIES, must stay under it so that the census does not raise
+    # the peak
+    n = 10
+    unitaries = element_unitaries(n, *rep_generators(n))
+    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+    peaks = []
+    for stage in (lambda: proposition1_scan(n, 0, unitaries=unitaries, orbit=orbits[0]),
+                  lambda: verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)):
+        tracemalloc.start()
+        try:
+            stage()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1]
+
+
+def _synthetic_orbit(diagonals):
+    """An OperatorGraph whose generators are the given diagonals, each its
+    own class."""
+    space, rows, spread = _class_span(diagonals, np.arange(len(diagonals)))
+    return OperatorGraph(1, 0, space, [((0, g), v) for g, v in enumerate(diagonals)],
+                         rows, spread)
+
+
 @pytest.mark.parametrize('n', range(2, 9))
 def test_span_census_matches_the_per_generator_compression(n):
-    # the census compresses only the n orthonormal diagonals of the orbit
-    # span; compressing each of the n^2 generators densely by the record's
+    # the census compresses only the n class rows of the orbit and adds the
+    # spread; compressing each of the n^2 generators densely by the record's
     # own isometry must give the same verdicts and, to roundoff, the same
     # worst residual
     unitaries = element_unitaries(n, *rep_generators(n))
@@ -130,8 +179,7 @@ def test_census_counts_the_off_diagonal_entries_of_a_shared_cycle():
     tol = 0.25
     table = _table([1, 0, 2], np.ones(3))
     diagonals = np.random.default_rng(5).standard_normal((4, 3))
-    orbit = OperatorGraph(1, 0, span_operators(list(diagonals)),
-                          [((0, g), v) for g, v in enumerate(diagonals)])
+    orbit = _synthetic_orbit(diagonals)
     [rec] = proposition1_scan(1, 0, tol, unitaries=table, orbit=orbit).projections
     b = table.clusters(0, 0, tol).columns(0).dense()
     assert rec.rank == b.shape[1] == 3
@@ -147,9 +195,7 @@ def test_census_common_projection_is_the_dense_one():
     # eigenvalue 1 of a 2-cycle and a fixed point
     table = _table([1, 0, 2], np.ones(3))
     diagonals = np.random.default_rng(5).standard_normal((4, 3))
-    orbit = OperatorGraph(1, 0, span_operators(list(diagonals)),
-                          [((0, g), v) for g, v in enumerate(diagonals)])
-    scan = proposition1_scan(1, 0, unitaries=table, orbit=orbit)
+    scan = proposition1_scan(1, 0, unitaries=table, orbit=_synthetic_orbit(diagonals))
     dec = spectral_projections(table.dense(0, 0))
     assert [r.rank for r in scan.projections] == list(dec.ranks) == [2, 1]
     [common] = scan.common
@@ -158,16 +204,35 @@ def test_census_common_projection_is_the_dense_one():
 
 @pytest.mark.parametrize('n', [3, 4, 6])
 def test_cluster_overlaps_match_the_dense_products(n):
-    # ||B* b||_F^2 read on the support of B, against the dense product, for
-    # the clusters of two elements whose cycles differ
+    # ||B* C||_F^2 for every pair of a cluster B of one element and a
+    # cluster C of a stack of two others whose cycles differ, in one gather,
+    # against the dense product
     unitaries = element_unitaries(n, *rep_generators(n))
-    ones, others = unitaries.clusters(1, 1), unitaries.clusters(0, 1)
-    others = [others.columns(c).dense() for c in range(len(others.values))]
-    for cols in map(ones.columns, range(len(ones.values))):
-        dense = cols.dense()
-        assert frob(dense.conj().T @ dense - np.eye(cols.rank)) <= 1e-12
-        for b in others:
-            assert abs(cols.overlap(b) - frob(dense.conj().T @ b) ** 2) <= 1e-12
+    ones, others = unitaries.clusters(1, 1), unitaries.clusters([0, 2], [1, 1])
+    mine = [ones.columns(c) for c in range(len(ones.values))]
+    theirs = [others.columns(c).dense() for c in range(len(others.values))]
+    pairs = [(a, c) for a in range(len(mine)) for c in range(len(theirs))]
+    got = others.overlaps([mine[a] for a, _ in pairs], [c for _, c in pairs])
+    for (a, c), value in zip(pairs, got):
+        dense = mine[a].dense()
+        assert frob(dense.conj().T @ dense - np.eye(mine[a].rank)) <= 1e-12
+        assert abs(value - frob(dense.conj().T @ theirs[c]) ** 2) <= 1e-12
+    assert got.max() > 0.1
+
+
+def test_cluster_overlaps_read_columns_that_share_a_cycle():
+    # at tol 0.25 the 2-cycle's eigenvalues 1 and -1 and the fixed point's 1
+    # form one cluster of three columns, two of them on one cycle
+    table = _table([1, 0, 2], np.ones(3))
+    clusters = table.clusters(0, 0, 0.25)
+    assert clusters.shared.tolist() == [True]
+    b = clusters.columns(0).dense()
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        c = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
+        cols = ClusterColumns(3, np.array([0, 1, 2, 0, 1, 2]), c.T.ravel(), np.array([0, 3]))
+        [got] = clusters.overlaps([cols], [0])
+        assert abs(got - frob(c.conj().T @ b) ** 2) <= 1e-12
 
 
 @pytest.mark.parametrize('seed', range(4))
@@ -185,8 +250,6 @@ def test_compressions_of_a_dense_isometry_match_the_dense_forms(seed):
     assert np.allclose(residual, [frob(c) for c in comps], rtol=0.0, atol=1e-12)
     assert np.allclose(lam, [np.trace((b.conj().T * x) @ b) / rank for x in diagonals],
                        rtol=0.0, atol=1e-12)
-    want = np.array([[np.vdot(cj, ck) for ck in comps] for cj in comps])
-    assert np.abs(compression_gram(b, diagonals) - want).max() <= 1e-12
 
 
 # summary() of the dense-reconstruction census that the cycle blocks replaced, n = 2..16
@@ -385,8 +448,13 @@ def test_census_catches_a_perturbed_generator_diagonal():
     unitaries = element_unitaries(n, *rep_generators(n))
     orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
     tampered = [(g, v.copy()) for g, v in orbits[0].provenance]
+    # element (1, 1) is not the first of its class (0, 1), so the defect
+    # reaches the census through the spread
     tampered[4][1][index] += 1e-6
-    orbit = OperatorGraph(n, 0, orbits[0].space, tampered)
+    space, rows, spread = _class_span(np.array([v for _, v in tampered]),
+                                      unitaries.grouping[1])
+    assert spread >= 1e-6
+    orbit = OperatorGraph(n, 0, space, tampered, rows, spread)
     scan = proposition1_scan(n, 0, unitaries=unitaries, orbit=orbit)
     codes = [r for r in scan.projections if r.element == (0, 1)]
     assert len(codes) == n

@@ -15,7 +15,7 @@ from weylgraph.linalg import frob, tensor_product
 from weylgraph.report import run_verification
 from weylgraph.serialize import (CANONICAL_CHECK_ORDER, anticlique_to_obj, dumps,
                                  format_float, matrix_to_obj, obj_to_matrix)
-from weylgraph.weylrep import entangled_basis
+from weylgraph.weylrep import GroupAction, entangled_basis
 
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -336,6 +336,17 @@ def test_kl_check_holds_one_generator_at_a_time(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 16 * n ** 6 / 8
+
+
+def test_kl_check_builds_no_class_weights(tmp_path, monkeypatch):
+    # graph_orbit groups the table by permutation only; the d x d class
+    # weights W_k of GroupAction.classes are for the group average
+    def refuse(self):
+        raise AssertionError('kl-check built the class weights')
+
+    monkeypatch.setattr(GroupAction, 'classes', property(refuse))
+    assert main(['kl-check', '--n', '5', '--k', '2', '--s', '1',
+                 '--json', str(tmp_path / 'kl.json')]) == 0
 
 
 @pytest.mark.parametrize('builder, argv', [

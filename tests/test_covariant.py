@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylgraph.covariant
-from dense_oracles import dense_atoms, dense_covariance, dense_mass, dyad_grid
+from dense_oracles import dense_atoms, dense_covariance, dense_mass, dyad_grid, member_span
 from weylgraph.covariant import (
     _COVARIANCE_SAMPLE,
     covariant_resolution,
@@ -21,7 +21,9 @@ from weylgraph.covariant import (
     resolution_mass_check,
     verify_theorem1,
 )
-from weylgraph.linalg import frob, random_hermitian, span_operators, tensor_product
+from weylgraph.graphs import _class_span
+from weylgraph.linalg import (frob, random_hermitian, span_operators, subspace_equal,
+                              tensor_product)
 from weylgraph.report import run_verification
 from weylgraph.weylrep import (GroupAction, element_unitaries, entangled_basis,
                                rep_generators)
@@ -158,6 +160,35 @@ def test_average_by_class_matches_dense_sum(case):
                 for p in range(n) for q in range(n)) / (n * n)
     assert len(table.classes[0]) == classes
     assert frob(table.average(x) - dense) <= 1e-12 * d
+
+
+@pytest.mark.filterwarnings('ignore:all generators are numerically zero')
+@settings(max_examples=100, deadline=None)
+@given(monomial_tables())
+def test_class_rows_span_the_orbit_of_a_generic_table(case):
+    # the byte-string grouping is np.unique(axis=0)'s, and the span of one
+    # row per class is that of all the conjugated diagonals.  The diagonal
+    # is a projection's, 0 or 1, as graph_orbit conjugates: permuted copies
+    # of a generic real vector can be nearly dependent, and their span is
+    # then defined only to roundoff over the smallest Gram eigenvalue.  An
+    # all-zero diagonal spans the zero subspace on both sides.
+    table, classes, rng = case
+    d = table.perm.shape[-1]
+    perms, label = table.grouping
+    want_perms, want_label = np.unique(table.perm.reshape(-1, d), axis=0, return_inverse=True)
+    assert np.array_equal(perms, want_perms)
+    assert np.array_equal(label, want_label.ravel())
+    assert len(perms) == classes
+    diagonals = table.orbit_diagonals(rng.integers(0, 2, d).astype(complex)).reshape(-1, d)
+    space, rows, spread = _class_span(diagonals, label)
+    assert rows.shape == (classes, d)
+    assert spread <= 1e-12
+    want = member_span(diagonals)
+    assert space.dim == want.dim
+    cmp_ = subspace_equal(space, want, 1e-12)
+    assert cmp_.equal, cmp_.max_residual
+    gram = np.linalg.eigvalsh(diagonals.conj() @ diagonals.T)
+    assert np.abs(space.gram_spectrum - gram).max() <= 1e-12 * gram.max()
 
 
 def test_replaced_table_recomputes_its_classes():

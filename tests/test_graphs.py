@@ -13,7 +13,7 @@ import exact_oracles
 import weylgraph.graphs
 import weylgraph.linalg
 from dense_oracles import (cluster_projector, dense_subspace_equal, dyad_grid,
-                           rep_element, z_grid)
+                           member_span, rep_element, z_grid)
 from weylgraph.graphs import (
     anticlique_projector,
     check_knill_laflamme,
@@ -32,8 +32,8 @@ from weylgraph.covariant import fixed_units, q_projection
 from weylgraph.linalg import (frob, span_operators, spectral_projections,
                               subspace_equal, tensor_product, unit_roots)
 from weylgraph.report import run_verification
-from weylgraph.weylrep import (element_unitaries, entangled_basis, rep_generators,
-                               shift_clock)
+from weylgraph.weylrep import (GroupAction, element_unitaries, entangled_basis,
+                               rep_generators, shift_clock)
 
 
 # -- the y units -------------------------------------------------------------
@@ -236,6 +236,54 @@ def test_orbit_provenance_complete(n):
         base = q_projection(n, s)
         for (_, v), u in zip(graph.provenance, dense):
             assert frob(np.diag(v) - u @ base @ u.conj().T) <= 1e-12
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_class_row_span_is_the_span_of_every_generator(n):
+    # the orbit spans its n class rows; the oracle spans all n^2 generator
+    # diagonals with one eigh of their Gram, as graph_orbit did before
+    unitaries = element_unitaries(n, *rep_generators(n))
+    for s in range(n):
+        graph = graph_orbit(n, s, unitaries=unitaries)
+        assert graph.rows.shape == (n, n * n)
+        assert graph.spread <= 1e-15
+        want = member_span(np.array([v for _, v in graph.provenance]))
+        assert graph.space.dim == want.dim == n
+        cmp_ = subspace_equal(graph.space, want, 1e-12)
+        assert cmp_.equal, cmp_.max_residual
+
+
+def test_a_raised_non_representative_generator_fails_every_span_check(monkeypatch):
+    # element (1, 1) shares its permutation with (0, 1), the first of its
+    # class, so the class-row span cannot see a defect in its diagonal; the
+    # spread must carry it into graphs_coincide, orbit_equals_z and the
+    # census verdict of every code
+    n = 3
+    unitaries = element_unitaries(n, *rep_generators(n))
+    label = unitaries.grouping[1]
+    assert np.flatnonzero(label == label[n + 1])[0] == 1
+    built = GroupAction.orbit_diagonals
+
+    def raised(self, v):
+        out = built(self, v)
+        out[1, 1, 2] += 1e-6
+        return out
+
+    monkeypatch.setattr(GroupAction, 'orbit_diagonals', raised)
+    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+    assert all(g.spread >= 0.99e-6 for g in orbits)
+    checks, audit, _ = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)
+    by_id = {c.check_id: c for c in checks}
+    for check_id in ('graphs_coincide', 'orbit_equals_z'):
+        assert not by_id[check_id].passed
+        assert by_id[check_id].max_residual >= 0.99e-6
+    assert not audit.orbit_equals_z
+    scan = proposition1_scan(n, 0, unitaries=unitaries, orbit=orbits[0])
+    codes = [r for r in scan.projections if r.element == (0, 1)]
+    assert len(codes) == n
+    for rec in codes:
+        assert rec.kl_residual >= 0.99e-6
+        assert not rec.is_anticlique
 
 
 def test_orbit_dimensions():
@@ -563,21 +611,29 @@ def test_theorem2_audit_dimensions(n):
     assert 'floor(n/2)+1' in d.observed
 
 
-@pytest.mark.parametrize('n', [3, 6])
+@pytest.mark.parametrize('n', range(2, 9))
 def test_theorem2_gram_spectra_are_the_dense_ones(n):
-    # the spectra the h-family discrepancy prints come from span_operators;
-    # the oracle rebuilds both Gram matrices and takes eigvalsh
+    # the spectra the h-family discrepancy prints come from span_operators,
+    # the orbit's from its class rows; the oracle rebuilds both Gram
+    # matrices, the orbit's from all n^2 generators, and takes eigvalsh.
+    # At n = 2 the h family spans the orbit and nothing is printed.
     unitaries = element_unitaries(n, *rep_generators(n))
     orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
-    (found,) = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)[2]
+    found = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)[2]
+    assert len(found) == (n > 2)
     flat_h = np.array([h.reshape(-1) for h in h_generators(n)])
     flat_orbit = np.array([v for _, v in orbits[0].provenance])
+    spectra = {'h': span_operators(h_generators(n)).gram_spectrum,
+               'orbit': orbits[0].space.gram_spectrum}
     for name, flat in (('h', flat_h), ('orbit', flat_orbit)):
-        printed = re.search(rf'{name} Gram spectrum \[([^]]*)\]', found.observed).group(1)
-        got = np.array([float(v) for v in printed.split(', ')])
         want = np.linalg.eigvalsh(flat.conj() @ flat.T)
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert spectra[name].shape == want.shape
+        assert np.abs(spectra[name] - want).max() <= 1e-12 * np.abs(want).max()
+        for entry in found:
+            printed = re.search(rf'{name} Gram spectrum \[([^]]*)\]', entry.observed).group(1)
+            got = np.array([float(v) for v in printed.split(', ')])
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
 @pytest.mark.parametrize('n', range(2, 9))
@@ -627,7 +683,8 @@ def test_graphs_coincide_names_the_worst_comparison(n):
     assert match
     # recomputing every comparison in the same order: the named one is the
     # first to reach the reported maximum
-    residuals = [(subspace_equal(orbits[s1].space, orbits[s2].space).max_residual,
+    residuals = [(subspace_equal(orbits[s1].space, orbits[s2].space).max_residual
+                  + orbits[s1].spread + orbits[s2].spread,
                   f'(s1, s2) = ({s1}, {s2})')
                  for s1 in range(n) for s2 in range(s1 + 1, n)]
     first = next(where for r, where in residuals if r == check.max_residual)
