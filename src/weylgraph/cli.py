@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from .covariant import q_projection
-from .graphs import (AnticliqueReport, anticlique_projector, compress_diagonals,
-                     graph_orbit, h_generators, z_generators)
+from .graphs import (AnticliqueReport, anticlique_projector, compressions, graph_orbit,
+                     h_generators, z_generators)
 from .linalg import frob
 from .report import run_verification
 from .serialize import anticlique_to_obj, dumps, matrix_to_obj, report_to_obj
-from .weylrep import entangled_basis, rep_generators, shift_clock
+from .weylrep import ClusterColumns, entangled_basis, rep_generators, shift_clock
 
 _EXPORT_CHOICES = ('S', 'M', 'piS', 'piM', 'basis', 'Q', 'P',
                    'h-generators', 'z-generators')
@@ -179,13 +179,13 @@ def _cmd_kl_check(args) -> int:
     orbit = graph_orbit(n, args.s, args.tol)
     # P_k = b b* for the code isometry b, so ||b* X b - lambda I||_F is the
     # dense ||P_k X P_k - lambda P_k||_F of check_knill_laflamme, taken on
-    # the diagonals of the orbit generators
+    # the diagonals of the orbit generators, as long as b is an isometry:
+    # its measured defect ||b* b - I||_F is added
     b = entangled_basis(n).code_isometry(args.k)
-    if frob(b.conj().T @ b - np.eye(n)) > args.tol * n * n:
-        raise ValueError('code isometry is not orthonormal within tolerance')
-    residuals, lams = compress_diagonals(b, np.array([v for _, v in orbit.provenance]))
-    worst = float(residuals.max())
-    lambdas = {label: complex(lam) for (label, _), lam in zip(orbit.provenance, lams)}
+    residuals, lams = compressions(ClusterColumns.of(b), [0, n],
+                                   np.array([v for _, v in orbit.provenance]))
+    worst = float(residuals.max()) + frob(b.conj().T @ b - np.eye(n))
+    lambdas = {label: complex(lam) for (label, _), lam in zip(orbit.provenance, lams[:, 0])}
     result = AnticliqueReport(n, args.k, args.s, worst <= args.tol, lambdas, worst, n)
     _write(dumps(anticlique_to_obj(result)) + '\n', args.json_path)
     return 0 if result.is_anticlique else 1

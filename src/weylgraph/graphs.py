@@ -165,72 +165,84 @@ def check_knill_laflamme(generators, projection, tol: float = DEFAULT_TOL,
                            lambdas, worst, rank)
 
 
-def _compressions(b: np.ndarray, diagonals: np.ndarray):
-    """The traceless compressions C = b* X b - lambda I of the generators X
-    whose diagonals are the rows of diagonals, as (lam, diag, off): the
-    scalars lambda = Tr(b* X b) / rank, the diagonals of every C (one product
-    with |b|^2), and an iterator over batches of off-diagonal entries, at
-    most d x d per batch.  The entry C[a, c] = sum_i conj(b[i, a]) x[i] b[i, c]
-    only gathers rows where several columns are nonzero, so only those rows
-    are read; the columns of one cycle cluster lie on distinct cycles, share
-    no row, and give no batch."""
-    d, rank = b.shape
-    diag = diagonals @ (b.real ** 2 + b.imag ** 2)
-    lam = diag.sum(axis=1) / rank
-    shared = np.flatnonzero(np.count_nonzero(b, axis=1) > 1)
-    sub, x = b[shared], diagonals[:, shared]
-    step = max(1, d // rank)
+def compressions(columns: ClusterColumns, tops, rows: np.ndarray):
+    """Knill-Laflamme compression of each diagonal generator X = diag(x), x a
+    row of rows, by each cluster b, the columns tops[j]:tops[j+1] of
+    columns: the residuals || b* X b - lambda I ||_F and the scalars
+    lambda = Tr(b* X b) / rank, each of shape (len(rows), clusters).
 
-    def off():
-        for lo in range(0, rank if len(shared) else 0, step):
-            pairs = sub[:, lo:lo + step, None].conj() * sub[:, None, :]
-            blk = (x @ pairs.reshape(len(shared), -1)).reshape(len(x), -1, rank)
-            a = np.arange(blk.shape[1])
-            blk[:, a, lo + a] = 0.0  # the diagonal entries are in diag
-            yield blk.reshape(len(x), -1)
-
-    return lam, diag - lam[:, None], off()
-
-
-def compress_diagonals(b: np.ndarray, diagonals: np.ndarray):
-    """Knill-Laflamme compression by the isometry b of each generator X whose
-    diagonal is a row of diagonals: the residuals || b* X b - lambda I ||_F
-    and the scalars lambda = Tr(b* X b) / rank."""
-    lam, diag, off = _compressions(b, diagonals)
-    squares = (np.abs(diag) ** 2).sum(axis=1)
-    for blk in off:
-        squares += (np.abs(blk) ** 2).sum(axis=1)
+    Entry (a, c) of b* X b sums conj(b[i, a]) x[i] b[i, c] over the rows i
+    where both columns are nonzero.  So the diagonal is one segment sum of
+    |b|^2 x over the columns' entries, for every cluster at once, and a
+    cluster has off-diagonal entries only where two of its columns meet in
+    a row: never for the columns of one cycle cluster, which lie on distinct
+    cycles, nor for the codes, whose columns have disjoint supports.  A
+    cluster whose columns do meet, found by a repeated row, takes its
+    off-diagonal entries from its dense columns.  Each gather holds at most _STACK_ENTRIES entries (at least one
+    row of rows), and so does each block of off-diagonal products (at
+    least one column of the cluster)."""
+    tops = np.asarray(tops)
+    ranks = np.diff(tops)
+    ends = np.append(columns.starts, len(columns.rows))
+    key = np.sort(np.repeat(np.arange(len(ranks)) * columns.d, np.diff(ends[tops])) + columns.rows)
+    met = []
+    for j in set((key[1:][key[1:] == key[:-1]] // columns.d).tolist()):
+        first, last = ends[tops[j]], ends[tops[j + 1]]
+        met.append((j, ClusterColumns(columns.d, columns.rows[first:last], columns.entries[first:last],
+                                      columns.starts[tops[j]:tops[j + 1]] - first).dense()))
+    weight = columns.entries.real ** 2 + columns.entries.imag ** 2
+    diag = np.empty((len(rows), columns.rank), dtype=np.result_type(rows, weight))
+    outer = np.zeros((len(rows), len(ranks)))
+    step = max(1, _STACK_ENTRIES // len(columns.rows))
+    for lo in range(0, len(rows), step):
+        x = rows[lo:lo + step]
+        diag[lo:lo + step] = np.add.reduceat(np.take(x, columns.rows, axis=1) * weight,
+                                             columns.starts, axis=1)
+        for j, b in met:
+            rank = b.shape[1]
+            width = max(1, _STACK_ENTRIES // (max(columns.d, len(x)) * rank))
+            for a in range(0, rank, width):
+                pairs = b[:, a:a + width, None].conj() * b[:, None, :]
+                blk = (x @ pairs.reshape(columns.d, -1)).reshape(len(x), -1, rank)
+                cols = np.arange(blk.shape[1])
+                blk[:, cols, a + cols] = 0.0  # the diagonal entries are in diag
+                outer[lo:lo + step, j] += (blk.real ** 2 + blk.imag ** 2).sum(axis=(1, 2))
+    lam = np.add.reduceat(diag, tops[:-1], axis=1) / ranks
+    off = diag - np.repeat(lam, ranks, axis=1)
+    squares = np.add.reduceat(off.real ** 2 + off.imag ** 2, tops[:-1], axis=1) + outer
     return np.sqrt(squares), lam
 
 
-def kl_suite_extremes(n: int, basis: EntangledBasis, orbit_diagonals_by_s):
+def kl_suite_extremes(n: int, basis: EntangledBasis, orbits, label: np.ndarray):
     """Worst || P_k X P_k - (1/n) P_k ||_F and |lambda - 1/n| over all (k, s, g)
-    for generators X given by their diagonals and P_k = B_k B_k*, where
-    B_k = basis.code_isometry(k).  B_k* X B_k - lambda I is traceless, so its
-    distance to I/n is sqrt(residual^2 + n |lambda - 1/n|^2).  Returns
-    (worst, lam_worst, (k, s, p, q)), the last naming the first strict
-    maximum of the residual in (k, s, g) order, where the g-th diagonal of
-    each s is the generator of the element (p, q) = divmod(g, n)."""
-    x = np.concatenate([np.asarray(diags) for diags in orbit_diagonals_by_s])
-    ends = np.cumsum([len(diags) for diags in orbit_diagonals_by_s])
-    worst, lam_worst, where = 0.0, 0.0, (0, 0, 0, 0)
-    for k in range(n):
-        residual, lam = compress_diagonals(basis.code_isometry(k), x)
-        off = np.abs(lam - 1.0 / n)
-        dist = np.sqrt(residual ** 2 + n * off ** 2)
-        i = int(np.argmax(dist))
-        if dist[i] > worst:
-            s = int(np.searchsorted(ends, i, side='right'))
-            g = i - (int(ends[s - 1]) if s else 0)
-            worst, where = float(dist[i]), (k, s, *divmod(g, n))
-        lam_worst = max(lam_worst, float(off.max()))
-    return worst, lam_worst, where
+    for the generators X of the orbit graphs orbits (orbits[s] for the base
+    s) and P_k = B_k B_k*, where B_k = basis.code_isometry(k), the columns
+    n k .. n k + n - 1 of basis.flat().  Every orbit's class rows are
+    compressed by every code in one call (compressions).  B_k* X B_k -
+    lambda I is traceless, so its distance to I/n is
+    sqrt(residual^2 + n |lambda - 1/n|^2); every generator is within its
+    orbit's spread of its class row, and compressing by an isometry does
+    not increase the Frobenius norm, so both extremes add the spread.
+    label[e] is the class of the element (p, q) = divmod(e, n), as in
+    GroupAction.grouping.  Returns (worst, lam_worst, (k, s, p, q)), the
+    last naming the first strict maximum in (k, s, class) order by the
+    first member of its class, whose diagonal is the class row."""
+    counts = [len(g.rows) for g in orbits]
+    spread = np.repeat([g.spread for g in orbits], counts)[:, None]
+    residual, lam = compressions(ClusterColumns.of(basis.flat()), n * np.arange(n + 1),
+                                 np.concatenate([g.rows for g in orbits]))
+    off = np.abs(lam - 1.0 / n)
+    dist = (np.sqrt(residual ** 2 + n * off ** 2) + spread).T
+    k, i = divmod(int(np.argmax(dist)), dist.shape[1])
+    s = int(np.searchsorted(np.cumsum(counts), i, side='right'))
+    member = int(np.flatnonzero(label == i - sum(counts[:s]))[0])
+    return float(dist[k, i]), float((off + spread).max()), (k, s, *divmod(member, n))
 
 
-def kl_corollary_check(n: int, tol: float, basis: EntangledBasis,
-                       orbit_diagonals_by_s) -> CheckResult:
+def kl_corollary_check(n: int, tol: float, basis: EntangledBasis, orbits,
+                       label: np.ndarray) -> CheckResult:
     """Report-shaped wrapper around kl_suite_extremes."""
-    worst, lam_worst, (k, s, p, q) = kl_suite_extremes(n, basis, orbit_diagonals_by_s)
+    worst, lam_worst, (k, s, p, q) = kl_suite_extremes(n, basis, orbits, label)
     return CheckResult('kl_anticliques', worst <= tol, worst,
                        details=f'max |lambda - 1/n| = {lam_worst:.3e} over all (k, s, g); '
                                f'worst at k = {k}, s = {s}, g = ({p}, {q})')
@@ -307,7 +319,8 @@ class Prop1Scan:
 # the census takes the table in stacks of consecutive elements whose cycle
 # blocks hold at most this many eigenvector entries (an element holding more
 # is a stack of its own): one element per stack pays numpy's call overhead
-# n^2 times, and one stack of the whole table holds every block at once
+# n^2 times, and one stack of the whole table holds every block at once; compressions
+# bounds each of its gathers by the same count
 _STACK_ENTRIES = 1 << 13
 
 
@@ -322,23 +335,6 @@ def _stacks(entries: np.ndarray, budget: int) -> list:
         held += size
     bounds.append(len(entries))
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _compression_residuals(columns, tops: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """|| b* diag(x) b - lambda I ||_F for each row x of rows and each
-    cluster b, the columns tops[j]:tops[j+1] of the ClusterColumns columns,
-    shape (len(rows), clusters).  Columns on distinct cycles share no row,
-    so the compression is diagonal, its entry a the sum of |b[i, a]|^2 x[i]
-    over the rows of column a: one segment sum over the columns per row x
-    gives it for every cluster at once, holding one gather of the entries
-    at a time.  Columns that share a cycle also have off-diagonal entries,
-    which this leaves out."""
-    weight = columns.entries.real ** 2 + columns.entries.imag ** 2
-    diag = np.array([np.add.reduceat(x[columns.rows] * weight, columns.starts) for x in rows])
-    ranks = np.diff(tops)
-    lam = np.add.reduceat(diag, tops[:-1], axis=1) / ranks
-    off = diag - np.repeat(lam, ranks, axis=1)
-    return np.sqrt(np.add.reduceat(off.real ** 2 + off.imag ** 2, tops[:-1], axis=1))
 
 
 class _Census:
@@ -440,11 +436,7 @@ class _Census:
         largest residual over the class rows plus the spread bounds the
         residual of every generator."""
         columns, tops = clusters.select(new)
-        rows = self.orbit.rows
-        worst = _compression_residuals(columns, tops, rows).max(axis=0)
-        for j in np.flatnonzero(clusters.shared[new]):
-            worst[j] = compress_diagonals(clusters.columns(new[j]).dense(), rows)[0].max()
-        worst = worst + self.orbit.spread
+        worst = compressions(columns, tops, self.orbit.rows)[0].max(axis=0) + self.orbit.spread
         bounds = np.append(columns.starts, len(columns.rows))[tops].tolist()
         owner = (np.searchsorted(clusters.first, new, side='right') - 1).tolist()
         for j, c in enumerate(new):
@@ -484,9 +476,7 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     elements and is usually empty, since only a unitary proportional to the
     identity admits the identity as a cluster projection.  A projection's
     Knill-Laflamme residual is taken at its first sighting, against the
-    orbit's class rows plus its spread (_Census._record); columns that share
-    a cycle (only at a very large tol) get their off-diagonal entries from
-    compress_diagonals.
+    orbit's class rows plus its spread (_Census._record, by compressions).
     """
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))

@@ -107,6 +107,17 @@ class ClusterColumns(NamedTuple):
     entries: np.ndarray  # complex
     starts: np.ndarray   # int, one per column, increasing from 0
 
+    @classmethod
+    def of(cls, b: np.ndarray) -> ClusterColumns:
+        """The nonzero entries of the d x rank isometry b, column by column.
+        ValueError for a column with none: a sum over its empty segment
+        (np.add.reduceat) would read the next column's first entry."""
+        column, rows = np.nonzero(b.T)
+        counts = np.bincount(column, minlength=b.shape[1])
+        if not counts.all():
+            raise ValueError("a column of the isometry has no nonzero entry")
+        return cls(b.shape[0], rows, b[rows, column], np.cumsum(counts) - counts)
+
     @property
     def rank(self) -> int:
         return len(self.starts)
@@ -180,7 +191,7 @@ class CycleClusters:
         each entry of B_j meets the entries of C_j in its own row, which
         _by_row holds, and the products are summed into the blocks B_j* C_j
         by one bincount."""
-        values, slots, _ = self._by_row
+        values, slots = self._by_row
         cs = np.asarray(cs, dtype=np.intp)
         count = len(columns)
         sizes = np.array([len(b.rows) for b in columns], dtype=np.intp)
@@ -205,21 +216,15 @@ class CycleClusters:
                            prod.view(np.float64).ravel(), 2 * int(cells.sum()))
         return np.add.reduceat(sums ** 2, 2 * offset)
 
-    @property
-    def shared(self) -> np.ndarray:
-        """shared[c]: whether two columns of cluster c lie on one cycle."""
-        return self._by_row[2]
-
     @cached_property
     def _by_row(self):
-        """Every cluster's columns read by row, as (values, slots, shared):
-        row i of cluster c is row c d + i of the (clusters d, m) arrays,
-        whose slot j holds the j-th column of c through row i, as its entry
-        there in values and its index within the cluster in slots (0 and 0
-        for none); m is the most columns of one cluster through one row, and
-        shared[c] tells whether two columns of c pass through one row.  The
-        columns of one cluster lie on distinct cycles, so m is 1, unless a
-        tol wide enough to join two eigenvalues of one cycle puts two of its
+        """Every cluster's columns read by row, as (values, slots): row i of
+        cluster c is row c d + i of the (clusters d, m) arrays, whose slot j
+        holds the j-th column of c through row i, as its entry there in
+        values and its index within the cluster in slots (0 and 0 for none);
+        m is the most columns of one cluster through one row.  The columns
+        of one cluster lie on distinct cycles, so m is 1, unless a tol wide
+        enough to join two eigenvalues of one cycle puts two of its
         eigenvectors in one cluster."""
         rows, entries, heads, _, tops = self._sorted
         ranks = self.ranks
@@ -239,8 +244,7 @@ class CycleClusters:
         values[at] = entries
         slots = np.zeros(count * self.d * width, dtype=np.intp)
         slots[at] = np.repeat(np.arange(len(heads)) - np.asarray(tops)[owner], size)
-        shared = np.bincount(owner, slot > 0, count) > 0
-        return (values.reshape(-1, width), slots.reshape(-1, width), shared)
+        return values.reshape(-1, width), slots.reshape(-1, width)
 
     @cached_property
     def _sorted(self):

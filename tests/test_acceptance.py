@@ -18,7 +18,8 @@ from weylgraph.covariant import (covariant_resolution, expectation_avg,
                                  expectation_trace, fixed_units, q_projection,
                                  resolution_covariance_check,
                                  resolution_mass_check, verify_theorem1)
-from weylgraph.graphs import kl_suite_extremes, spectral_match_check, verify_theorem2
+from weylgraph.graphs import (OperatorGraph, _class_span, kl_suite_extremes,
+                              spectral_match_check, verify_theorem2)
 from weylgraph.linalg import frob, random_hermitian
 from weylgraph.weylrep import (element_unitaries, entangled_basis,
                                rep_generators, verify_representation)
@@ -141,24 +142,27 @@ def test_criterion_04_resolution(capsys):
 def test_criterion_05_code_compression(capsys):
     # P_k (u Q_s u*) P_k = (1/n) P_k over every (k, s, g) for n=2..10, with
     # both the Frobenius residual and |lambda - 1/n| within 1e-10; < 60 s.
-    # The compression reads generator diagonals; the measured off-diagonal
-    # mass of the conjugated matrices is added, since ||P X_off P|| <= ||X_off||,
-    # so the residual bounds the full P_k X P_k one
+    # The compression reads generator diagonals, grouped into class rows and
+    # their spread by permutation class as graph_orbit groups them; the
+    # measured off-diagonal mass of the conjugated matrices is added, since
+    # ||P X_off P|| <= ||X_off||, so the residual bounds the full P_k X P_k one
     t0 = time.perf_counter()
     res_worst = 0.0
     lam_worst = 0.0
     for n in range(2, 11):
         unitaries = element_unitaries(n, *rep_generators(n))
         dense = [unitaries.dense(p, q) for p in range(n) for q in range(n)]
-        orbit_diagonals = []
+        label = unitaries.grouping[1]
+        orbits = []
         off_diagonal = 0.0
         for s in range(n):
             base = q_projection(n, s)
             mats = [u @ base @ u.conj().T for u in dense]
-            orbit_diagonals.append([np.diagonal(x) for x in mats])
+            space, rows, spread = _class_span(np.array([np.diagonal(x) for x in mats]), label)
+            orbits.append(OperatorGraph(n, s, space, [], rows, spread))
             off_diagonal = max(off_diagonal,
                                max(frob(x - np.diag(np.diagonal(x))) for x in mats))
-        worst, lam, _ = kl_suite_extremes(n, entangled_basis(n), orbit_diagonals)
+        worst, lam, _ = kl_suite_extremes(n, entangled_basis(n), orbits, label)
         res_worst = max(res_worst, worst + off_diagonal)
         lam_worst = max(lam_worst, lam)
     dt = time.perf_counter() - t0

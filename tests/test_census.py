@@ -2,6 +2,7 @@
 against the dense Schur census it replaced and its golden summaries, plus
 property and mutation tests for the cycle eigenpairs and their guard."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,9 +14,9 @@ import weylgraph.weylrep
 from dense_oracles import cluster_projector
 from weylgraph.covariant import q_projection
 from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_TOL,
-                              _class_span, anticlique_projector, compress_diagonals,
-                              graph_orbit, kl_suite_extremes, proposition1_scan,
-                              verify_theorem2)
+                              _class_span, anticlique_projector, check_knill_laflamme,
+                              compressions, graph_orbit, kl_suite_extremes,
+                              proposition1_scan, verify_theorem2)
 from weylgraph.linalg import (DEFAULT_TOL, cluster_eigenpairs, frob,
                               random_hermitian, spectral_projections, unit_roots)
 from weylgraph.weylrep import (ClusterColumns, CycleClusters, GroupAction, element_unitaries,
@@ -166,7 +167,8 @@ def test_span_census_matches_the_per_generator_compression(n):
         assert b.shape[1] == rec.rank
         want = _dense_compression_residual(b, diagonals)
         assert abs(rec.kl_residual - want) <= 1e-12
-        assert abs(float(compress_diagonals(b, diagonals)[0].max()) - want) <= 1e-12
+        got = compressions(ClusterColumns.of(b), [0, rec.rank], diagonals)[0]
+        assert abs(float(got.max()) - want) <= 1e-12
         assert rec.compresses == (want <= DEFAULT_TOL)
         assert rec.is_anticlique == (want <= DEFAULT_TOL and rec.rank >= 2)
 
@@ -225,8 +227,8 @@ def test_cluster_overlaps_read_columns_that_share_a_cycle():
     # form one cluster of three columns, two of them on one cycle
     table = _table([1, 0, 2], np.ones(3))
     clusters = table.clusters(0, 0, 0.25)
-    assert clusters.shared.tolist() == [True]
     b = clusters.columns(0).dense()
+    assert (np.count_nonzero(b, axis=1) > 1).any()
     rng = np.random.default_rng(9)
     for _ in range(3):
         c = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
@@ -237,7 +239,7 @@ def test_cluster_overlaps_read_columns_that_share_a_cycle():
 
 @pytest.mark.parametrize('seed', range(4))
 def test_compressions_of_a_dense_isometry_match_the_dense_forms(seed):
-    # every row shared by every column: the general case of _compressions
+    # every row shared by every column: the general case of compressions
     rng = np.random.default_rng(seed)
     d, rank = 7, 3
     b = np.linalg.qr(rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank)))[0]
@@ -246,10 +248,56 @@ def test_compressions_of_a_dense_isometry_match_the_dense_forms(seed):
     for x in diagonals:
         blk = (b.conj().T * x) @ b
         comps.append(blk - np.trace(blk) / rank * np.eye(rank))
-    residual, lam = compress_diagonals(b, diagonals)
-    assert np.allclose(residual, [frob(c) for c in comps], rtol=0.0, atol=1e-12)
-    assert np.allclose(lam, [np.trace((b.conj().T * x) @ b) / rank for x in diagonals],
+    residual, lam = compressions(ClusterColumns.of(b), [0, rank], diagonals)
+    assert np.allclose(residual[:, 0], [frob(c) for c in comps], rtol=0.0, atol=1e-12)
+    assert np.allclose(lam[:, 0], [np.trace((b.conj().T * x) @ b) / rank for x in diagonals],
                        rtol=0.0, atol=1e-12)
+
+
+def test_cluster_columns_of_reads_the_nonzeros_of_an_isometry():
+    # the code isometries have n nonzeros per column, a generic one has d
+    basis = entangled_basis(3)
+    dense = np.linalg.qr(np.random.default_rng(2).standard_normal((5, 2)))[0]
+    for b in (basis.code_isometry(1), basis.flat(), dense):
+        cols = ClusterColumns.of(b)
+        assert cols.rank == b.shape[1]
+        assert np.array_equal(cols.dense(), b)
+    assert len(ClusterColumns.of(basis.flat()).rows) == 27
+    # a column with no nonzero entry has an empty segment, whose
+    # np.add.reduceat sum would be the next column's first entry
+    b = basis.code_isometry(0)
+    b[:, 1] = 0.0
+    with pytest.raises(ValueError, match='no nonzero entry'):
+        ClusterColumns.of(b)
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_compressions_match_check_knill_laflamme(n, monkeypatch):
+    # three inputs against the dense P X P - lambda P: the codes, every code
+    # at once; the clusters of a stack of census elements; and a dense
+    # isometry whose every row is shared by every column.  Each at the
+    # default budget and at one of 8 entries, which takes one row per
+    # gather and one column per block of off-diagonal products
+    rng = np.random.default_rng(n)
+    d = n * n
+    diagonals = rng.standard_normal((3, d))
+    basis = entangled_basis(n)
+    unitaries = element_unitaries(n, *rep_generators(n))
+    clusters = unitaries.clusters([0, 1, 1], [1, 0, 1])
+    dense = np.linalg.qr(rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3)))[0]
+    inputs = [(ClusterColumns.of(basis.flat()), n * np.arange(n + 1)),
+              clusters.select(range(len(clusters.values))),
+              (ClusterColumns.of(dense), [0, 3])]
+    for (columns, tops), budget in itertools.product(inputs, (weylgraph.graphs._STACK_ENTRIES, 8)):
+        monkeypatch.setattr(weylgraph.graphs, '_STACK_ENTRIES', budget)
+        residual, lam = compressions(columns, tops, diagonals)
+        b = columns.dense()
+        for j, (lo, hi) in enumerate(zip(tops[:-1], tops[1:])):
+            proj = b[:, lo:hi] @ b[:, lo:hi].conj().T
+            for g, x in enumerate(diagonals):
+                want = check_knill_laflamme([(g, np.diag(x))], proj)
+                assert abs(residual[g, j] - want.max_residual) <= 1e-12
+                assert abs(lam[g, j] - want.lambdas[g]) <= 1e-12
 
 
 # summary() of the dense-reconstruction census that the cycle blocks replaced, n = 2..16
@@ -464,7 +512,6 @@ def test_census_catches_a_perturbed_generator_diagonal():
     for rec in codes:
         assert rec.kl_residual > 1e-10
         assert not rec.is_anticlique
-    diagonals = [[v for _, v in tampered]] + \
-        [[v for _, v in g.provenance] for g in orbits[1:]]
-    worst, _, _ = kl_suite_extremes(n, entangled_basis(n), diagonals)
+    worst, _, _ = kl_suite_extremes(n, entangled_basis(n), [orbit] + orbits[1:],
+                                    unitaries.grouping[1])
     assert worst > 1e-10

@@ -15,7 +15,7 @@ from weylgraph.linalg import frob, tensor_product
 from weylgraph.report import run_verification
 from weylgraph.serialize import (CANONICAL_CHECK_ORDER, anticlique_to_obj, dumps,
                                  format_float, matrix_to_obj, obj_to_matrix)
-from weylgraph.weylrep import GroupAction, entangled_basis
+from weylgraph.weylrep import EntangledBasis, GroupAction, entangled_basis
 
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -70,16 +70,25 @@ def test_verify_rejects_bad_tol(capsys):
     (['verify', '--n', '4', '--tol', '1e300'], 2),
     (['scan', '--n-min', '2', '--n-max', '3', '--tol', '1'], 2),
     (['kl-check', '--n', '3', '--k', '0', '--s', '0', '--tol', '1'], 2),
+    (['kl-check', '--n', '3', '--k', '0', '--s', '0', '--tol', '1e-17'], 1),
+    (['kl-check', '--n', '3', '--k', '0', '--s', '0', '--tol', '1e-20'], 1),
+    (['kl-check', '--n', '3', '--k', '0', '--s', '0', '--tol', '1e-300'], 1),
 ])
 def test_tol_contract(argv, code, capsys):
     # a non-finite tolerance is a usage error, and so is one of 1 or more,
     # at which every operator span is empty; a tolerance too tight for the
-    # spectral clustering fails checks but still yields the full report
+    # spectral clustering fails checks but still yields the full report, and
+    # one below the code isometry's roundoff fails kl-check with its report
     assert main(argv) == code
     captured = capsys.readouterr()
     if code == 2:
         assert captured.out == ''
         assert '--tol must be positive and finite, and below 1' in captured.err
+    elif argv[0] == 'kl-check':
+        obj = json.loads(captured.out)
+        assert obj['is_anticlique'] is False
+        assert obj['max_residual'] > float(argv[-1])
+        assert len(obj['lambda']) == 9
     else:
         obj = json.loads(captured.out)
         assert [c['id'] for c in obj['checks']] == list(CANONICAL_CHECK_ORDER)
@@ -310,6 +319,19 @@ def test_kl_check_matches_the_dense_check(n, tmp_path):
             assert np.abs(np.array(list(obj['lambda'].values()))
                           - np.array(list(dense['lambda'].values()))).max() <= 1e-12
             assert abs(obj['max_residual'] - dense['max_residual']) <= 1e-12
+
+
+def test_kl_check_adds_the_code_isometry_defect(tmp_path, monkeypatch):
+    # a code isometry scaled by 1.001 still compresses every generator to a
+    # scalar, so only its measured defect ||b* b - I||_F can fail the check
+    code_isometry = EntangledBasis.code_isometry
+    monkeypatch.setattr(EntangledBasis, 'code_isometry',
+                        lambda self, k: 1.001 * code_isometry(self, k))
+    out = tmp_path / 'kl.json'
+    assert main(['kl-check', '--n', '4', '--k', '1', '--s', '2', '--json', str(out)]) == 1
+    obj = json.loads(out.read_text())
+    assert obj['is_anticlique'] is False
+    assert obj['max_residual'] >= 0.99 * 0.002001 * 2
 
 
 def test_kl_check_rejects_bad_indices(capsys):

@@ -15,9 +15,10 @@ import weylgraph.linalg
 from dense_oracles import (cluster_projector, dense_subspace_equal, dyad_grid,
                            member_span, rep_element, z_grid)
 from weylgraph.graphs import (
+    OperatorGraph,
+    _class_span,
     anticlique_projector,
     check_knill_laflamme,
-    compress_diagonals,
     graph_orbit,
     h_generators,
     kl_corollary_check,
@@ -256,8 +257,8 @@ def test_class_row_span_is_the_span_of_every_generator(n):
 def test_a_raised_non_representative_generator_fails_every_span_check(monkeypatch):
     # element (1, 1) shares its permutation with (0, 1), the first of its
     # class, so the class-row span cannot see a defect in its diagonal; the
-    # spread must carry it into graphs_coincide, orbit_equals_z and the
-    # census verdict of every code
+    # spread must carry it into graphs_coincide, orbit_equals_z,
+    # kl_anticliques and the census verdict of every code
     n = 3
     unitaries = element_unitaries(n, *rep_generators(n))
     label = unitaries.grouping[1]
@@ -273,8 +274,9 @@ def test_a_raised_non_representative_generator_fails_every_span_check(monkeypatc
     orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
     assert all(g.spread >= 0.99e-6 for g in orbits)
     checks, audit, _ = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)
+    checks.append(kl_corollary_check(n, 1e-10, entangled_basis(n), orbits, label))
     by_id = {c.check_id: c for c in checks}
-    for check_id in ('graphs_coincide', 'orbit_equals_z'):
+    for check_id in ('graphs_coincide', 'orbit_equals_z', 'kl_anticliques'):
         assert not by_id[check_id].passed
         assert by_id[check_id].max_residual >= 0.99e-6
     assert not audit.orbit_equals_z
@@ -454,12 +456,19 @@ def test_kl_orbit_compression():
         assert abs(lam - 1.0 / n) <= 1e-10
 
 
+def _orbit_of(n, s, members, label):
+    """The OperatorGraph of the generator diagonals members, grouped by
+    label."""
+    space, rows, spread = _class_span(np.asarray(members), label)
+    return OperatorGraph(n, s, space, [], rows, spread)
+
+
 def test_kl_suite_extremes_small():
     n = 3
     unitaries = element_unitaries(n, *rep_generators(n))
-    orbits = [[m for _, m in graph_orbit(n, s, unitaries=unitaries).provenance]
-              for s in range(n)]
-    worst, lam_worst, _ = kl_suite_extremes(n, entangled_basis(n), orbits)
+    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+    worst, lam_worst, _ = kl_suite_extremes(n, entangled_basis(n), orbits,
+                                            unitaries.grouping[1])
     assert worst <= 1e-12
     assert lam_worst <= 1e-12
 
@@ -485,11 +494,14 @@ def dense_kl_suite_extremes(n, w, orbit_matrices_by_s):
 def test_kl_suite_extremes_matches_dense_oracle(n):
     basis = entangled_basis(n)
     unitaries = element_unitaries(n, *rep_generators(n))
-    # generic diagonal generators, so both sides have residuals to agree on
+    # generic diagonal generators, so both sides have residuals to agree on;
+    # each generator is a class of its own, so that every one is compressed
     rng = np.random.default_rng(n)
     diagonals = [list(rng.standard_normal((n * n, n * n))) for _ in range(2)]
     diagonals.append([v for _, v in graph_orbit(n, 0, unitaries=unitaries).provenance])
-    worst, lam_worst, _ = kl_suite_extremes(n, basis, diagonals)
+    label = np.arange(n * n)
+    worst, lam_worst, _ = kl_suite_extremes(
+        n, basis, [_orbit_of(n, s, diags, label) for s, diags in enumerate(diagonals)], label)
     want = dense_kl_suite_extremes(n, basis.flat(), [[np.diag(v) for v in diags]
                                           for diags in diagonals])
     assert np.allclose((worst, lam_worst), want, rtol=0.0, atol=1e-12)
@@ -498,25 +510,34 @@ def test_kl_suite_extremes_matches_dense_oracle(n):
 
 @pytest.mark.parametrize('n', [3, 4])
 def test_kl_anticliques_names_a_tampered_orbit_diagonal(n):
-    # one entry of one orbit diagonal raised: the worst (k, s, g) is that
-    # diagonal, at the first code k with the largest residual for it
+    # one entry of one member's diagonal raised.  The first member of a
+    # class gives the class row: the worst (k, s, g) is that member, at the
+    # first code k with the largest residual for it, plus the spread that
+    # the raise opens to the class's other members.  Any other member
+    # reaches the check only through the spread, which must fail it
     basis = entangled_basis(n)
     unitaries = element_unitaries(n, *rep_generators(n))
-    diagonals = [[v.copy() for _, v in graph_orbit(n, s, unitaries=unitaries).provenance]
-                 for s in range(n)]
-    s, p, q = n - 1, 1, 2
-    x = diagonals[s][p * n + q]
-    x[n + 1] += 1e-3
-    residuals = [float(np.hypot(r, np.sqrt(n) * abs(lam - 1.0 / n))[0])
-                 for r, lam in (compress_diagonals(basis.code_isometry(k), x[None])
-                                for k in range(n))]
-    k = int(np.argmax(residuals))
-    worst, _, where = kl_suite_extremes(n, basis, diagonals)
-    assert where == (k, s, p, q)
-    assert worst == pytest.approx(residuals[k], abs=1e-15)
-    check = kl_corollary_check(n, 1e-10, basis, diagonals)
-    assert not check.passed
-    assert check.details.endswith(f'; worst at k = {k}, s = {s}, g = ({p}, {q})')
+    label = unitaries.grouping[1]
+    s = n - 1
+    for p, q in ((0, 2), (1, 2)):
+        members = np.array([v for _, v in graph_orbit(n, s, unitaries=unitaries).provenance])
+        x = members[p * n + q]
+        x[n + 1] += 1e-3
+        orbits = [graph_orbit(n, t, unitaries=unitaries) for t in range(n - 1)]
+        orbits.append(_orbit_of(n, s, members, label))
+        check = kl_corollary_check(n, 1e-10, basis, orbits, label)
+        assert not check.passed
+        assert check.max_residual >= 0.99e-3
+        if p:
+            assert label[p * n + q] == label[q] and orbits[s].spread >= 0.99e-3
+            continue
+        b = basis.code_isometry
+        residuals = [frob((b(k).conj().T * x) @ b(k) - np.eye(n) / n) for k in range(n)]
+        k = int(np.argmax(residuals))
+        worst, _, where = kl_suite_extremes(n, basis, orbits, label)
+        assert where == (k, s, p, q)
+        assert worst == pytest.approx(residuals[k] + orbits[s].spread, abs=1e-15)
+        assert check.details.endswith(f'; worst at k = {k}, s = {s}, g = ({p}, {q})')
 
 
 def test_kl_rejects_full_matrix_unit_family():
