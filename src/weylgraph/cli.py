@@ -104,8 +104,8 @@ def _require_memory(n: int) -> None:
     """Refuse a modulus whose run cannot fit in physical memory: 64 MiB +
     200 n^5 bytes is at least the measured peak RSS of verify at n = 8, 10,
     ..., 24 (68, 79, 102, 147, 227, 348, 537, 812 and 1241 MiB); the largest
-    objects are stacks of n dense n^2 x n^2 matrices (the class weights W_k,
-    the h and z families), 16 n^5 bytes each."""
+    objects are stacks of n dense n^2 x n^2 matrices (the h and z families),
+    16 n^5 bytes each."""
     need = 2 ** 26 + 200 * n ** 5
     have = os.sysconf('SC_PHYS_PAGES') * os.sysconf('SC_PAGE_SIZE')
     _require(need <= have,

@@ -44,7 +44,8 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     worst, where = 0.0, 0
     for i in range(samples):
         x = random_hermitian(d, rng)
-        r = frob(expectation_avg(n, x, unitaries) - expectation_trace(n, x, units))
+        average, bound = expectation_avg(n, x, unitaries)
+        r = frob(average - expectation_trace(n, x, units)) + bound
         if r > worst:
             worst, where = r, i
     checks.append(CheckResult('expectation_forms_agree', worst <= tol, worst,

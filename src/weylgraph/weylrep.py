@@ -11,7 +11,7 @@ and leaves each fixed-j block invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -128,6 +128,21 @@ class ClusterColumns(NamedTuple):
         out = np.zeros((self.d, self.rank), dtype=complex)
         out[self.rows, column] = self.entries
         return out
+
+
+class ClassBlocks(NamedTuple):
+    """The class weights W_k = sum phase phase* of a monomial table (the sum
+    over the elements that carry pi_k) on the diagonal blocks of a partition
+    of range(d), with the measured size of what the blocks leave out.
+
+    cells[k, a] holds the flat indices pi_k[i] d + pi_k[j] of x, and
+    weights[k, a] the entries W_k[i, j], for i, j in block a; out[a] holds
+    the flat indices i d + j.  off is (1/E) sum_k max|W_k| off the blocks,
+    over the E elements of the table."""
+    out: np.ndarray      # (count, size, size) int
+    cells: np.ndarray    # (classes, count, size, size) int
+    weights: np.ndarray  # (classes, count, size, size) complex
+    off: float
 
 
 @dataclass(frozen=True)
@@ -276,6 +291,8 @@ class GroupAction:
     """
     perm: np.ndarray   # shape (n, n, d), int
     phase: np.ndarray  # shape (n, n, d), complex
+    _class_blocks: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @cached_property
     def grouping(self):
@@ -294,27 +311,56 @@ class GroupAction:
         _, first, label = np.unique(keys.ravel(), return_index=True, return_inverse=True)
         return flat[first], label.ravel()
 
-    @cached_property
-    def classes(self):
-        """The table grouped by permutation: (perms, weights), where perms
-        are those of grouping and weights[k] the d x d matrix
-        W_k = sum phase phase* over the elements that carry perms[k]."""
+    def class_blocks(self, blocks) -> ClassBlocks:
+        """The class weights W_k on the diagonal blocks of a partition of
+        range(d), given as the rows of the (count, size) index array blocks.
+
+        Computed once per table and partition, one transient d x d W_k per
+        class: change a table by dataclasses.replace, not in place.
+        ValueError if the rows of blocks do not partition range(d)."""
+        blocks = np.asarray(blocks, dtype=np.intp)
+        key = (blocks.shape, blocks.tobytes())
+        if key not in self._class_blocks:
+            self._class_blocks[key] = self._weigh_blocks(blocks)
+        return self._class_blocks[key]
+
+    def _weigh_blocks(self, blocks: np.ndarray) -> ClassBlocks:
         d = self.perm.shape[-1]
+        if blocks.ndim != 2 or not np.array_equal(np.sort(blocks, axis=None), np.arange(d)):
+            raise ValueError("the rows of blocks do not partition range(d)")
         perms, label = self.grouping
         phase = self.phase.reshape(-1, d)
-        weights = np.array([phase[label == k].T @ phase[label == k].conj()
-                            for k in range(len(perms))])
-        return perms, weights
+        inside = blocks[:, :, None], blocks[:, None, :]
+        weights, off = [], 0.0
+        for k in range(len(perms)):
+            members = phase[label == k]
+            dense = members.T @ members.conj()
+            weights.append(dense[inside])
+            dense[inside] = 0.0
+            off += float(np.abs(dense).max())
+        rows = perms[:, blocks]
+        return ClassBlocks(blocks[:, :, None] * d + blocks[:, None, :],
+                           rows[..., :, None] * d + rows[..., None, :],
+                           np.array(weights), off / len(label))
 
-    def average(self, x: np.ndarray) -> np.ndarray:
-        """(1/n^2) sum over the table of u x u*, grouped by permutation: the
-        elements sharing pi_k contribute W_k o x[pi_k, pi_k] (entrywise
-        product), so the cost is one gather per class, n for the real table."""
-        perms, weights = self.classes
-        acc = np.zeros_like(weights[0])
-        for perm, weight in zip(perms, weights):
-            acc += weight * x[np.ix_(perm, perm)]
-        return acc / self.perm[..., 0].size
+    def average(self, x: np.ndarray, blocks) -> tuple:
+        """(1/E) sum over the E elements of the table of u x u*, kept on the
+        diagonal blocks of a partition of range(d), as (average, bound).
+
+        The elements sharing pi_k contribute W_k o x[pi_k, pi_k] (entrywise
+        product); on the blocks that is one gather of x for all classes at
+        once (class_blocks) and a weighted sum over the classes, and the
+        average is zero off them.  There the dense sum is
+        (1/E) sum_k W_k o x[pi_k, pi_k] over the off-block entries, whose
+        Frobenius norm is at most the bound (1/E) sum_k max|W_k off| ||x||_F.
+        With blocks a single row, the average is the dense sum and the
+        bound 0."""
+        classes = self.class_blocks(blocks)
+        terms = np.take(x, classes.cells)
+        terms *= classes.weights
+        out = np.zeros(x.shape, dtype=complex)
+        out.reshape(-1)[classes.out.ravel()] = terms.sum(axis=0).ravel() / self.perm[..., 0].size
+        return out, classes.off * frob(x)
 
     def orbit_diagonals(self, v: np.ndarray) -> np.ndarray:
         """Diagonals of u diag(v) u* for every u = piS^p piM^q, shape (n, n, d):

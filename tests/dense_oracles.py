@@ -1,8 +1,9 @@
 """Dense references for the fast paths: the group elements by matrix powers,
 cluster projectors, the orbit span of every generator, the operator-span
 comparison on densely embedded bases,
-the covariant resolution with dense atoms, and the dense unit grids with the
-unreduced z grid.  Each is the code the fast path replaced, kept here so the
+the covariant resolution with dense atoms, the dense unit grids with the
+unreduced z grid, and the group average in both forms on whole d x d
+matrices.  Each is the code the fast path replaced, kept here so the
 tests can hold the two against each other."""
 
 import dataclasses
@@ -28,6 +29,33 @@ def member_span(diagonals: np.ndarray, tol: float = 1e-10) -> OperatorSubspace:
     """The span of all the generator diagonals, one per group element, from
     one eigh of their Gram, which is n^2 x n^2 for an orbit."""
     return span_operators(list(diagonals), tol)
+
+
+def class_average(table, x: np.ndarray) -> np.ndarray:
+    """(1/E) sum over the E elements of a monomial table of u x u*, grouped
+    by permutation class: the elements sharing pi_k contribute
+    W_k o x[pi_k, pi_k], with W_k = sum phase phase* the dense d x d class
+    weight, one gather per class."""
+    d = table.perm.shape[-1]
+    perms, label = table.grouping
+    phase = table.phase.reshape(-1, d)
+    acc = np.zeros((d, d), dtype=complex)
+    for k, perm in enumerate(perms):
+        members = phase[label == k]
+        acc += (members.T @ members.conj()) * x[np.ix_(perm, perm)]
+    return acc / len(label)
+
+
+def product_trace_form(n: int, x: np.ndarray, units) -> np.ndarray:
+    """(1/n) sum_pq Tr(x_qp x) x_pq through the whole factor F, rows (p, k):
+    the weights Tr(x_qp x) = sum_k <h_k^p| x |h_k^q> are read off the rows
+    of F^* x, and the weighted sum of units is one product back, d^3 flops
+    each."""
+    d = n * n
+    f = units.units
+    bras = f.conj()
+    coef = (bras.reshape(d, d) @ x).reshape(n, n * d) @ f.reshape(n, n * d).T / n
+    return f.reshape(d, d).T @ (coef @ bras.reshape(n, n * d)).reshape(d, d)
 
 
 def dyad_grid(blocks: np.ndarray) -> np.ndarray:

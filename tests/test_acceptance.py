@@ -79,10 +79,10 @@ def test_criterion_02_expectation_forms(capsys):
         rng = np.random.default_rng(5000 + n)
         for _ in range(100):
             x = random_hermitian(d, rng)
-            ea = expectation_avg(n, x, unitaries)
+            ea, bound = expectation_avg(n, x, unitaries)
             et = expectation_trace(n, x, units)
             worst = max(worst,
-                        frob(ea - et) / tol_n,
+                        (frob(ea - et) + bound) / tol_n,
                         frob(expectation_trace(n, et, units) - et) / tol_n,
                         abs(np.trace(et) - np.trace(x)) / tol_n)
     dt = time.perf_counter() - t0
@@ -252,7 +252,8 @@ def test_criterion_09_mutation_sensitivity(capsys):
 
     wide = q_projection(n, 0)
     wide[n, n] = 1.0
-    avg_residual = frob(expectation_avg(n, wide) - np.eye(n * n) / n)
+    average, bound = expectation_avg(n, wide)
+    avg_residual = frob(average - np.eye(n * n) / n) + bound
 
     ok = bool(failed) and rep_residual >= 1e-2 and avg_residual >= 1e-2
     _report(capsys, 9, ok,

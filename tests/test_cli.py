@@ -177,9 +177,12 @@ def test_module_entry_point(child_env):
 
 @pytest.mark.parametrize('n', [8, 10, 12])
 def test_verify_is_identical_across_blas_thread_counts(n, child_env, tmp_path):
-    # the trace form of the average runs through BLAS products; the bytes
-    # agree through n = 10, and past it (at n = 12 the last bits of six
-    # residuals move) the verdicts, the exit code and the graph block do
+    # BLAS splits long dot products across its threads: the Frobenius norm
+    # (np.linalg.norm) of a d x d matrix past about 10^4 entries, and the
+    # dense products of verify_representation.  The bytes agree through
+    # n = 10; at n = 12 the last bits of residuals such as rep_unitary and
+    # expectation_forms_agree move, and the verdicts, the exit code and the
+    # graph block stay.  Theorem 1 and idempotence keep their bytes there too
     outputs, codes = [], []
     for threads in ('1', '2'):
         path = tmp_path / f'verify-{threads}.json'
@@ -194,23 +197,30 @@ def test_verify_is_identical_across_blas_thread_counts(n, child_env, tmp_path):
     assert first == second
     if n <= 10:
         assert outputs[0] == outputs[1]
+    else:
+        first, second = ({c['id']: c for c in r['checks']} for r in map(json.loads, outputs))
+        for check in ('theorem1', 'expectation_idempotent'):
+            assert first[check] == second[check]
 
 
 def test_the_commands_load_no_scipy(child_env):
     # scipy's wheel bundles a second OpenBLAS with its own thread pool; only
-    # the Schur test oracle may load it
+    # the Schur test oracle may load it.  numpy.ma is imported lazily by some
+    # numpy functions, and its import is tens of milliseconds of start-up
     script = (
         'import contextlib, io, sys\n'
         'from weylgraph.cli import main\n'
         'with contextlib.redirect_stdout(io.StringIO()):\n'
         '    codes = [main(["verify", "--n", "4"]),\n'
+        '             main(["scan", "--n-min", "2", "--n-max", "3"]),\n'
         '             main(["kl-check", "--n", "4", "--k", "1", "--s", "2"]),\n'
         '             main(["export", "--n", "4", "--what", "P", "--k", "1"])]\n'
-        'print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))\n')
+        'print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),\n'
+        '      "numpy.ma" in sys.modules)\n')
     proc = subprocess.run([sys.executable, '-c', script],
                           capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == '[0, 0, 0] []'
+    assert proc.stdout.strip() == '[0, 0, 0, 0] [] False'
 
 
 # -- export --------------------------------------------------------------------
@@ -361,12 +371,12 @@ def test_kl_check_holds_one_generator_at_a_time(tmp_path):
 
 
 def test_kl_check_builds_no_class_weights(tmp_path, monkeypatch):
-    # graph_orbit groups the table by permutation only; the d x d class
-    # weights W_k of GroupAction.classes are for the group average
-    def refuse(self):
+    # graph_orbit groups the table by permutation only; the class weights
+    # of GroupAction.class_blocks are for the group average
+    def refuse(self, blocks):
         raise AssertionError('kl-check built the class weights')
 
-    monkeypatch.setattr(GroupAction, 'classes', property(refuse))
+    monkeypatch.setattr(GroupAction, 'class_blocks', refuse)
     assert main(['kl-check', '--n', '5', '--k', '2', '--s', '1',
                  '--json', str(tmp_path / 'kl.json')]) == 0
 

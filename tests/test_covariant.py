@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylgraph.covariant
-from dense_oracles import dense_atoms, dense_covariance, dense_mass, dyad_grid, member_span
+import weylgraph.report
+from dense_oracles import (class_average, dense_atoms, dense_covariance, dense_mass, dyad_grid,
+                           member_span, product_trace_form)
 from weylgraph.covariant import (
     _COVARIANCE_SAMPLE,
     covariant_resolution,
@@ -105,30 +107,69 @@ def einsum_trace_form(n, x, units):
     return acc / n
 
 
+def first_factor_blocks(n):
+    """The blocks T_a = {(a, b) : b} of the first tensor factor, as rows."""
+    return np.arange(n * n).reshape(n, n)
+
+
 @pytest.mark.parametrize('n', range(2, 11))
 def test_average_matches_the_defining_sum(n):
     unitaries = element_unitaries(n, *rep_generators(n))
     rng = np.random.default_rng(500 + n)
     for _ in range(3):
         x = random_hermitian(n * n, rng)
-        assert frob(expectation_avg(n, x, unitaries) - loop_average(unitaries, x)) <= 1e-12
+        average, bound = expectation_avg(n, x, unitaries)
+        assert bound <= 1e-12
+        assert frob(average - loop_average(unitaries, x)) <= 1e-12 + bound
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_average_is_the_class_oracle_on_the_blocks(n):
+    # the dense class sum: equal on the blocks T_a, and what the blocks
+    # leave out within the returned bound
+    unitaries = element_unitaries(n, *rep_generators(n))
+    inside = np.kron(np.eye(n, dtype=bool), np.ones((n, n), dtype=bool))
+    rng = np.random.default_rng(700 + n)
+    for _ in range(3):
+        x = random_hermitian(n * n, rng)
+        average, bound = expectation_avg(n, x, unitaries)
+        dense = class_average(unitaries, x)
+        assert frob((average - dense)[inside]) <= 1e-15 * n
+        assert not average[~inside].any()
+        assert frob(dense[~inside]) <= bound
 
 
 @pytest.mark.parametrize('n', range(2, 9))
 def test_trace_form_matches_the_einsum_loop(n):
+    # the supports are read from the factor, so stray kets (|1, 0> in h_0^0,
+    # |n-1, n-1> in h_(n-1)^1) and a dense 1e-6 perturbation of every vector
+    # still give the defining sum, as do the dense products through the
+    # whole factor
     units = fixed_units(n)
-    rng = np.random.default_rng(600 + n)
-    for _ in range(3):
-        x = random_hermitian(n * n, rng)
-        assert frob(expectation_trace(n, x, units) - einsum_trace_form(n, x, units)) <= 1e-12
+    stray = units.units.copy()
+    stray[0, 0, n] += 1.0
+    stray[1, n - 1, n * n - 1] += 0.5
+    noise = np.random.default_rng(0).standard_normal((2,) + stray.shape)
+    factors = (units, dataclasses.replace(units, units=stray),
+               dataclasses.replace(units, units=units.units + 1e-6 * (noise[0] + 1j * noise[1])))
+    for factor in factors:
+        rng = np.random.default_rng(600 + n)
+        for _ in range(3):
+            x = random_hermitian(n * n, rng)
+            trace = expectation_trace(n, x, factor)
+            assert frob(trace - einsum_trace_form(n, x, factor)) <= 1e-12
+            assert frob(trace - product_trace_form(n, x, factor)) <= 1e-12
 
 
 @pytest.mark.parametrize('n', range(2, 17))
 def test_real_table_has_n_permutation_classes(n):
-    # piS is diagonal, so the class of piS^p piM^q is fixed by q alone
-    perms, weights = element_unitaries(n, *rep_generators(n)).classes
-    assert perms.shape == (n, n * n)
-    assert weights.shape == (n, n * n, n * n)
+    # piS is diagonal, so the class of piS^p piM^q is fixed by q alone; the
+    # weights of each class are kept on the n blocks T_a, n^4 entries in all
+    table = element_unitaries(n, *rep_generators(n))
+    classes = table.class_blocks(first_factor_blocks(n))
+    assert table.grouping[0].shape == (n, n * n)
+    assert classes.weights.shape == classes.cells.shape == (n, n, n, n)
+    assert classes.off <= 1e-14
 
 
 @st.composite
@@ -153,13 +194,26 @@ def monomial_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(monomial_tables())
 def test_average_by_class_matches_dense_sum(case):
+    # on one block the average is the dense sum and its bound 0; on the
+    # blocks of a random partition into equal blocks it is the dense sum
+    # there, zero elsewhere, and the part left out is within the bound
     table, classes, rng = case
     n, d = table.perm.shape[0], table.perm.shape[-1]
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     dense = sum(table.dense(p, q) @ x @ table.dense(p, q).conj().T
                 for p in range(n) for q in range(n)) / (n * n)
-    assert len(table.classes[0]) == classes
-    assert frob(table.average(x) - dense) <= 1e-12 * d
+    assert len(table.grouping[0]) == classes
+    average, bound = table.average(x, np.arange(d)[None])
+    assert bound == 0.0
+    assert frob(average - dense) <= 1e-12 * d
+    size = rng.choice([s for s in range(1, d) if d % s == 0])
+    blocks = rng.permutation(d).reshape(-1, size)
+    inside = np.zeros((d, d), dtype=bool)
+    inside[blocks[:, :, None], blocks[:, None, :]] = True
+    average, bound = table.average(x, blocks)
+    assert not average[~inside].any()
+    assert frob((average - dense)[inside]) <= 1e-12 * d
+    assert frob(dense[~inside]) <= bound + 1e-12 * d
 
 
 @pytest.mark.filterwarnings('ignore:all generators are numerically zero')
@@ -193,18 +247,30 @@ def test_class_rows_span_the_orbit_of_a_generic_table(case):
 
 def test_replaced_table_recomputes_its_classes():
     n = 3
+    blocks = first_factor_blocks(n)
     table = element_unitaries(n, *rep_generators(n))
-    assert len(table.classes[0]) == n
+    assert len(table.grouping[0]) == n
     perm = table.perm.copy()
     perm[1, 1] = perm[1, 0]  # one element moves to the class of q = 0
     copy = dataclasses.replace(table, perm=perm)
-    assert len(copy.classes[0]) == n
-    assert not np.array_equal(copy.classes[1], table.classes[1])
+    assert len(copy.grouping[0]) == n
+    assert not np.array_equal(copy.class_blocks(blocks).weights,
+                              table.class_blocks(blocks).weights)
+
+
+@pytest.mark.parametrize('blocks', [[[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [2, 3, 4], [5, 6, 7]],
+                                    [0, 1, 2, 3, 4, 5, 6, 7, 8]])
+def test_class_blocks_refuse_what_is_not_a_partition(blocks):
+    table = element_unitaries(3, *rep_generators(3))
+    with pytest.raises(ValueError, match='partition'):
+        table.class_blocks(blocks)
+
 
 def test_expectation_unital():
     n = 3
     eye = np.eye(n * n, dtype=complex)
-    assert frob(expectation_avg(n, eye) - eye) <= 1e-12
+    average, bound = expectation_avg(n, eye)
+    assert frob(average - eye) + bound <= 1e-12
     assert frob(expectation_trace(n, eye) - eye) <= 1e-12
 
 
@@ -216,7 +282,8 @@ def test_expectation_fixes_units():
     for p in range(n):
         for q in range(n):
             x = grid[p, q]
-            assert frob(expectation_avg(n, x, unitaries) - x) <= 1e-11
+            average, bound = expectation_avg(n, x, unitaries)
+            assert frob(average - x) + bound <= 1e-11
             assert frob(expectation_trace(n, x, units) - x) <= 1e-11
 
 
@@ -234,7 +301,8 @@ def test_expectation_of_product_ket_qubits():
     oracle = acc / 4.0
     expected = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     assert frob(oracle - expected) <= 1e-14
-    assert frob(expectation_avg(2, p00) - expected) <= 1e-12
+    average, bound = expectation_avg(2, p00)
+    assert frob(average - expected) + bound <= 1e-12
     assert frob(expectation_trace(2, p00) - expected) <= 1e-12
 
 
@@ -245,8 +313,8 @@ def test_expectation_forms_agree(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(100):
         x = random_hermitian(n * n, rng)
-        diff = expectation_avg(n, x, unitaries) - expectation_trace(n, x, units)
-        assert frob(diff) <= 1e-10 * n * n
+        average, bound = expectation_avg(n, x, unitaries)
+        assert frob(average - expectation_trace(n, x, units)) + bound <= 1e-10 * n * n
 
 
 def _tamper_perm(table):
@@ -272,9 +340,39 @@ def test_expectation_forms_catch_table_defects(tamper):
     worst = 0.0
     for _ in range(10):
         x = random_hermitian(n * n, rng)
-        worst = max(worst, frob(expectation_avg(n, x, unitaries)
-                                - expectation_trace(n, x, units)))
+        average, bound = expectation_avg(n, x, unitaries)
+        worst = max(worst, frob(average - expectation_trace(n, x, units)) + bound)
     assert worst >= 1e-2
+
+
+def _rotate_block_phase(table):
+    # element (1, 1) turned by e^(i 1e-6) on the block T_0 alone: its
+    # products phase phase* within a block, and so the class weights on the
+    # blocks, keep their values, and only the cancellation off them breaks
+    n = table.perm.shape[0]
+    phase = table.phase.copy()
+    phase[1, 1, :n] *= np.exp(1e-6j)
+    return dataclasses.replace(table, phase=phase)
+
+
+def test_off_block_defect_fails_through_the_bound(monkeypatch):
+    n = 3
+    blocks = first_factor_blocks(n)
+    table = element_unitaries(n, *rep_generators(n))
+    tampered = _rotate_block_phase(table)
+    on_blocks = tampered.class_blocks(blocks).weights - table.class_blocks(blocks).weights
+    assert np.abs(on_blocks).max() <= 1e-15
+    units = fixed_units(n)
+    x = random_hermitian(n * n, np.random.default_rng(5))
+    average, bound = expectation_avg(n, x, tampered)
+    assert frob(average - expectation_trace(n, x, units)) <= 1e-13
+    assert bound >= 1e-8
+    assert not verify_theorem1(n, unitaries=tampered).passed
+    monkeypatch.setattr(weylgraph.report, 'element_unitaries',
+                        lambda *args: _rotate_block_phase(element_unitaries(*args)))
+    checks = {c.check_id: c for c in run_verification(n).checks}
+    assert not checks['expectation_forms_agree'].passed
+    assert checks['expectation_forms_agree'].max_residual >= 1e-8
 
 
 def test_expectation_compresses_grid_dyads():
@@ -518,8 +616,11 @@ def test_average_checks_name_their_worst_draw():
     unitaries = element_unitaries(n, *rep_generators(n))
     units = fixed_units(n)
     rng = np.random.default_rng(1003)
-    residuals = [frob(expectation_avg(n, x, unitaries) - expectation_trace(n, x, units))
-                 for x in (random_hermitian(n * n, rng) for _ in range(100))]
+    residuals = []
+    for _ in range(100):
+        x = random_hermitian(n * n, rng)
+        average, bound = expectation_avg(n, x, unitaries)
+        residuals.append(frob(average - expectation_trace(n, x, units)) + bound)
     assert int(match.group(1)) == int(np.argmax(residuals))
     assert agree.max_residual == max(residuals)
     assert re.fullmatch(r'idempotence, unitality and trace preservation; 100 samples, '
@@ -534,5 +635,5 @@ def test_widened_projection_breaks_theorem1():
     d = n * n
     wide = q_projection(n, 0)
     wide[n, n] = 1.0  # the ket |1, 0>, outside the s = 0 block
-    residual = frob(expectation_avg(n, wide) - np.eye(d) / n)
-    assert residual >= 1.0 / n - 1e-9
+    average, bound = expectation_avg(n, wide)
+    assert frob(average - np.eye(d) / n) + bound >= 1.0 / n - 1e-9
