@@ -4,7 +4,7 @@ they generate, and entangled-code anticliques, with residual-based numerical
 verification of every structural identity.
 """
 
-from .linalg import (DEFAULT_TOL, DegenerateClusteringError, OperatorSubspace,
+from .linalg import (DEFAULT_TOL, BlockOperators, DegenerateClusteringError, OperatorSubspace,
                      SpectralDecomposition, SubspaceComparison, dft_unitary,
                      span_operators, spectral_projections, subspace_equal,
                      tensor_product)
@@ -27,7 +27,7 @@ from .serialize import (CANONICAL_CHECK_ORDER, dumps, matrix_to_obj,
 __version__ = '0.1.0'
 
 __all__ = [
-    'DEFAULT_TOL', 'DegenerateClusteringError', 'OperatorSubspace',
+    'DEFAULT_TOL', 'BlockOperators', 'DegenerateClusteringError', 'OperatorSubspace',
     'SpectralDecomposition', 'SubspaceComparison', 'dft_unitary',
     'span_operators', 'spectral_projections', 'subspace_equal',
     'tensor_product',

@@ -15,12 +15,13 @@ import sys
 import numpy as np
 
 from .covariant import q_projection
-from .graphs import (AnticliqueReport, anticlique_projector, compressions, graph_orbit,
-                     h_generators, z_generators)
+from .graphs import (AnticliqueReport, anticlique_projector, compressions, h_generators,
+                     z_generators)
 from .linalg import frob
 from .report import run_verification
 from .serialize import anticlique_to_obj, dumps, matrix_to_obj, report_to_obj
-from .weylrep import ClusterColumns, entangled_basis, rep_generators, shift_clock
+from .weylrep import (ClusterColumns, element_unitaries, entangled_basis, rep_generators,
+                      shift_clock)
 
 _EXPORT_CHOICES = ('S', 'M', 'piS', 'piM', 'basis', 'Q', 'P',
                    'h-generators', 'z-generators')
@@ -102,14 +103,14 @@ def _require_tol(tol: float) -> None:
 
 def _require_memory(n: int) -> None:
     """Refuse a modulus whose run cannot fit in physical memory: 64 MiB +
-    200 n^5 bytes is at least the measured peak RSS of verify at n = 8, 10,
-    ..., 24 (68, 79, 102, 147, 227, 348, 537, 812 and 1241 MiB); the largest
-    objects are stacks of n dense n^2 x n^2 matrices (the h and z families),
-    16 n^5 bytes each."""
-    need = 2 ** 26 + 200 * n ** 5
+    40 n^5 bytes is at least the measured peak RSS of verify at n = 8, 10,
+    ..., 24 and 32 (42, 45, 53, 64, 82, 113, 153, 212, 298 and 964 MiB); the
+    largest object left is the provenance of the n orbit graphs, n^2
+    generator diagonals each, 16 n^5 bytes together."""
+    need = 2 ** 26 + 40 * n ** 5
     have = os.sysconf('SC_PHYS_PAGES') * os.sysconf('SC_PAGE_SIZE')
     _require(need <= have,
-             f'n = {n} needs about {need / 2**30:.1f} GiB (64 MiB + 200 n^5 bytes), '
+             f'n = {n} needs about {need / 2**30:.1f} GiB (64 MiB + 40 n^5 bytes), '
              f'more than the {have / 2**30:.1f} GiB of physical memory')
 
 
@@ -162,9 +163,9 @@ def _cmd_export(args) -> int:
                  '--k is required for P and must lie in 0..n-1')
         payload = matrix_to_obj(anticlique_projector(n, args.k))
     elif what == 'h-generators':
-        payload = [matrix_to_obj(h) for h in h_generators(n)]
+        payload = [matrix_to_obj(h) for h in h_generators(n).dense()]
     else:  # z-generators
-        payload = [matrix_to_obj(z) for z in z_generators(n)]
+        payload = [matrix_to_obj(z) for z in z_generators(n).dense()]
     _write(dumps(payload) + '\n', args.out)
     return 0
 
@@ -176,16 +177,19 @@ def _cmd_kl_check(args) -> int:
     _require(0 <= args.s < n, '--s must lie in 0..n-1')
     _require_tol(args.tol)
     _require_memory(n)
-    orbit = graph_orbit(n, args.s, args.tol)
+    # the orbit generators u Q_s u* are diagonal: one gather of diag Q_s per
+    # element, in (p, q) order, and no span of the orbit
+    diagonals = element_unitaries(n, *rep_generators(n)).orbit_diagonals(
+        np.diagonal(q_projection(n, args.s)))
     # P_k = b b* for the code isometry b, so ||b* X b - lambda I||_F is the
     # dense ||P_k X P_k - lambda P_k||_F of check_knill_laflamme, taken on
     # the diagonals of the orbit generators, as long as b is an isometry:
     # its measured defect ||b* b - I||_F is added
     b = entangled_basis(n).code_isometry(args.k)
-    residuals, lams = compressions(ClusterColumns.of(b), [0, n],
-                                   np.array([v for _, v in orbit.provenance]))
+    residuals, lams = compressions(ClusterColumns.of(b), [0, n], diagonals.reshape(n * n, -1))
     worst = float(residuals.max()) + frob(b.conj().T @ b - np.eye(n))
-    lambdas = {label: complex(lam) for (label, _), lam in zip(orbit.provenance, lams[:, 0])}
+    labels = [(p, q) for p in range(n) for q in range(n)]
+    lambdas = {label: complex(lam) for label, lam in zip(labels, lams[:, 0])}
     result = AnticliqueReport(n, args.k, args.s, worst <= args.tol, lambdas, worst, n)
     _write(dumps(anticlique_to_obj(result)) + '\n', args.json_path)
     return 0 if result.is_anticlique else 1

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, OperatorSubspace, as_operator, frob,
+from .linalg import (DEFAULT_TOL, BlockOperators, OperatorSubspace, as_operator, frob,
                      random_hermitian, span_operators, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
 from .weylrep import (ClusterColumns, EntangledBasis, GroupAction, element_unitaries,
@@ -29,35 +29,82 @@ def y_units(n: int, basis: EntangledBasis | None = None) -> np.ndarray:
     return basis.vectors.copy()
 
 
-def h_generators(n: int, y: np.ndarray | None = None) -> list:
-    """The Hermitian family h_0 = sum_m y_mm, h_p = sum_m (y_{m+p,m} + y_{m,m+p}).
+def _factor_blocks(y: np.ndarray):
+    """(partition, part, g) for a unit factor y of shape (n, n, d).
 
-    With Y the factor flattened to rows (m, k) and R_p its copy rolled by p in
-    m, sum_m y_{m+p,m} = R_p^T Y^*, so h_p = A + A* for A = R_p^T Y^*."""
+    partition, in the layout of BlockOperators, holds the connected
+    components of the supports T_k = union over m of supp y[m, k], read
+    from the factor's nonzeros, with an index in no T_k a singleton; part[k]
+    is the component that holds T_k, and g[m, k] the entries of y[m, k] on
+    it (zero at its padding).  So every term |y[m', k]><y[m, k]| lies in
+    the block part[k].  The components come from label propagation: each
+    index takes the smallest index that a T_k links it to, until no label
+    moves."""
+    n, count, d = y.shape
+    support = (y != 0).any(axis=0)
+    root = np.arange(d)
+    while True:
+        least = np.where(support, root, d).min(axis=1)
+        moved = np.minimum(root, np.where(support, least[:, None], d).min(axis=0))
+        if np.array_equal(moved, root):
+            break
+        root = moved
+    index = np.zeros(d, dtype=np.intp)
+    roots = np.flatnonzero(root == np.arange(d))
+    index[roots] = np.arange(len(roots))
+    comp = index[root]
+    sizes = np.bincount(comp)
+    order = np.argsort(comp, kind='stable')
+    partition = np.full((len(sizes), sizes.max()), -1, dtype=np.intp)
+    partition[comp[order], np.arange(d) - (np.cumsum(sizes) - sizes)[comp[order]]] = order
+    part = comp[support.argmax(axis=1)]  # an empty T_k has a zero column: any part
+    cols = partition[part]
+    g = np.where(cols >= 0, y[:, np.arange(count)[:, None], cols], 0.0)
+    return partition, part, g
+
+
+def _gather_parts(terms: np.ndarray, part: np.ndarray, count: int) -> np.ndarray:
+    """Blocks (family, count, size, size) from the per-k terms (family, k,
+    size, size): block c sums the terms of the k with part[k] = c."""
+    member = part == np.arange(count)[:, None]
+    return (member @ terms.reshape(*terms.shape[:2], -1)).reshape(
+        len(terms), count, *terms.shape[2:])
+
+
+def h_generators(n: int, y: np.ndarray | None = None) -> BlockOperators:
+    """The Hermitian family h_0 = sum_m y_mm, h_p = sum_m (y_{m+p,m} + y_{m,m+p}),
+    as BlockOperators on the components of the factor's supports
+    (_factor_blocks).
+
+    sum_m y_{m+p,m} = sum_k A_pk with A_pk = sum_m |y[m+p, k]><y[m, k]|,
+    one n x n x n product per (p, k) on the block of k; h_0 = sum_k A_0k and
+    h_p = sum_k (A_pk + A_pk*)."""
     if y is None:
         y = y_units(n)
-    d = n * n
-    bras = y.reshape(d, d).conj()
-    out = [y.reshape(d, d).T @ bras]
-    for p in range(1, n):
-        pair = np.roll(y, -p, axis=0).reshape(d, d).T @ bras
-        out.append(pair + pair.conj().T)
-    return out
+    partition, part, g = _factor_blocks(y)
+    idx = np.arange(n)
+    rolled = g[(idx[:, None] + idx) % n]  # rolled[p, m] = g[m + p]
+    a = rolled.transpose(0, 2, 3, 1) @ g.conj().transpose(1, 0, 2)
+    a[1:] += a[1:].conj().swapaxes(-1, -2)
+    return BlockOperators(partition, _gather_parts(a, part, len(partition)))
 
 
-def z_generators(n: int, y: np.ndarray | None = None) -> list:
-    """The orbit generators in the y coordinates, z_c = sum_{m,l} w^(c(m-l)) y_ml.
+def z_generators(n: int, y: np.ndarray | None = None) -> BlockOperators:
+    """The orbit generators in the y coordinates, z_c = sum_{m,l} w^(c(m-l)) y_ml,
+    as BlockOperators on the components of the factor's supports
+    (_factor_blocks).
 
     Expanding y_ml through its factor, z_c = sum_k |u_c^k><u_c^k| with
     u_c^k = sum_m w^(cm) h_m^k: one phase product for every u, then one
-    product per c.
+    outer product per (c, k) on the block of k.
     """
     if y is None:
         y = y_units(n)
-    d = n * n
+    partition, part, g = _factor_blocks(y)
     idx = np.arange(n)
-    u = (unit_roots(n)[np.outer(idx, idx) % n] @ y.reshape(n, n * d)).reshape(n, n, d)
-    return [u[c].T @ u[c].conj() for c in range(n)]
+    u = (unit_roots(n)[np.outer(idx, idx) % n] @ g.reshape(n, -1)).reshape(g.shape)
+    return BlockOperators(partition, _gather_parts(u[..., :, None] * u[..., None, :].conj(),
+                                                   part, len(partition)))
 
 
 @dataclass(frozen=True)
@@ -503,7 +550,9 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
     failure, with the Gram spectra that span_operators diagonalised (for
     the orbit, the n^2-member spectrum that _class_span keeps).  An orbit's
     span is that of its class rows, so every comparison adds the spread of
-    each orbit in it to the subspace residual.
+    each orbit in it to the subspace residual.  The h and z families are
+    spanned on the blocks of the factor y (h_generators), and the diagonal
+    orbit is compared with them lifted onto those blocks (subspace_equal).
     """
     basis = basis if basis is not None else entangled_basis(n)
     if unitaries is None:
@@ -512,8 +561,6 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
         orbit_graphs = [graph_orbit(n, s, tol, unitaries) for s in range(n)]
     if y is None:
         y = y_units(n, basis)
-    h_list = h_generators(n, y)
-    z_red = z_generators(n, y)
 
     # residuals in a fixed order, so the first strict maximum is named; each
     # orbit's spread counts, since its span is that of its class rows
@@ -531,8 +578,8 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
                           details=f'orbit graphs pairwise; worst at '
                                   f'(s1, s2) = ({where[0]}, {where[1]})')]
 
-    z_space = span_operators(z_red, tol)
-    h_space = span_operators(h_list, tol)
+    z_space = span_operators(z_generators(n, y), tol)
+    h_space = span_operators(h_generators(n, y), tol)
     orbit_space, spread = orbit_graphs[0].space, orbit_graphs[0].spread
     cmp_z = subspace_equal(orbit_space, z_space, tol)
     cmp_h = subspace_equal(orbit_space, h_space, tol)

@@ -1,9 +1,10 @@
 """Dense complex linear algebra: Kronecker products, Hilbert-Schmidt geometry,
-spectral projections of unitaries, and operator-subspace (Gram-rank) arithmetic.
+spectral projections of unitaries, and operator-subspace (Gram-rank)
+arithmetic on block-diagonal operators (BlockOperators).
 
-All operators are square numpy arrays of complex128.  Identities are exact in
-exact arithmetic, so every check here is residual-based with an absolute
-tolerance (default 1e-10).
+Operators are complex128 arrays: square matrices, or the blocks of
+BlockOperators.  Identities are exact in exact arithmetic, so every check
+here is residual-based with an absolute tolerance (default 1e-10).
 
 All of it runs on numpy's LAPACK and BLAS, so the program loads one BLAS
 library with one thread pool; the one exception is the Schur test oracle
@@ -12,9 +13,10 @@ spectral_projections (see its docstring).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,16 +175,63 @@ def cluster_eigenpairs(eigs, vectors, u, tol: float = DEFAULT_TOL):
     return values, [vectors[:, labels == c] for c in range(len(values))]
 
 
+class BlockOperators(NamedTuple):
+    """A stack of operators on C^d, each block diagonal on one partition of
+    range(d).
+
+    partition has shape (count, size): row c lists the indices of part c in
+    ascending order, a part shorter than size padded with -1 at its end.
+    blocks has shape (k, count, size, size): blocks[i, c] holds operator i
+    on part c x part c, and is zero in the padded rows and columns.  A
+    diagonal operator is the partition into singletons, a dense one the
+    partition into one block.
+    """
+    partition: np.ndarray
+    blocks: np.ndarray
+
+    @property
+    def ambient_dim(self) -> int:
+        return int(np.count_nonzero(self.partition >= 0))
+
+    def dense(self) -> np.ndarray:
+        """The (k, d, d) stack of the operators as matrices."""
+        d = self.ambient_dim
+        # a padding index -1 lands in row or column d, cut off at the end
+        out = np.zeros((len(self.blocks), d + 1, d + 1), dtype=self.blocks.dtype)
+        out[:, self.partition[:, :, None], self.partition[:, None, :]] = self.blocks
+        return out[:, :d, :d]
+
+
+def _operator_stack(generators) -> BlockOperators:
+    """The generators of span_operators as BlockOperators."""
+    if isinstance(generators, BlockOperators):
+        ops = generators
+    else:
+        gens = np.array([np.asarray(g, dtype=complex) for g in generators])
+        if not len(gens):
+            raise ValueError("empty generator list")
+        d = gens.shape[-1]
+        if gens.ndim == 2:
+            ops = BlockOperators(np.arange(d)[:, None], gens[:, :, None, None])
+        elif gens.ndim == 3 and gens.shape[1] == d:
+            ops = BlockOperators(np.arange(d)[None], gens[:, None])
+        else:
+            raise ValueError(f"expected square matrices or diagonals, got shape {gens.shape[1:]}")
+    if not np.isfinite(ops.blocks).all():
+        raise ValueError("generator entries must be finite")
+    return ops
+
+
 @dataclass(frozen=True)
 class OperatorSubspace:
     """A subspace of operator space, carried by an HS-orthonormal basis.
 
-    basis has shape (dim, d, d), or (dim, d) when every basis element is a
-    diagonal operator given by its diagonal; build_tol is the relative Gram
-    cutoff used to build it, and gram_spectrum the ascending eigenvalues of
-    the generators' Hilbert-Schmidt Gram that span_operators diagonalised.
+    basis has shape (dim, count, size, size), the blocks of BlockOperators
+    on partition; build_tol is the relative Gram cutoff used to build it,
+    and gram_spectrum the ascending eigenvalues of the generators'
+    Hilbert-Schmidt Gram that span_operators diagonalised.
     """
-    ambient_dim: int
+    partition: np.ndarray
     basis: np.ndarray
     build_tol: float
     gram_spectrum: np.ndarray
@@ -192,59 +241,42 @@ class OperatorSubspace:
         return int(self.basis.shape[0])
 
     @property
-    def diagonal(self) -> bool:
-        return self.basis.ndim == 2
+    def ambient_dim(self) -> int:
+        return self.operators().ambient_dim
 
-    def flat(self) -> np.ndarray:
-        return self.basis.reshape(self.dim, -1)
+    def operators(self) -> BlockOperators:
+        return BlockOperators(self.partition, self.basis)
 
     def residual(self, x) -> float:
         """Frobenius distance from x to the subspace; x is a d x d matrix or
         the length-d diagonal of a diagonal operator."""
-        return float(_distances(np.asarray(x, dtype=complex)[None], self.basis)[0])
+        return float(_distances(*_one_partition(_operator_stack([x]), self.operators()))[0])
 
 
-def _split(ops: np.ndarray):
-    """(diagonals, off-diagonal entries) of a stack of d x d operators, or of
-    a stack of diagonals, which have no off-diagonal entries."""
-    if ops.ndim == 2:
-        return ops, np.zeros((len(ops), 0), dtype=complex)
-    d = ops.shape[-1]
-    return np.diagonal(ops, axis1=1, axis2=2), ops[:, ~np.eye(d, dtype=bool)]
+def span_operators(generators, tol: float = DEFAULT_TOL) -> OperatorSubspace:
+    """Orthonormalize generators into an OperatorSubspace on their
+    partition: a BlockOperators, or a sequence of d x d matrices (one
+    block) or of length-d diagonals (singletons); ValueError for an empty
+    or mixed sequence, a non-square matrix or a non-finite entry.
 
-
-def span_operators(generators: Sequence, tol: float = DEFAULT_TOL) -> OperatorSubspace:
-    """Orthonormalize a generator list into an OperatorSubspace.
-
-    Each generator is a d x d matrix, or else every generator is the length-d
-    diagonal of a diagonal operator: their Hilbert-Schmidt Gram is the Gram of
-    the diagonals, and the basis is kept as (dim, d) diagonals.  Dimension
-    counting and the basis both come from the eigendecomposition of the Gram
-    matrix (order-independent, unlike sequential Gram-Schmidt), taken with
-    numpy's eigh, whose ascending eigenvalues the subspace keeps; the rank
-    cutoff is tol times the largest.  Generators with a non-finite entry
-    raise ValueError.
+    The Hilbert-Schmidt Gram is that of the flattened blocks, since the
+    operators vanish off them.  Dimension counting and the basis both come
+    from the eigendecomposition of the Gram matrix (order-independent,
+    unlike sequential Gram-Schmidt), taken with numpy's eigh, whose
+    ascending eigenvalues the subspace keeps; the rank cutoff is tol times
+    the largest.
     """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if not gens:
-        raise ValueError("empty generator list")
-    diagonal = all(g.ndim == 1 for g in gens)
-    mats = gens if diagonal else [as_operator(g) for g in gens]
-    d = mats[0].shape[0]
-    if any(m.shape[0] != d for m in mats):
-        raise ValueError("generators must share one dimension")
-    flat = np.array([m.reshape(-1) for m in mats])
-    if not np.isfinite(flat).all():
-        raise ValueError("generator entries must be finite")
-    shape = (d,) if diagonal else (d, d)
+    ops = _operator_stack(generators)
+    shape = ops.blocks.shape[1:]
+    flat = ops.blocks.reshape(len(ops.blocks), -1)
     w, v = np.linalg.eigh(flat.conj() @ flat.T)
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         warnings.warn("all generators are numerically zero; returning the zero subspace")
-        return OperatorSubspace(d, np.zeros((0, *shape), dtype=complex), tol, w)
+        return OperatorSubspace(ops.partition, np.zeros((0, *shape), dtype=complex), tol, w)
     keep = np.nonzero(w > tol * lam_max)[0][::-1]
     rows = (v[:, keep] / np.sqrt(w[keep])).T @ flat
-    return OperatorSubspace(d, rows.reshape(-1, *shape), tol, w)
+    return OperatorSubspace(ops.partition, rows.reshape(-1, *shape), tol, w)
 
 
 class SubspaceComparison(NamedTuple):
@@ -257,32 +289,73 @@ def subspace_equal(v: OperatorSubspace, w: OperatorSubspace,
     """Whether two operator subspaces coincide, with the worst residual seen.
 
     Equal means the dimensions agree and every basis element of each side
-    projects onto the other with residual at most tol.  Each basis is split
-    into its diagonals and its off-diagonal entries, and the residual is
-    taken on both parts at once, never as a difference of squared norms: a
-    diagonal basis has no off-diagonal part, so two diagonal spaces compare
-    on their rows, and against a dense side the off-diagonal mass of the
-    dense basis (or of the projection onto it) enters the residual directly.
+    projects onto the other with residual at most tol.  The residuals are
+    taken with both bases on one partition (_one_partition), so a block
+    that one side carries and the other lacks enters them directly.
     """
     if v.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
+    fv, fw = _one_partition(v.operators(), w.operators())
     worst = 0.0
-    for a, b in ((v, w), (w, v)):
-        if a.dim:
-            worst = max(worst, float(_distances(a.basis, b.basis).max()))
+    for a, b in ((fv, fw), (fw, fv)):
+        if len(a):
+            worst = max(worst, float(_distances(a, b).max()))
     return SubspaceComparison(v.dim == w.dim and worst <= tol, worst)
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius distance from each operator in the stack a to the span of b."""
-    (da, oa), (db, ob) = _split(a), _split(b)
-    coef = da @ db.conj().T  # coef[i, j] = <b_j, a_i>
-    if a.ndim == 2 or b.ndim == 2:
-        # one side has no off-diagonal entries, so the residual's are those
-        # of the projection (a diagonal) or of the element itself (b diagonal)
-        off = coef @ ob if a.ndim == 2 else oa
-    else:
-        coef += oa @ ob.conj().T
-        off = oa - coef @ ob
-    return np.hypot(np.linalg.norm(da - coef @ db, axis=1),
-                    np.linalg.norm(off, axis=1))
+def _owners(partition: np.ndarray, d: int):
+    """(part, pos): index i of range(d) is entry pos[i] of row part[i] of
+    partition.  Both have length d + 1, the last entry standing for the
+    padding index -1."""
+    part = np.zeros(d + 1, dtype=np.intp)
+    pos = np.zeros(d + 1, dtype=np.intp)
+    part[partition] = np.arange(len(partition))[:, None]
+    pos[partition] = np.arange(partition.shape[1])
+    return part, pos
+
+
+def _refines(fine: np.ndarray, coarse: np.ndarray, d: int) -> bool:
+    """Whether every part of fine lies inside one part of coarse."""
+    own = _owners(coarse, d)[0][fine]
+    return bool(((own == own[:, :1]) | (fine < 0)).all())
+
+
+def _lift(ops: BlockOperators, onto: np.ndarray) -> np.ndarray:
+    """The blocks of ops on the partition onto, which ops.partition refines:
+    each block is written into the part of onto that holds it."""
+    fine = ops.partition
+    part, pos = _owners(onto, ops.ambient_dim)
+    valid = fine >= 0
+    # an entry in a padded row or column goes to a scratch part, cut off below
+    into = np.where(valid[:, :, None] & valid[:, None, :], part[fine[:, :1, None]], len(onto))
+    at = pos[fine]
+    size = onto.shape[1]
+    out = np.zeros((len(ops.blocks), len(onto) + 1, size, size), dtype=ops.blocks.dtype)
+    out[:, into, at[:, :, None], at[:, None, :]] = ops.blocks
+    return out[:, :-1]
+
+
+def _one_partition(a: BlockOperators, b: BlockOperators):
+    """The blocks of a and b, flattened per operator, on one partition: the
+    coarser of theirs, the finer one lifted onto it, or one block when
+    neither refines the other."""
+    fa, fb = a.blocks, b.blocks
+    if not np.array_equal(a.partition, b.partition):
+        d = a.ambient_dim
+        if _refines(a.partition, b.partition, d):
+            fa = _lift(a, b.partition)
+        elif _refines(b.partition, a.partition, d):
+            fb = _lift(b, a.partition)
+        else:
+            fa, fb = _lift(a, np.arange(d)[None]), _lift(b, np.arange(d)[None])
+    entries = math.prod(fa.shape[1:])  # explicit: a stack may be empty
+    return fa.reshape(len(fa), entries), fb.reshape(len(fb), entries)
+
+
+def _distances(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Frobenius distance from each row of fa to the span of the orthonormal
+    rows of fb, operators flattened on one partition (_one_partition): the
+    norm of a - coef b, the operator less its projection, never a
+    difference of squared norms."""
+    coef = fa @ fb.conj().T  # coef[i, j] = <b_j, a_i>
+    return np.linalg.norm(fa - coef @ fb, axis=1)

@@ -1,10 +1,10 @@
 """Dense references for the fast paths: the group elements by matrix powers,
 cluster projectors, the orbit span of every generator, the operator-span
-comparison on densely embedded bases,
-the covariant resolution with dense atoms, the dense unit grids with the
-unreduced z grid, and the group average in both forms on whole d x d
-matrices.  Each is the code the fast path replaced, kept here so the
-tests can hold the two against each other."""
+comparison on densely embedded bases, the h and z families from the whole
+unit factor, the covariant resolution with dense atoms, the dense unit
+grids with the unreduced z grid, and the group average in both forms on
+whole d x d matrices.  Each is the code the fast path replaced, kept here so
+the tests can hold the two against each other."""
 
 import dataclasses
 
@@ -64,6 +64,30 @@ def dyad_grid(blocks: np.ndarray) -> np.ndarray:
     return np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None]
 
 
+def dense_h_generators(n: int, y: np.ndarray) -> list:
+    """The h family as d x d matrices from the whole factor: with Y the
+    factor flattened to rows (m, k) and R_p its copy rolled by p in m,
+    sum_m y_{m+p,m} = R_p^T Y^*, so h_0 = Y^T Y^* and h_p = A + A* for
+    A = R_p^T Y^*, d^3 flops each."""
+    d = n * n
+    bras = y.reshape(d, d).conj()
+    out = [y.reshape(d, d).T @ bras]
+    for p in range(1, n):
+        pair = np.roll(y, -p, axis=0).reshape(d, d).T @ bras
+        out.append(pair + pair.conj().T)
+    return out
+
+
+def dense_z_generators(n: int, y: np.ndarray) -> list:
+    """The z family as d x d matrices from the whole factor,
+    z_c = sum_k |u_c^k><u_c^k| with u_c^k = sum_m w^(cm) y[m, k]: one phase
+    product, then one d x n x d product per c."""
+    d = n * n
+    idx = np.arange(n)
+    u = (unit_roots(n)[np.outer(idx, idx) % n] @ y.reshape(n, n * d)).reshape(n, n, d)
+    return [u[c].T @ u[c].conj() for c in range(n)]
+
+
 def z_grid(n: int, j: int, y: np.ndarray):
     """The z family over a dense grid y of shape (n, n, D, D), unreduced.
 
@@ -84,10 +108,10 @@ def z_grid(n: int, j: int, y: np.ndarray):
 
 
 def dense_embedding(space: OperatorSubspace) -> OperatorSubspace:
-    """The same subspace with every basis element a dense d x d matrix."""
-    if not space.diagonal:
-        return space
-    return dataclasses.replace(space, basis=space.basis[:, :, None] * np.eye(space.ambient_dim))
+    """The same subspace on one block: every basis element a dense d x d
+    matrix."""
+    return dataclasses.replace(space, partition=np.arange(space.ambient_dim)[None],
+                               basis=space.operators().dense()[:, None])
 
 
 def dense_subspace_equal(v: OperatorSubspace, w: OperatorSubspace, tol: float):
@@ -96,11 +120,11 @@ def dense_subspace_equal(v: OperatorSubspace, w: OperatorSubspace, tol: float):
     for a, b in ((v, w), (w, v)):
         if a.dim == 0:
             continue
-        fa = dense_embedding(a).flat()
+        fa = a.operators().dense().reshape(a.dim, -1)
         if b.dim == 0:
             worst = max(worst, float(np.linalg.norm(fa, axis=1).max()))
             continue
-        fb = dense_embedding(b).flat()
+        fb = b.operators().dense().reshape(b.dim, -1)
         proj = (fb.conj() @ fa.T).T @ fb
         worst = max(worst, float(np.linalg.norm(fa - proj, axis=1).max()))
     return v.dim == w.dim and worst <= tol, worst

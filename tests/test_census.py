@@ -16,7 +16,7 @@ from weylgraph.covariant import q_projection
 from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_TOL,
                               _class_span, anticlique_projector, check_knill_laflamme,
                               compressions, graph_orbit, kl_suite_extremes,
-                              proposition1_scan, verify_theorem2)
+                              proposition1_scan)
 from weylgraph.linalg import (DEFAULT_TOL, cluster_eigenpairs, frob,
                               random_hermitian, spectral_projections, unit_roots)
 from weylgraph.weylrep import (ClusterColumns, CycleClusters, GroupAction, element_unitaries,
@@ -125,23 +125,25 @@ def test_census_rounds_match_the_dense_census_when_every_key_collides(n, monkeyp
             assert abs(a.kl_residual - b.kl_residual) <= 1e-9
 
 
-def test_census_stacks_peak_below_theorem2():
-    # theorem 2 sets the peak of verify; the census's stacks, bounded by
-    # _STACK_ENTRIES, must stay under it so that the census does not raise
-    # the peak
+def test_census_stacks_peak_below_the_orbit_graphs():
+    # the n orbit graphs keep n^2 generator diagonals each, 16 n^5 bytes
+    # together, the largest object verify holds; the census's stacks,
+    # bounded by _STACK_ENTRIES, must stay under the peak of building them.
+    # numpy.random, which the census's probe imports on first use, is
+    # loaded beforehand, as verify has it loaded by then
     n = 10
+    np.random.default_rng(0)
     unitaries = element_unitaries(n, *rep_generators(n))
-    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
-    peaks = []
-    for stage in (lambda: proposition1_scan(n, 0, unitaries=unitaries, orbit=orbits[0]),
-                  lambda: verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)):
+    orbits, peaks = [], []
+    for stage in (lambda: orbits.extend(graph_orbit(n, s, unitaries=unitaries) for s in range(n)),
+                  lambda: proposition1_scan(n, 0, unitaries=unitaries, orbit=orbits[0])):
         tracemalloc.start()
         try:
             stage()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] < peaks[1]
+    assert peaks[1] < peaks[0]
 
 
 def _synthetic_orbit(diagonals):

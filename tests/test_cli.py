@@ -147,12 +147,12 @@ def test_scan_rejects_bad_range(capsys):
     ['kl-check', '--n', '64', '--k', '0', '--s', '0'],
 ])
 def test_refuses_modulus_past_physical_memory(argv, capsys, monkeypatch):
-    # 64 MiB + 200 n^5 bytes, above the measured peak of verify, is about
-    # 215 GB at n = 64: refused before anything is built
+    # 64 MiB + 40 n^5 bytes, above the measured peak of verify, is about
+    # 43 GB at n = 64: refused before anything is built
     def build(*_):
         raise AssertionError('builder called')
     monkeypatch.setattr('weylgraph.cli.run_verification', build)
-    monkeypatch.setattr('weylgraph.cli.graph_orbit', build)
+    monkeypatch.setattr('weylgraph.cli.element_unitaries', build)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ''
@@ -182,7 +182,9 @@ def test_verify_is_identical_across_blas_thread_counts(n, child_env, tmp_path):
     # dense products of verify_representation.  The bytes agree through
     # n = 10; at n = 12 the last bits of residuals such as rep_unitary and
     # expectation_forms_agree move, and the verdicts, the exit code and the
-    # graph block stay.  Theorem 1 and idempotence keep their bytes there too
+    # graph block stay.  Theorem 1, idempotence and the span checks of
+    # theorem 2, which work on n^2 x n^2 operators only block by block,
+    # keep their bytes there too
     outputs, codes = [], []
     for threads in ('1', '2'):
         path = tmp_path / f'verify-{threads}.json'
@@ -199,7 +201,8 @@ def test_verify_is_identical_across_blas_thread_counts(n, child_env, tmp_path):
         assert outputs[0] == outputs[1]
     else:
         first, second = ({c['id']: c for c in r['checks']} for r in map(json.loads, outputs))
-        for check in ('theorem1', 'expectation_idempotent'):
+        for check in ('theorem1', 'expectation_idempotent', 'graphs_coincide',
+                      'orbit_equals_z'):
             assert first[check] == second[check]
 
 
@@ -371,19 +374,24 @@ def test_kl_check_holds_one_generator_at_a_time(tmp_path):
 
 
 def test_kl_check_builds_no_class_weights(tmp_path, monkeypatch):
-    # graph_orbit groups the table by permutation only; the class weights
-    # of GroupAction.class_blocks are for the group average
+    # kl-check gathers the orbit diagonals and compresses them: the class
+    # weights of GroupAction.class_blocks are for the group average, and
+    # the span of the orbit is for the span audit
     def refuse(self, blocks):
         raise AssertionError('kl-check built the class weights')
 
+    def no_span(*_):
+        raise AssertionError('kl-check spanned the orbit')
+
     monkeypatch.setattr(GroupAction, 'class_blocks', refuse)
+    monkeypatch.setattr('weylgraph.graphs.span_operators', no_span)
     assert main(['kl-check', '--n', '5', '--k', '2', '--s', '1',
                  '--json', str(tmp_path / 'kl.json')]) == 0
 
 
 @pytest.mark.parametrize('builder, argv', [
     ('rep_generators', ['export', '--n', '4', '--what', 'piS']),
-    ('graph_orbit', ['kl-check', '--n', '4', '--k', '0', '--s', '0']),
+    ('element_unitaries', ['kl-check', '--n', '4', '--k', '0', '--s', '0']),
 ])
 def test_out_of_memory_is_a_usage_error(builder, argv, capsys, monkeypatch):
     # a MemoryError is exit 2 with one stderr line, never a traceback and

@@ -3,6 +3,7 @@ code anticliques, and the span audit."""
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import exact_oracles
 import weylgraph.graphs
 import weylgraph.linalg
-from dense_oracles import (cluster_projector, dense_subspace_equal, dyad_grid,
-                           member_span, rep_element, z_grid)
+from dense_oracles import (cluster_projector, dense_h_generators, dense_subspace_equal,
+                           dense_z_generators, dyad_grid, member_span, rep_element, z_grid)
 from weylgraph.graphs import (
     OperatorGraph,
     _class_span,
@@ -80,7 +81,7 @@ def test_y_units_clock_scaling():
 
 def test_h_family_identity_and_hermitian():
     n = 5
-    h = h_generators(n)
+    h = h_generators(n).dense()
     assert frob(h[0] - np.eye(n * n)) <= 1e-12
     for mat in h:
         assert frob(mat - mat.conj().T) <= 1e-12
@@ -89,7 +90,7 @@ def test_h_family_identity_and_hermitian():
 @pytest.mark.parametrize('n', range(2, 7))
 def test_h_family_index_symmetry(n):
     # h_p and h_(n-p) are the same matrix, which caps the span dimension
-    h = h_generators(n)
+    h = h_generators(n).dense()
     for p in range(1, n):
         assert frob(h[p] - h[(n - p) % n]) <= 1e-11
     assert exact_oracles.h_symmetry_holds(n)
@@ -98,7 +99,7 @@ def test_h_family_index_symmetry(n):
 @pytest.mark.parametrize('n', [4, 5])
 def test_h_family_closed_form(n):
     # h_p = D_p (x) I with D_p the diagonal of 2 cos(2 pi p a / n)
-    h = h_generators(n)
+    h = h_generators(n).dense()
     for p in range(1, n):
         diag = np.diag(2.0 * np.cos(2.0 * np.pi * p * np.arange(n) / n))
         want = tensor_product(diag.astype(complex), np.eye(n, dtype=complex))
@@ -144,7 +145,7 @@ def test_z_grid_collapses_to_reduced():
     # on the entangled-basis y the collapsed grid is the library's z family
     n = 3
     y = dyad_grid(y_units(n))
-    z = z_generators(n)
+    z = z_generators(n).dense()
     for j in range(n):
         grid, reduced = z_grid(n, j, y)
         for q in range(n):
@@ -156,7 +157,7 @@ def test_z_grid_collapses_to_reduced():
 @pytest.mark.parametrize('n', [2, 3, 4, 5])
 def test_z_reduced_is_scaled_block_projection(n):
     # reduced[c] = n Q_(-c mod n); equivalently Q_j = z_red[(-j) mod n] / n
-    reduced = z_generators(n)
+    reduced = z_generators(n).dense()
     for j in range(n):
         assert frob(q_projection(n, j) - reduced[(-j) % n] / n) <= 1e-11
 
@@ -180,7 +181,7 @@ def test_families_match_defining_sums(n):
     for m in range(n):
         for l in range(n):
             assert np.array_equal(y[m, l], blocks[m] @ blocks[l].conj().T)
-    h = h_generators(n, factor)
+    h = h_generators(n, factor).dense()
     assert frob(h[0] - sum(y[m, m] for m in range(n))) <= 1e-12
     for p in range(1, n):
         want = sum(y[(m + p) % n, m] + y[m, (m + p) % n] for m in range(n))
@@ -190,15 +191,17 @@ def test_families_match_defining_sums(n):
 @pytest.mark.parametrize('n', range(2, 9))
 def test_unit_factors_stay_n4_and_expand_to_the_loop_sums(n):
     # the unit grids are kept as their basis vectors, 16 n^4 bytes each, and
-    # the z family as its n reduced generators; expanded, the factors are the
-    # per-pair defining sums
+    # the z family as its n reduced generators, each n blocks of n x n, also
+    # 16 n^4 bytes; expanded, the factors are the per-pair defining sums
     d = n * n
     basis = entangled_basis(n)
     x_factor = fixed_units(n, basis).units
     y_factor = y_units(n, basis)
     assert x_factor.nbytes == y_factor.nbytes == 16 * n ** 4
-    z = z_generators(n, y_factor)
-    assert len(z) == n and all(mat.shape == (d, d) for mat in z)
+    z_blocks = z_generators(n, y_factor)
+    assert z_blocks.blocks.shape == (n, n, n, n)
+    z = z_blocks.dense()
+    assert z.shape == (n, d, d)
     h = basis.vectors  # h[k, j] is h_k^j
     x_grid, y_grid = dyad_grid(x_factor), dyad_grid(y_factor)
     roots = unit_roots(n)
@@ -212,6 +215,74 @@ def test_unit_factors_stay_n4_and_expand_to_the_loop_sums(n):
         want = sum(roots[(c * (m - l)) % n] * y_grid[m, l]
                    for m in range(n) for l in range(n))
         assert frob(z[c] - want) <= 1e-12
+
+
+def perturbed_factors(n: int) -> dict:
+    """The unit factor; copies with a stray ket at m = 0, at m != 0, and at
+    both (each stray ket merges the supports of S_0 and S_(n-1)); and a copy
+    with a dense 1e-6 perturbation (one component)."""
+    d = n * n
+    y = y_units(n)
+    first, other = y.copy(), y.copy()
+    first[0, 0, n] += 1.0
+    other[1, n - 1, d - 1] += 0.5
+    rng = np.random.default_rng(n)
+    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    return {'real': y, 'stray m = 0': first, 'stray m != 0': other,
+            'stray both': first + other - y, 'dense': y + 1e-6 * noise}
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_block_families_are_the_dense_ones(n):
+    # h and z are built block by block on the components of the supports
+    # T_k of the factor; densified, they are the products over the whole
+    # factor, whatever the factor
+    for name, y in perturbed_factors(n).items():
+        h, z = h_generators(n, y), z_generators(n, y)
+        assert np.array_equal(h.partition, z.partition)
+        assert frob(h.dense() - np.array(dense_h_generators(n, y))) <= 1e-12
+        assert frob(z.dense() - np.array(dense_z_generators(n, y))) <= 1e-12
+        sizes = sorted((h.partition >= 0).sum(axis=1).tolist())
+        want = ([n] * n if name == 'real' else [n * n] if name == 'dense' or n == 2
+                else [n] * (n - 2) + [2 * n])
+        assert sizes == want
+    # on the real factor the blocks are S_k = {(a, a + k)}
+    idx = np.arange(n)
+    s_k = np.sort(idx * n + (idx[:, None] + idx) % n, axis=1)
+    assert np.array_equal(h_generators(n).partition, s_k)
+
+
+@pytest.mark.parametrize('m, k, index', [(0, 0, 'n'), (1, -1, 'last')])
+def test_a_stray_ket_fails_orbit_equals_z(m, k, index):
+    # a 1e-6 entry of the factor outside the support of y[m, k] merges two
+    # blocks of z and puts mass off the diagonal, outside the orbit span
+    n = 4
+    y = y_units(n)
+    y[m, k % n, n if index == 'n' else n * n - 1] += 1e-6
+    checks, audit, _ = verify_theorem2(n, y=y)
+    by_id = {c.check_id: c for c in checks}
+    assert not by_id['orbit_equals_z'].passed
+    assert by_id['orbit_equals_z'].max_residual >= 1e-7
+    assert not audit.orbit_equals_z
+
+
+def test_theorem2_holds_no_dense_stack():
+    # a dense stack of n generators of size n^2 x n^2 is 16 n^5 bytes; the
+    # span audit keeps its operators on the n blocks S_k, n^4 entries each
+    n = 12
+    basis = entangled_basis(n)
+    unitaries = element_unitaries(n, *rep_generators(n))
+    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+    y = y_units(n, basis)
+    tracemalloc.start()
+    try:
+        checks = verify_theorem2(n, basis=basis, unitaries=unitaries,
+                                 orbit_graphs=orbits, y=y)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < 16 * n ** 5
 
 
 # -- the conjugation orbit ---------------------------------------------------
@@ -297,7 +368,7 @@ def test_orbit_dimensions():
 def test_orbit_adjoint_closed():
     n = 4
     space = graph_orbit(n, 2).space
-    for mat in space.basis:
+    for mat in space.operators().dense():
         assert space.residual(mat.conj().T) <= 1e-10
 
 
@@ -642,7 +713,7 @@ def test_theorem2_gram_spectra_are_the_dense_ones(n):
     orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
     found = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)[2]
     assert len(found) == (n > 2)
-    flat_h = np.array([h.reshape(-1) for h in h_generators(n)])
+    flat_h = np.array([h.reshape(-1) for h in dense_h_generators(n, y_units(n))])
     flat_orbit = np.array([v for _, v in orbits[0].provenance])
     spectra = {'h': span_operators(h_generators(n)).gram_spectrum,
                'orbit': orbits[0].space.gram_spectrum}
@@ -675,15 +746,14 @@ def test_span_audit_matches_the_dense_embedding(n):
 
 def test_off_diagonal_z_entry_fails_orbit_equals_z(monkeypatch):
     # the orbit span is diagonal; a z generator with a 1e-6 entry off the
-    # diagonal must leave the span, which the comparison sees only through
-    # the off-diagonal mass it measures
+    # diagonal of a block must leave the span, which the comparison sees
+    # only once the orbit is lifted onto the z blocks
     n = 3
     built = z_generators
 
     def tampered(n_, y=None):
         reduced = built(n_, y)
-        reduced[1] = reduced[1].copy()
-        reduced[1][0, 1] += 1e-6
+        reduced.blocks[1, 0, 0, 1] += 1e-6
         return reduced
 
     monkeypatch.setattr(weylgraph.graphs, 'z_generators', tampered)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import exact_oracles
 from dense_oracles import dense_embedding, dense_subspace_equal
 from weylgraph.linalg import (
+    BlockOperators,
     DegenerateClusteringError,
     cluster_eigenpairs,
     cluster_eigenvalues,
@@ -243,6 +244,11 @@ def test_span_zero_generators():
     with pytest.warns(UserWarning):
         space = span_operators([np.zeros((2, 2), dtype=complex)])
     assert space.dim == 0
+    # against a space on other blocks, each unit basis element of the other
+    # side is its own residual
+    cmp = subspace_equal(space, span_operators([np.array([1.0, 0.0])]))
+    assert not cmp.equal and cmp.max_residual == pytest.approx(1.0)
+    assert subspace_equal(space, space) == (True, 0.0)
 
 
 def test_span_of_diagonals_matches_the_dense_span():
@@ -255,7 +261,8 @@ def test_span_of_diagonals_matches_the_dense_span():
     dense = span_operators([np.diag(v) for v in diagonals])
     assert space.dim == dense.dim == 3
     assert subspace_equal(space, dense).max_residual <= 1e-12
-    assert frob(space.flat().conj() @ space.flat().T - np.eye(3)) <= 1e-12
+    flat = space.basis.reshape(space.dim, -1)
+    assert frob(flat.conj() @ flat.T - np.eye(3)) <= 1e-12
     with pytest.raises(ValueError):
         span_operators([np.array([1.0, np.nan])])
     with pytest.raises(ValueError):
@@ -264,7 +271,9 @@ def test_span_of_diagonals_matches_the_dense_span():
 
 def test_diagonal_span_keeps_its_rows():
     space = span_operators([np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 2.0])])
-    assert space.diagonal and space.basis.shape == (2, 3)
+    # a diagonal is the partition into singletons, with 1 x 1 blocks
+    assert space.partition.tolist() == [[0], [1], [2]]
+    assert space.basis.shape == (2, 3, 1, 1)
     dense = dense_embedding(space)
     off = np.zeros((3, 3), dtype=complex)
     off[0, 1] = 1e-6
@@ -304,9 +313,83 @@ def test_mixed_subspace_equal_matches_the_dense_embedding(spaces):
         assert abs(got.max_residual - want[1]) <= 1e-12
 
 
+def block_stack(rng, d, k, sizes):
+    """k random operators, block diagonal on a random partition of range(d)
+    into parts of the given sizes, padded to the largest."""
+    order = rng.permutation(d)
+    parts = np.split(order, np.cumsum(sizes)[:-1])
+    parts.sort(key=min)
+    partition = np.full((len(parts), max(sizes)), -1)
+    for c, part in enumerate(parts):
+        partition[c, :len(part)] = np.sort(part)
+    shape = (k, len(parts), max(sizes), max(sizes))
+    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pad = partition < 0
+    blocks[:, pad] = 0.0
+    blocks.swapaxes(-1, -2)[:, pad] = 0.0
+    return BlockOperators(partition, blocks)
+
+
+def test_block_operators_densify_with_padding():
+    ops = BlockOperators(np.array([[0, 2, 3], [1, -1, -1]]),
+                         np.arange(18, dtype=complex).reshape(1, 2, 3, 3))
+    ops.blocks[0, 1, 1:] = ops.blocks[0, 1, :, 1:] = 0.0
+    assert ops.ambient_dim == 4
+    want = np.zeros((4, 4), dtype=complex)
+    want[np.ix_([0, 2, 3], [0, 2, 3])] = np.arange(9).reshape(3, 3)
+    want[1, 1] = 9.0
+    assert np.array_equal(ops.dense()[0], want)
+
+
+@st.composite
+def block_spaces(draw):
+    """Three subspaces of C^(d x d): one on a random partition, one on the
+    same partition, on singletons, on an unrelated partition or on one
+    block, and the span of both generator sets, the second scaled by a
+    drawn factor, as dense matrices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(2, 12))
+    cuts = sorted(set(draw(st.lists(st.integers(1, d - 1), max_size=4))))
+    sizes = np.diff([0, *cuts, d]).tolist()
+    first = block_stack(rng, d, draw(st.integers(1, 4)), sizes)
+    kind = draw(st.sampled_from(['same', 'singletons', 'unrelated', 'dense']))
+    if kind == 'same':  # diagonal operators kept on the blocks of first
+        rows = first.partition
+        second = BlockOperators(rows, np.zeros((3, *first.blocks.shape[1:]), dtype=complex))
+        idx = np.arange(rows.shape[1])
+        second.blocks[:, :, idx, idx] = rng.standard_normal((3, *rows.shape)) * (rows >= 0)
+    elif kind == 'singletons':
+        second = block_stack(rng, d, 3, [1] * d)
+    elif kind == 'unrelated':
+        second = block_stack(rng, d, 3, sizes[::-1])
+    else:
+        second = block_stack(rng, d, 3, [d])
+    share = draw(st.sampled_from([0.0, 1e-13, 1e-6, 1.0]))
+    mixed = BlockOperators(second.partition, second.blocks * share)
+    gens = np.concatenate((first.dense(), mixed.dense()))
+    return span_operators(first), span_operators(second), span_operators(list(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_spaces())
+def test_block_subspace_equal_matches_the_dense_embedding(spaces):
+    # spaces on different partitions compare on the coarser one, or on one
+    # block when neither refines the other; the dense oracle compares the
+    # d x d matrices
+    for v in spaces:
+        for w in spaces:
+            got = subspace_equal(v, w)
+            want = dense_subspace_equal(v, w, 1e-10)
+            assert got.equal == want[0]
+            assert abs(got.max_residual - want[1]) <= 1e-12
+    x = spaces[1].operators().dense()[0] + spaces[0].operators().dense()[-1]
+    assert abs(spaces[0].residual(x) - dense_embedding(spaces[0]).residual(x)) <= 1e-12
+
+
 def test_span_idempotent():
     space = span_operators([X, Z, X + Z])
-    again = span_operators(list(space.basis))
+    assert space.partition.tolist() == [[0, 1]]  # a dense matrix is one block
+    again = span_operators(list(space.operators().dense()))
     cmp = subspace_equal(space, again)
     assert cmp.equal
     assert cmp.max_residual <= 1e-12
