@@ -111,53 +111,45 @@ def z_generators(n: int, y: np.ndarray | None = None) -> BlockOperators:
 class OperatorGraph:
     """Conjugation orbit of a base projection, orthonormalized, with provenance.
 
-    The span is taken from the class rows, the generator diagonal of the
-    first element of each permutation class of the table: elements of one
-    class conjugate a diagonal to the same diagonal, up to the roundoff of
-    |phase|^2.  spread, the largest Frobenius distance from a generator's
-    diagonal to its class row, is measured, and every residual that stands
-    for the generators rather than the rows adds it."""
+    The span is taken from the class rows, one per permutation class of the
+    table: u diag(v) u* is diag(v[perm]) for a monomial u, so the elements
+    of one class conjugate a diagonal to the same diagonal."""
     n: int
     s: int
     space: OperatorSubspace
     provenance: list  # [((p, q), diagonal of u Q_s u*)] in lexicographic order
     rows: np.ndarray  # (classes, d): the class rows, in the order of GroupAction.grouping
-    spread: float
 
 
-def _class_span(diagonals: np.ndarray, label: np.ndarray, tol: float = DEFAULT_TOL):
-    """(space, rows, spread) for generator diagonals (one row per element)
-    grouped by label: rows[k] is the diagonal of the first element of class
-    k, and spread the largest distance from a diagonal to its class row.
-    The span is that of the rows, each weighted by the square root of its
-    class size m, so that its Gram diag(sqrt m) G diag(sqrt m) has the
-    nonzero spectrum of the Gram of all the diagonals; the space keeps that
-    spectrum padded with one zero per further element, as the Gram of all
-    of them would have it when the spread is 0."""
-    first = np.unique(label, return_index=True)[1]
-    rows = diagonals[first]
-    spread = float(np.linalg.norm(diagonals - rows[label], axis=1).max())
+def _class_span(rows: np.ndarray, label: np.ndarray, tol: float = DEFAULT_TOL):
+    """The span of the diagonals of the elements grouped by label, whose
+    class k shares the diagonal rows[k]: that of the rows, each weighted by
+    the square root of its class size m, so that its Gram
+    diag(sqrt m) G diag(sqrt m) has the nonzero spectrum of the Gram of all
+    the diagonals; the space keeps that spectrum padded with one zero per
+    further element, as the Gram of all of them has it."""
     space = span_operators(np.sqrt(np.bincount(label))[:, None] * rows, tol)
     spectrum = np.sort(np.concatenate((space.gram_spectrum, np.zeros(len(label) - len(rows)))))
-    return replace(space, gram_spectrum=spectrum), rows, spread
+    return replace(space, gram_spectrum=spectrum)
 
 
 def graph_orbit(n: int, s: int, tol: float = DEFAULT_TOL,
                 unitaries: GroupAction | None = None) -> OperatorGraph:
     """Span of u Q_s u* over the n^2 group unitaries, taken from the diagonals
-    of the generators (diagonal for monomial u), one class row per
-    permutation class (GroupAction.grouping); the basis is kept as n
-    orthonormal diagonals."""
+    of the generators (diagonal for monomial u), one class row v[pi_k] per
+    permutation class pi_k (GroupAction.grouping), v the diagonal of Q_s;
+    the basis is kept as n orthonormal diagonals."""
     if not 0 <= s < n:
         raise ValueError("s out of range")
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
-    diagonals = unitaries.orbit_diagonals(np.diagonal(q_projection(n, s)))
+    v = np.diagonal(q_projection(n, s))
+    diagonals = unitaries.orbit_diagonals(v)
     provenance = [((p, q), diagonals[p, q])
                   for p in range(n) for q in range(n)]
-    space, rows, spread = _class_span(diagonals.reshape(n * n, -1),
-                                      unitaries.grouping[1], tol)
-    return OperatorGraph(n, s, space, provenance, rows, spread)
+    perms, label = unitaries.grouping
+    rows = v[perms]
+    return OperatorGraph(n, s, _class_span(rows, label, tol), provenance, rows)
 
 
 def anticlique_projector(n: int, k: int, basis: EntangledBasis | None = None) -> np.ndarray:
@@ -267,23 +259,19 @@ def kl_suite_extremes(n: int, basis: EntangledBasis, orbits, label: np.ndarray):
     n k .. n k + n - 1 of basis.flat().  Every orbit's class rows are
     compressed by every code in one call (compressions).  B_k* X B_k -
     lambda I is traceless, so its distance to I/n is
-    sqrt(residual^2 + n |lambda - 1/n|^2); every generator is within its
-    orbit's spread of its class row, and compressing by an isometry does
-    not increase the Frobenius norm, so both extremes add the spread.
-    label[e] is the class of the element (p, q) = divmod(e, n), as in
-    GroupAction.grouping.  Returns (worst, lam_worst, (k, s, p, q)), the
-    last naming the first strict maximum in (k, s, class) order by the
-    first member of its class, whose diagonal is the class row."""
+    sqrt(residual^2 + n |lambda - 1/n|^2).  label[e] is the class of the
+    element (p, q) = divmod(e, n), as in GroupAction.grouping.  Returns
+    (worst, lam_worst, (k, s, p, q)), the last naming the first strict
+    maximum in (k, s, class) order by the first member of its class."""
     counts = [len(g.rows) for g in orbits]
-    spread = np.repeat([g.spread for g in orbits], counts)[:, None]
     residual, lam = compressions(ClusterColumns.of(basis.flat()), n * np.arange(n + 1),
                                  np.concatenate([g.rows for g in orbits]))
     off = np.abs(lam - 1.0 / n)
-    dist = (np.sqrt(residual ** 2 + n * off ** 2) + spread).T
+    dist = np.sqrt(residual ** 2 + n * off ** 2).T
     k, i = divmod(int(np.argmax(dist)), dist.shape[1])
     s = int(np.searchsorted(np.cumsum(counts), i, side='right'))
     member = int(np.flatnonzero(label == i - sum(counts[:s]))[0])
-    return float(dist[k, i]), float((off + spread).max()), (k, s, *divmod(member, n))
+    return float(dist[k, i]), float(off.max()), (k, s, *divmod(member, n))
 
 
 def kl_corollary_check(n: int, tol: float, basis: EntangledBasis, orbits,
@@ -477,13 +465,11 @@ class _Census:
 
     def _record(self, clusters, new: list, lo: int) -> None:
         """Keep the columns of the first sightings new and test each for
-        Knill-Laflamme against the orbit: every generator is within the
-        orbit's spread of its class row, and compressing by an isometry and
-        removing the trace do not increase the Frobenius norm, so the
-        largest residual over the class rows plus the spread bounds the
-        residual of every generator."""
+        Knill-Laflamme against the orbit: every generator's diagonal is its
+        class row, so the largest residual over the class rows is that of
+        every generator."""
         columns, tops = clusters.select(new)
-        worst = compressions(columns, tops, self.orbit.rows)[0].max(axis=0) + self.orbit.spread
+        worst = compressions(columns, tops, self.orbit.rows)[0].max(axis=0)
         bounds = np.append(columns.starts, len(columns.rows))[tops].tolist()
         owner = (np.searchsorted(clusters.first, new, side='right') - 1).tolist()
         for j, c in enumerate(new):
@@ -523,7 +509,7 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     elements and is usually empty, since only a unitary proportional to the
     identity admits the identity as a cluster projection.  A projection's
     Knill-Laflamme residual is taken at its first sighting, against the
-    orbit's class rows plus its spread (_Census._record, by compressions).
+    orbit's class rows (_Census._record, by compressions).
     """
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
@@ -548,11 +534,10 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
     ground truth; the h-family comparison is recorded as data, and any
     dimension mismatch becomes a structured discrepancy entry instead of a
     failure, with the Gram spectra that span_operators diagonalised (for
-    the orbit, the n^2-member spectrum that _class_span keeps).  An orbit's
-    span is that of its class rows, so every comparison adds the spread of
-    each orbit in it to the subspace residual.  The h and z families are
-    spanned on the blocks of the factor y (h_generators), and the diagonal
-    orbit is compared with them lifted onto those blocks (subspace_equal).
+    the orbit, the n^2-member spectrum that _class_span keeps).  The h and
+    z families are spanned on the blocks of the factor y (h_generators),
+    and the diagonal orbit is compared with them lifted onto those blocks
+    (subspace_equal).
     """
     basis = basis if basis is not None else entangled_basis(n)
     if unitaries is None:
@@ -562,31 +547,26 @@ def verify_theorem2(n: int, tol: float = DEFAULT_TOL,
     if y is None:
         y = y_units(n, basis)
 
-    # residuals in a fixed order, so the first strict maximum is named; each
-    # orbit's spread counts, since its span is that of its class rows
+    # residuals in a fixed order, so the first strict maximum is named
     pair_equal = True
     coincide_worst, where = 0.0, (0, 1)
     for s1 in range(n):
         for s2 in range(s1 + 1, n):
-            g1, g2 = orbit_graphs[s1], orbit_graphs[s2]
-            cmp_ = subspace_equal(g1.space, g2.space, tol)
-            residual = cmp_.max_residual + g1.spread + g2.spread
-            if residual > coincide_worst:
-                coincide_worst, where = residual, (s1, s2)
-            pair_equal = pair_equal and cmp_.equal and residual <= tol
+            cmp_ = subspace_equal(orbit_graphs[s1].space, orbit_graphs[s2].space, tol)
+            if cmp_.max_residual > coincide_worst:
+                coincide_worst, where = cmp_.max_residual, (s1, s2)
+            pair_equal = pair_equal and cmp_.equal
     checks = [CheckResult('graphs_coincide', pair_equal, coincide_worst,
                           details=f'orbit graphs pairwise; worst at '
                                   f'(s1, s2) = ({where[0]}, {where[1]})')]
 
     z_space = span_operators(z_generators(n, y), tol)
     h_space = span_operators(h_generators(n, y), tol)
-    orbit_space, spread = orbit_graphs[0].space, orbit_graphs[0].spread
+    orbit_space = orbit_graphs[0].space
     cmp_z = subspace_equal(orbit_space, z_space, tol)
     cmp_h = subspace_equal(orbit_space, h_space, tol)
-    z_residual = cmp_z.max_residual + spread
-    z_equal = cmp_z.equal and z_residual <= tol
-    h_equal = cmp_h.equal and cmp_h.max_residual + spread <= tol
-    checks.append(CheckResult('orbit_equals_z', z_equal, z_residual))
+    z_equal, h_equal = cmp_z.equal, cmp_h.equal
+    checks.append(CheckResult('orbit_equals_z', z_equal, cmp_z.max_residual))
 
     audit = GraphAudit(orbit_space.dim, z_space.dim, h_space.dim, z_equal, h_equal)
     discrepancies = []

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .covariant import (covariant_resolution, expectation_avg, expectation_trace,
@@ -28,7 +26,6 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
         raise ValueError("n must be >= 2")
     if not 0 < tol < 1:  # at tol >= 1 span_operators keeps no direction
         raise ValueError("tol must be positive and finite, and below 1")
-    start = time.perf_counter()
     d = n * n
     basis = entangled_basis(n)
     pi_s, pi_m = rep_generators(n, basis=basis)
@@ -88,6 +85,4 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
         n, tol, basis=basis, unitaries=unitaries, orbit_graphs=orbit_graphs, y=y)
     checks.extend(t2_checks)
 
-    elapsed = int(round((time.perf_counter() - start) * 1000))
-    return VerificationReport(n, tol, checks, audit, discrepancies,
-                              timing_ms=elapsed)
+    return VerificationReport(n, tol, checks, audit, discrepancies)

@@ -39,7 +39,6 @@ class VerificationReport:
     checks: list = field(default_factory=list)
     graph: GraphAudit | None = None
     discrepancies: list = field(default_factory=list)
-    timing_ms: int = 0
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)

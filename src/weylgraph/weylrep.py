@@ -226,10 +226,11 @@ class CycleClusters:
         cell = (offset - skipped * width)[pair] + (np.cumsum(mark) - 1) * width[pair]
         cell = cell[:, None] + slots[at]
         prod = np.concatenate([b.entries for b in columns]).conj()[:, None] * values[at]
+        del pair, mark, at  # the entry-sized indices go before the sums are made
         # real and imaginary parts side by side, summed in one bincount
         sums = np.bincount((2 * cell[:, :, None] + (0, 1)).ravel(),
                            prod.view(np.float64).ravel(), 2 * int(cells.sum()))
-        return np.add.reduceat(sums ** 2, 2 * offset)
+        return np.add.reduceat(np.square(sums, out=sums), 2 * offset)
 
     @cached_property
     def _by_row(self):
@@ -284,15 +285,24 @@ class CycleClusters:
 
 @dataclass(frozen=True)
 class GroupAction:
-    """The n^2 unitaries piS^p piM^q as a monomial table.
+    """The n^2 unitaries piS^p piM^q as a monomial table of integers.
 
-    Row i of piS^p piM^q holds phase[p, q, i] in column perm[p, q, i] and is
-    zero elsewhere, so conjugating by a group element is an index gather.
+    Row i of piS^p piM^q holds exp(2 pi i expo[p, q, i] / order) in column
+    perm[p, q, i] and is zero elsewhere, so conjugating by a group element
+    is an index gather, and every phase is an order-th root of unity.
     """
-    perm: np.ndarray   # shape (n, n, d), int
-    phase: np.ndarray  # shape (n, n, d), complex
+    perm: np.ndarray  # shape (n, n, d), int
+    expo: np.ndarray  # shape (n, n, d), int
+    order: int
     _class_blocks: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """The phases exp(2 pi i expo / order), shape (n, n, d), evaluated
+        once per table: change a table by dataclasses.replace, not in
+        place."""
+        return _root(self.expo, self.order)
 
     @cached_property
     def grouping(self):
@@ -364,8 +374,9 @@ class GroupAction:
 
     def orbit_diagonals(self, v: np.ndarray) -> np.ndarray:
         """Diagonals of u diag(v) u* for every u = piS^p piM^q, shape (n, n, d):
-        u is monomial, so entry i is |phase[i]|^2 v[perm[i]], one gather."""
-        return (self.phase * self.phase.conj()).real * np.asarray(v)[self.perm]
+        u is monomial with phases of modulus 1, so entry i is v[perm[i]],
+        one gather."""
+        return np.asarray(v)[self.perm]
 
     def cycle_entries(self) -> np.ndarray:
         """The eigenvector entries that eigenpairs holds for each element, in
@@ -384,36 +395,37 @@ class GroupAction:
         u[np.arange(d), self.perm[p, q]] = self.phase[p, q]
         return u
 
-    def _rows(self, p, q):
-        """perm and phase of the elements (p, q), broadcast and raveled, one
-        row per element."""
+    def _rows(self, p, q, table: np.ndarray):
+        """perm and the rows of table (expo or phase) of the elements (p, q),
+        broadcast and raveled, one row per element."""
         d = self.perm.shape[-1]
-        return self.perm[p, q].reshape(-1, d), self.phase[p, q].reshape(-1, d)
+        return self.perm[p, q].reshape(-1, d), table[p, q].reshape(-1, d)
 
-    def eigenpairs(self, p, q, tol: float = DEFAULT_TOL) -> list:
+    def eigenpairs(self, p, q) -> list:
         """Eigenpairs of piS^p piM^q, one CycleBlock per cycle length L.
 
-        With (u v)[i] = phase[i] v[perm[i]], a cycle i_0 -> perm[i_0] -> ...
-        of length L and phase product Phi contributes the L roots of
-        lambda^L = Phi, each with an eigenvector on the cycle given by
-        v[i_0] = 1/sqrt(L) and v[i_(m+1)] = lambda v[i_m] / phase[i_m].
+        With (u v)[i] = w^expo[i] v[perm[i]], w = exp(2 pi i / N) for N =
+        order, a cycle i_0 -> perm[i_0] -> ... of length L, with exponent
+        prefix sums C_m = expo[i_0] + ... + expo[i_(m-1)] and total E = C_L,
+        contributes the L roots lambda_j = exp(2 pi i (E + N j) / (N L)) of
+        lambda^L = w^E, each with the eigenvector on the cycle
+        v[i_m] = lambda_j^m w^(-C_m) / sqrt(L) = exp(2 pi i t / (N L)) / sqrt(L)
+        for the integer t = m (E + N j) - L C_m: every entry is evaluated
+        from its exact exponent, so it has modulus 1/sqrt(L).
         p and q may be index arrays: the elements (p, q), broadcast and
         raveled, are stacked, and their cycles found together.  The cycles
         come from pointer doubling and every cycle of one length is walked at
         once, so no step loops over cycles.  verify takes every spectrum from
         here; Schur (spectral_projections) is the tests' oracle.  ValueError if
-        a perm is not a permutation or a u is not unitary within tol, in O(d).
+        a perm is not a permutation.
         """
-        perm, phase = self._rows(p, q)
+        perm, expo = self._rows(p, q, self.expo)
         count, d = perm.shape
         if not (np.sort(perm, axis=1) == np.arange(d)).all():
             raise ValueError("perm is not a permutation of range(d)")
-        # u* u = diag(|phase|^2)
-        if (np.linalg.norm(np.abs(phase) ** 2 - 1.0, axis=1) > tol * d).any():
-            raise ValueError("input is not unitary within tolerance")
         # one permutation of range(count d): element e acts on e d .. e d + d - 1
         flat = (perm + d * np.arange(count)[:, None]).ravel()
-        phase = phase.ravel()
+        expo = expo.ravel() % self.order
         low = _least_on_cycles(flat, d)
         starts = np.flatnonzero(low == np.arange(flat.size))
         sizes = np.bincount(low)[starts]
@@ -425,16 +437,15 @@ class GroupAction:
                 positions = np.concatenate((positions, jump[positions]), axis=1)
                 jump = jump[jump]
             positions = positions[:, :size]
-            steps = phase[positions]
-            # row m holds v[i_m] = lambda^m / (phase[i_0] ... phase[i_(m-1)])
-            walk = np.cumprod(steps, axis=1)
-            total = walk[:, -1:]
-            lam = np.abs(total) ** (1.0 / size) * np.exp(
-                1j * (np.angle(total) + 2.0 * np.pi * np.arange(size)) / size)
-            walk = np.sqrt(size) * walk / steps
-            vectors = lam[:, None, :] ** np.arange(size)[:, None] / walk[:, :, None]
+            steps = expo[positions]
+            prefix = np.cumsum(steps, axis=1) - steps
+            # roots[c, j] = E + N j, the exponent of lambda_j over N L
+            roots = (prefix[:, -1] + steps[:, -1])[:, None] + self.order * np.arange(size)
+            exponents = np.arange(size)[:, None] * roots[:, None, :] - size * prefix[:, :, None]
+            vectors = _root(exponents, self.order * size) / np.sqrt(size)
             owner = positions[:, 0] // d
-            blocks.append(CycleBlock(positions - d * owner[:, None], lam, vectors, owner))
+            blocks.append(CycleBlock(positions - d * owner[:, None],
+                                     _root(roots, self.order * size), vectors, owner))
         return blocks
 
     def clusters(self, p, q, tol: float = DEFAULT_TOL) -> CycleClusters:
@@ -452,9 +463,9 @@ class GroupAction:
         ||V Lambda V* - u||_F <= ||R|| sqrt(1 + ||E||) + ||u||_2 ||E||.
         ValueError if that bound exceeds 100 tol d for an element.
         """
-        perm, phase = self._rows(p, q)
+        perm, phase = self._rows(p, q, self.phase)
         count, d = perm.shape
-        blocks = self.eigenpairs(p, q, tol)
+        blocks = self.eigenpairs(p, q)
         covered = np.concatenate([(b.positions + d * b.owner[:, None]).ravel() for b in blocks])
         walks = np.array_equal(np.sort(covered), np.arange(count * d)) and all(
             np.array_equal(perm[b.owner[:, None], b.positions],
@@ -488,7 +499,7 @@ class GroupAction:
 
     @property
     def nbytes(self) -> int:
-        return self.perm.nbytes + self.phase.nbytes
+        return self.perm.nbytes + self.expo.nbytes
 
 
 def _least_on_cycles(flat: np.ndarray, d: int) -> np.ndarray:
@@ -508,31 +519,35 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(int(size.sum()))
 
 
+def _root(exponent, order: int) -> np.ndarray:
+    """exp(2 pi i exponent / order), the exponent reduced mod order first."""
+    return np.exp(2j * np.pi * (exponent % order) / order)
+
+
 def _powers(n: int, u: np.ndarray):
-    """Monomial tables (perm, angle) of u^0 .. u^(n-1), read off the largest
-    entry in each row of u: row i of u^k holds exp(1j angle[k, i]) in column
-    perm[k, i].  Angles add where phases would multiply, so a phase built
-    from them is unimodular to roundoff at every power."""
-    rows = np.arange(u.shape[0])
+    """Monomial tables (perm, expo) of u^0 .. u^(n-1) for a generator u
+    whose phases are n-th roots of unity: row i of u holds
+    exp(2 pi i expo[i] / n) in column perm[i], read off its largest entry
+    as the angle there in steps of 2 pi / n, rounded.  Row i of A u is the
+    phase of A at i times row perm_A[i] of u, so the permutations compose
+    and the exponents add mod n."""
     perm = np.argmax(np.abs(u), axis=1)
-    angle = np.angle(u[rows, perm])
-    perms, angles = [rows], [np.zeros(rows.size)]
+    expo = np.rint(np.angle(u[np.arange(len(u)), perm]) * n / (2 * np.pi)).astype(np.intp)
+    perms = [np.arange(len(u))]
     for _ in range(n - 1):
-        # row i of A u is phase_A[i] times row perm_A[i] of u
-        angles.append(angles[-1] + angle[perms[-1]])
         perms.append(perm[perms[-1]])
-    return np.array(perms), np.array(angles)
+    steps = expo[np.array(perms)]
+    return np.array(perms), (np.cumsum(steps, axis=0) - steps) % n
 
 
 def element_unitaries(n: int, pi_s: np.ndarray, pi_m: np.ndarray) -> GroupAction:
-    """All n^2 products piS^p piM^q, indexed [p, q], via cumulative powers;
+    """All n^2 products piS^p piM^q, indexed [p, q], composed as integers:
     ValueError if the monomial table misses a generator by more than
-    DEFAULT_TOL, as it does for an entry that is not unimodular."""
-    s_perm, s_angle = _powers(n, pi_s)
-    m_perm, m_angle = _powers(n, pi_m)
+    DEFAULT_TOL, as it does for an entry that is not an n-th root of unity."""
+    s_perm, s_expo = _powers(n, pi_s)
+    m_perm, m_expo = _powers(n, pi_m)
     q, rows = np.arange(n)[None, :, None], s_perm[:, None, :]
-    action = GroupAction(m_perm[q, rows],
-                         np.exp(1j * (s_angle[:, None, :] + m_angle[q, rows])))
+    action = GroupAction(m_perm[q, rows], (s_expo[:, None, :] + m_expo[q, rows]) % n, n)
     if max(frob(action.dense(1, 0) - pi_s), frob(action.dense(0, 1) - pi_m)) > DEFAULT_TOL:
         raise ValueError("generator is not a monomial unitary within tolerance")
     return action

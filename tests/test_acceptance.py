@@ -142,8 +142,8 @@ def test_criterion_04_resolution(capsys):
 def test_criterion_05_code_compression(capsys):
     # P_k (u Q_s u*) P_k = (1/n) P_k over every (k, s, g) for n=2..10, with
     # both the Frobenius residual and |lambda - 1/n| within 1e-10; < 60 s.
-    # The compression reads generator diagonals, grouped into class rows and
-    # their spread by permutation class as graph_orbit groups them; the
+    # The compression reads the diagonals of the dense conjugated matrices,
+    # each a class of its own, so that every one is compressed; the
     # measured off-diagonal mass of the conjugated matrices is added, since
     # ||P X_off P|| <= ||X_off||, so the residual bounds the full P_k X P_k one
     t0 = time.perf_counter()
@@ -152,17 +152,17 @@ def test_criterion_05_code_compression(capsys):
     for n in range(2, 11):
         unitaries = element_unitaries(n, *rep_generators(n))
         dense = [unitaries.dense(p, q) for p in range(n) for q in range(n)]
-        label = unitaries.grouping[1]
+        every = np.arange(n * n)
         orbits = []
         off_diagonal = 0.0
         for s in range(n):
             base = q_projection(n, s)
             mats = [u @ base @ u.conj().T for u in dense]
-            space, rows, spread = _class_span(np.array([np.diagonal(x) for x in mats]), label)
-            orbits.append(OperatorGraph(n, s, space, [], rows, spread))
+            diagonals = np.array([np.diagonal(x) for x in mats])
+            orbits.append(OperatorGraph(n, s, _class_span(diagonals, every), [], diagonals))
             off_diagonal = max(off_diagonal,
                                max(frob(x - np.diag(np.diagonal(x))) for x in mats))
-        worst, lam, _ = kl_suite_extremes(n, entangled_basis(n), orbits, label)
+        worst, lam, _ = kl_suite_extremes(n, entangled_basis(n), orbits, every)
         res_worst = max(res_worst, worst + off_diagonal)
         lam_worst = max(lam_worst, lam)
     dt = time.perf_counter() - t0

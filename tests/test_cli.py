@@ -226,6 +226,24 @@ def test_the_commands_load_no_scipy(child_env):
     assert proc.stdout.strip() == '[0, 0, 0, 0] [] False'
 
 
+def test_the_commands_run_without_scipy(child_env):
+    # scipy is a test dependency only: with every import of it refused, as
+    # on an install without the test extra, the commands still succeed
+    script = (
+        'import contextlib, io, sys\n'
+        'sys.modules["scipy"] = None\n'
+        'from weylgraph.cli import main\n'
+        'with contextlib.redirect_stdout(io.StringIO()):\n'
+        '    codes = [main(["verify", "--n", "6"]),\n'
+        '             main(["kl-check", "--n", "6", "--k", "1", "--s", "2"]),\n'
+        '             main(["export", "--n", "5", "--what", "piS"])]\n'
+        'print(codes)\n')
+    proc = subprocess.run([sys.executable, '-c', script],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == '[0, 0, 0]'
+
+
 # -- export --------------------------------------------------------------------
 
 def test_export_shift_literal(capsys):

@@ -174,7 +174,8 @@ def test_real_table_has_n_permutation_classes(n):
 
 @st.composite
 def monomial_tables(draw):
-    """(n, n, d) monomial tables with unimodular generic phases; with shared,
+    """(n, n, d) monomial tables with integer exponents of a random order,
+    up to 10^6, so the phases are generic roots of unity; with shared,
     fewer permutations than elements, so some class holds several elements
     with different phases; otherwise every permutation is distinct."""
     n, d, shared = draw(st.integers(2, 3)), draw(st.integers(4, 7)), draw(st.booleans())
@@ -187,8 +188,9 @@ def monomial_tables(draw):
     pool = list(pool.values())
     pick = rng.integers(0, count, n * n) if shared else np.arange(n * n)
     perm = np.array([pool[k] for k in pick]).reshape(n, n, d)
-    phase = np.exp(2j * np.pi * rng.random((n, n, d)))
-    return GroupAction(perm, phase), len(set(pick.tolist())), rng
+    order = draw(st.integers(1, 10 ** 6))
+    table = GroupAction(perm, rng.integers(0, order, (n, n, d)), order)
+    return table, len(set(pick.tolist())), rng
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,8 +222,9 @@ def test_average_by_class_matches_dense_sum(case):
 @settings(max_examples=100, deadline=None)
 @given(monomial_tables())
 def test_class_rows_span_the_orbit_of_a_generic_table(case):
-    # the byte-string grouping is np.unique(axis=0)'s, and the span of one
-    # row per class is that of all the conjugated diagonals.  The diagonal
+    # the byte-string grouping is np.unique(axis=0)'s, the members of a
+    # class conjugate a diagonal v to the same diagonal v[pi_k], and the
+    # span of one row per class is that of all of them.  The diagonal
     # is a projection's, 0 or 1, as graph_orbit conjugates: permuted copies
     # of a generic real vector can be nearly dependent, and their span is
     # then defined only to roundoff over the smallest Gram eigenvalue.  An
@@ -233,10 +236,14 @@ def test_class_rows_span_the_orbit_of_a_generic_table(case):
     assert np.array_equal(perms, want_perms)
     assert np.array_equal(label, want_label.ravel())
     assert len(perms) == classes
-    diagonals = table.orbit_diagonals(rng.integers(0, 2, d).astype(complex)).reshape(-1, d)
-    space, rows, spread = _class_span(diagonals, label)
-    assert rows.shape == (classes, d)
-    assert spread <= 1e-12
+    v = rng.integers(0, 2, d).astype(complex)
+    diagonals = table.orbit_diagonals(v).reshape(-1, d)
+    rows = v[perms]
+    assert np.array_equal(diagonals, rows[label])
+    for e in range(len(label)):
+        u = table.dense(*divmod(e, table.perm.shape[1]))
+        assert frob(np.diag(diagonals[e]) - u @ np.diag(v) @ u.conj().T) <= 1e-12
+    space = _class_span(rows, label)
     want = member_span(diagonals)
     assert space.dim == want.dim
     cmp_ = subspace_equal(space, want, 1e-12)
@@ -324,16 +331,17 @@ def _tamper_perm(table):
 
 
 def _tamper_phase(table):
-    phase = table.phase.copy()
-    phase[1, 1, 0] *= -1.0
-    return dataclasses.replace(table, phase=phase)
+    # the phase negated: half a turn, n/2 in the exponent
+    expo = table.expo.copy()
+    expo[1, 1, 0] += table.order // 2
+    return dataclasses.replace(table, expo=expo)
 
 
 @pytest.mark.parametrize('tamper', [_tamper_perm, _tamper_phase])
 def test_expectation_forms_catch_table_defects(tamper):
     # a swapped perm entry or a negated phase in one group element breaks the
     # unitary-average form, which the trace form does not read
-    n = 3
+    n = 4
     unitaries = tamper(element_unitaries(n, *rep_generators(n)))
     units = fixed_units(n)
     rng = np.random.default_rng(1000 + n)
@@ -346,13 +354,14 @@ def test_expectation_forms_catch_table_defects(tamper):
 
 
 def _rotate_block_phase(table):
-    # element (1, 1) turned by e^(i 1e-6) on the block T_0 alone: its
-    # products phase phase* within a block, and so the class weights on the
-    # blocks, keep their values, and only the cancellation off them breaks
+    # element (1, 1) turned by one root of unity, +1 in the exponent, on the
+    # block T_0 alone: its products phase phase* within a block, and so the
+    # class weights on the blocks, keep their values, and only the
+    # cancellation off them breaks
     n = table.perm.shape[0]
-    phase = table.phase.copy()
-    phase[1, 1, :n] *= np.exp(1e-6j)
-    return dataclasses.replace(table, phase=phase)
+    expo = table.expo.copy()
+    expo[1, 1, :n] += 1
+    return dataclasses.replace(table, expo=expo)
 
 
 def test_off_block_defect_fails_through_the_bound(monkeypatch):
@@ -587,13 +596,15 @@ def test_resolution_covariance_names_the_worst_pair():
 
 
 def test_theorem1_names_the_worst_base_index_and_form():
-    # row 0 of piS piM reads column (1, 1): doubling its phase moves the
-    # unitary-form average of Q_1 alone
+    # row (a, b) of piS piM reads column (a + 1, b + 1), in the block of
+    # Q_(a+1).  Two swaps in its perm, rows 0 <-> 6 and 1 <-> 3, move four
+    # rows in or out of the block that Q_1 reads and two of those of Q_0
+    # and Q_2, so the unitary-form average of Q_1 moves most
     n = 3
     unitaries = element_unitaries(n, *rep_generators(n))
-    phase = unitaries.phase.copy()
-    phase[1, 1, 0] *= 2.0
-    res = verify_theorem1(n, tol=1e-10, unitaries=dataclasses.replace(unitaries, phase=phase))
+    perm = unitaries.perm.copy()
+    perm[1, 1, [0, 6, 1, 3]] = perm[1, 1, [6, 0, 3, 1]]
+    res = verify_theorem1(n, tol=1e-10, unitaries=dataclasses.replace(unitaries, perm=perm))
     assert not res.passed
     assert res.details == 'both average forms, every base index s; worst at s = 1, unitary form'
     # a stray ket |1, 0> added to h_0^0 in the factor lies in the s = 1

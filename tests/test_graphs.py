@@ -34,8 +34,8 @@ from weylgraph.covariant import fixed_units, q_projection
 from weylgraph.linalg import (frob, span_operators, spectral_projections,
                               subspace_equal, tensor_product, unit_roots)
 from weylgraph.report import run_verification
-from weylgraph.weylrep import (GroupAction, element_unitaries, entangled_basis,
-                               rep_generators, shift_clock)
+from weylgraph.weylrep import (element_unitaries, entangled_basis, rep_generators,
+                               shift_clock)
 
 
 # -- the y units -------------------------------------------------------------
@@ -310,6 +310,23 @@ def test_orbit_provenance_complete(n):
             assert frob(np.diag(v) - u @ base @ u.conj().T) <= 1e-12
 
 
+@pytest.mark.parametrize('n', range(2, 13))
+def test_class_members_share_their_orbit_diagonal(n):
+    # u diag(v) u* is diag(v[perm]) for a monomial u: the members of one
+    # permutation class conjugate Q_s to one diagonal, the class row, as
+    # identical arrays, and each is still the dense product u Q_s u*
+    unitaries = element_unitaries(n, *rep_generators(n))
+    label = unitaries.grouping[1]
+    for s in range(n):
+        graph = graph_orbit(n, s, unitaries=unitaries)
+        members = np.array([v for _, v in graph.provenance])
+        assert np.array_equal(members, graph.rows[label])
+        base = q_projection(n, s)
+        for (p, q), v in graph.provenance:
+            u = unitaries.dense(p, q)
+            assert frob(np.diag(v) - u @ base @ u.conj().T) <= 1e-12
+
+
 @pytest.mark.parametrize('n', range(2, 9))
 def test_class_row_span_is_the_span_of_every_generator(n):
     # the orbit spans its n class rows; the oracle spans all n^2 generator
@@ -318,45 +335,10 @@ def test_class_row_span_is_the_span_of_every_generator(n):
     for s in range(n):
         graph = graph_orbit(n, s, unitaries=unitaries)
         assert graph.rows.shape == (n, n * n)
-        assert graph.spread <= 1e-15
         want = member_span(np.array([v for _, v in graph.provenance]))
         assert graph.space.dim == want.dim == n
         cmp_ = subspace_equal(graph.space, want, 1e-12)
         assert cmp_.equal, cmp_.max_residual
-
-
-def test_a_raised_non_representative_generator_fails_every_span_check(monkeypatch):
-    # element (1, 1) shares its permutation with (0, 1), the first of its
-    # class, so the class-row span cannot see a defect in its diagonal; the
-    # spread must carry it into graphs_coincide, orbit_equals_z,
-    # kl_anticliques and the census verdict of every code
-    n = 3
-    unitaries = element_unitaries(n, *rep_generators(n))
-    label = unitaries.grouping[1]
-    assert np.flatnonzero(label == label[n + 1])[0] == 1
-    built = GroupAction.orbit_diagonals
-
-    def raised(self, v):
-        out = built(self, v)
-        out[1, 1, 2] += 1e-6
-        return out
-
-    monkeypatch.setattr(GroupAction, 'orbit_diagonals', raised)
-    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
-    assert all(g.spread >= 0.99e-6 for g in orbits)
-    checks, audit, _ = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)
-    checks.append(kl_corollary_check(n, 1e-10, entangled_basis(n), orbits, label))
-    by_id = {c.check_id: c for c in checks}
-    for check_id in ('graphs_coincide', 'orbit_equals_z', 'kl_anticliques'):
-        assert not by_id[check_id].passed
-        assert by_id[check_id].max_residual >= 0.99e-6
-    assert not audit.orbit_equals_z
-    scan = proposition1_scan(n, 0, unitaries=unitaries, orbit=orbits[0])
-    codes = [r for r in scan.projections if r.element == (0, 1)]
-    assert len(codes) == n
-    for rec in codes:
-        assert rec.kl_residual >= 0.99e-6
-        assert not rec.is_anticlique
 
 
 def test_orbit_dimensions():
@@ -449,9 +431,10 @@ def _one_entry_moved(pi_m, unitaries, basis):
 
 
 def _one_phase_rotated(pi_m, unitaries, basis):
-    phase = unitaries.phase.copy()
-    phase[0, 1, 3] *= np.exp(1e-6j)
-    return pi_m, dataclasses.replace(unitaries, phase=phase), basis
+    # one root of unity further on: +1 in the exponent
+    expo = unitaries.expo.copy()
+    expo[0, 1, 3] += 1
+    return pi_m, dataclasses.replace(unitaries, expo=expo), basis
 
 
 def _codes_swapped(pi_m, unitaries, basis):
@@ -527,11 +510,11 @@ def test_kl_orbit_compression():
         assert abs(lam - 1.0 / n) <= 1e-10
 
 
-def _orbit_of(n, s, members, label):
-    """The OperatorGraph of the generator diagonals members, grouped by
-    label."""
-    space, rows, spread = _class_span(np.asarray(members), label)
-    return OperatorGraph(n, s, space, [], rows, spread)
+def _orbit_of(n, s, rows, label):
+    """The OperatorGraph of the class rows rows, the diagonals of the
+    elements grouped by label."""
+    rows = np.asarray(rows)
+    return OperatorGraph(n, s, _class_span(rows, label), [], rows)
 
 
 def test_kl_suite_extremes_small():
@@ -581,34 +564,31 @@ def test_kl_suite_extremes_matches_dense_oracle(n):
 
 @pytest.mark.parametrize('n', [3, 4])
 def test_kl_anticliques_names_a_tampered_orbit_diagonal(n):
-    # one entry of one member's diagonal raised.  The first member of a
-    # class gives the class row: the worst (k, s, g) is that member, at the
-    # first code k with the largest residual for it, plus the spread that
-    # the raise opens to the class's other members.  Any other member
-    # reaches the check only through the spread, which must fail it
+    # one entry of the class row of (p, q) raised, the diagonal that every
+    # member of its class shares: the worst (k, s, g) is at the first code k
+    # with the largest residual for it, and g is named by the first member
+    # of the class, (0, q) for (1, 2) as for (0, 2)
     basis = entangled_basis(n)
     unitaries = element_unitaries(n, *rep_generators(n))
     label = unitaries.grouping[1]
     s = n - 1
     for p, q in ((0, 2), (1, 2)):
-        members = np.array([v for _, v in graph_orbit(n, s, unitaries=unitaries).provenance])
-        x = members[p * n + q]
+        assert label[p * n + q] == label[q]
+        rows = graph_orbit(n, s, unitaries=unitaries).rows.copy()
+        x = rows[label[p * n + q]]
         x[n + 1] += 1e-3
         orbits = [graph_orbit(n, t, unitaries=unitaries) for t in range(n - 1)]
-        orbits.append(_orbit_of(n, s, members, label))
+        orbits.append(_orbit_of(n, s, rows, label))
         check = kl_corollary_check(n, 1e-10, basis, orbits, label)
         assert not check.passed
-        assert check.max_residual >= 0.99e-3
-        if p:
-            assert label[p * n + q] == label[q] and orbits[s].spread >= 0.99e-3
-            continue
+        assert check.max_residual >= 0.99e-3 / n  # a code's diagonal is 1/n
         b = basis.code_isometry
         residuals = [frob((b(k).conj().T * x) @ b(k) - np.eye(n) / n) for k in range(n)]
         k = int(np.argmax(residuals))
         worst, _, where = kl_suite_extremes(n, basis, orbits, label)
-        assert where == (k, s, p, q)
-        assert worst == pytest.approx(residuals[k] + orbits[s].spread, abs=1e-15)
-        assert check.details.endswith(f'; worst at k = {k}, s = {s}, g = ({p}, {q})')
+        assert where == (k, s, 0, q)
+        assert worst == pytest.approx(residuals[k], abs=1e-15)
+        assert check.details.endswith(f'; worst at k = {k}, s = {s}, g = (0, {q})')
 
 
 def test_kl_rejects_full_matrix_unit_family():
@@ -774,8 +754,7 @@ def test_graphs_coincide_names_the_worst_comparison(n):
     assert match
     # recomputing every comparison in the same order: the named one is the
     # first to reach the reported maximum
-    residuals = [(subspace_equal(orbits[s1].space, orbits[s2].space).max_residual
-                  + orbits[s1].spread + orbits[s2].spread,
+    residuals = [(subspace_equal(orbits[s1].space, orbits[s2].space).max_residual,
                   f'(s1, s2) = ({s1}, {s2})')
                  for s1 in range(n) for s2 in range(s1 + 1, n)]
     first = next(where for r, where in residuals if r == check.max_residual)

@@ -188,8 +188,9 @@ def test_element_unitaries_table():
         d = n * n
         pi_s, pi_m = rep_generators(n)
         table = element_unitaries(n, pi_s, pi_m)
-        assert table.perm.shape == table.phase.shape == (n, n, d)
-        assert table.nbytes == 24 * n ** 4
+        assert table.perm.shape == table.expo.shape == table.phase.shape == (n, n, d)
+        assert table.order == n
+        assert table.nbytes == 16 * n ** 4
         for p in range(n):
             for q in range(n):
                 want = rep_element(pi_s, pi_m, p, q)
@@ -216,13 +217,14 @@ def test_conj_matches_dense_oracle(case):
 
 def test_element_unitaries_composes_generic_monomials():
     # piS is diagonal and piM a bare permutation, so they leave half of the
-    # composition rule unexercised; random monomials use all of it
+    # composition rule unexercised; random monomials with random n-th roots
+    # of unity for phases use all of it
     n, d = 4, 7
     rng = np.random.default_rng(2024)
     gens = []
     for _ in range(2):
         u = np.zeros((d, d), dtype=complex)
-        u[np.arange(d), rng.permutation(d)] = np.exp(2j * np.pi * rng.random(d))
+        u[np.arange(d), rng.permutation(d)] = unit_roots(n)[rng.integers(0, n, d)]
         gens.append(u)
     table = element_unitaries(n, *gens)
     for p in range(n):
@@ -233,11 +235,18 @@ def test_element_unitaries_composes_generic_monomials():
 
 @pytest.mark.parametrize('n', range(2, 25))
 def test_table_phases_stay_unimodular(n):
-    # phases composed as angles: |phase|^2 - 1 stays at roundoff for every
-    # power, where cumulative products drifted to 5e-13 at n = 24
+    # the table is integers: piS = M (x) I holds w^a in row (a, b), piM is
+    # the double shift with no phase, and every phase of the table is the
+    # root w^expo itself, evaluated once, so no power drifts off the circle
+    d = n * n
     table = element_unitaries(n, *rep_generators(n))
-    drift = np.sqrt(((np.abs(table.phase) ** 2 - 1.0) ** 2).sum(axis=-1)).max()
-    assert drift <= 4 * np.finfo(float).eps * n
+    rows = np.arange(d)
+    a, b = np.divmod(rows, n)
+    assert np.array_equal(table.perm[1, 0], rows)
+    assert np.array_equal(table.perm[0, 1], (a + 1) % n * n + (b + 1) % n)
+    assert np.array_equal(table.expo[1, 0], a % n)
+    assert np.array_equal(table.expo[0, 1], np.zeros(d))
+    assert np.array_equal(table.phase, unit_roots(n)[table.expo])
 
 
 def test_element_unitaries_rejects_a_non_unimodular_phase():
@@ -252,17 +261,18 @@ def test_element_unitaries_rejects_a_non_unimodular_phase():
 
 @pytest.mark.parametrize('n', range(2, 17))
 def test_generator_tables_are_clock_and_double_shift(n):
-    # index by index, in the standard basis piS = M (x) I and
+    # index by index, in the standard basis the dense piS = M (x) I and
     # piM = S^-1 (x) S^-1, whose row (a, b) holds its 1 in column (a+1, b+1):
     # both are monomial, which makes every orbit generator u Q_s u* diagonal
     d = n * n
-    table = element_unitaries(n, *rep_generators(n))
+    pi_s, pi_m = rep_generators(n)
     rows = np.arange(d)
     a, b = np.divmod(rows, n)
-    assert np.array_equal(table.perm[1, 0], rows)
-    assert np.array_equal(table.perm[0, 1], (a + 1) % n * n + (b + 1) % n)
-    assert np.abs(table.phase[1, 0] - unit_roots(n)[a]).max() <= 1e-12
-    assert np.abs(table.phase[0, 1] - 1.0).max() <= 1e-12
+    clock, shift = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+    clock[rows, rows] = unit_roots(n)[a]
+    shift[rows, (a + 1) % n * n + (b + 1) % n] = 1.0
+    assert np.abs(pi_s - clock).max() <= 1e-12
+    assert np.abs(pi_m - shift).max() <= 1e-12
 
 
 def test_element_unitaries_rejects_non_monomial():
