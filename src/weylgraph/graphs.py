@@ -9,8 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, BlockOperators, OperatorSubspace, as_operator, frob,
-                     random_hermitian, span_operators, subspace_equal, unit_roots)
+from .linalg import (DEFAULT_TOL, BlockOperators, DegenerateClusteringError, OperatorSubspace,
+                     as_operator, cluster_eigenvalues, frob, random_hermitian,
+                     span_operators, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
 from .weylrep import (ClusterColumns, EntangledBasis, GroupAction, element_unitaries,
                       entangled_basis, rep_generators)
@@ -351,25 +352,57 @@ class Prop1Scan:
                 f'({rank2} of rank>=2, {anti} anticliques for the orbit)')
 
 
-# the census takes the table in stacks of consecutive elements whose cycle
+# the census clusters its elements in stacks, in (p, q) order, whose cycle
 # blocks hold at most this many eigenvector entries (an element holding more
 # is a stack of its own): one element per stack pays numpy's call overhead
-# n^2 times, and one stack of the whole table holds every block at once; compressions
-# bounds each of its gathers by the same count
+# once per element, and one stack of the whole table holds every block at
+# once; compressions bounds each of its gathers by the same count
 _STACK_ENTRIES = 1 << 13
 
 
-def _stacks(entries: np.ndarray, budget: int) -> list:
-    """Runs (lo, hi) of consecutive elements that hold at most budget
-    entries between them, unless one element alone holds more."""
-    bounds, held = [0], 0
-    for e, size in enumerate(entries.tolist()):
-        if held + size > budget and e > bounds[-1]:
-            bounds.append(e)
-            held = 0
-        held += size
-    bounds.append(len(entries))
-    return list(zip(bounds[:-1], bounds[1:]))
+def _stack_size(entries: np.ndarray, budget: int) -> int:
+    """How many of the elements, taken in order, make the next stack: as
+    many as hold at most budget entries between them, and at least one."""
+    return max(1, int(np.searchsorted(np.cumsum(entries), budget, side='right')))
+
+
+def _apart(rows: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
+    """Whether cluster_eigenvalues at tol puts each of the first counts[j]
+    entries of row j in a cluster of its own, the rest of the row repeating
+    its last entry, whose cluster such copies join; a row that it refuses
+    is not apart."""
+    try:
+        labels = cluster_eigenvalues(rows, tol)[1]
+    except DegenerateClusteringError:
+        if len(rows) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_apart(rows[j:j + 1], counts[j:j + 1], tol)
+                               for j in range(len(rows))])
+    return labels.max(axis=1) - labels.min(axis=1) + 1 == counts
+
+
+def _keeps_clusters(clusters, owner: np.ndarray, power: np.ndarray, shift: np.ndarray,
+                    order: int, tol: float) -> np.ndarray:
+    """Whether u_h = w^c u_g^a has the clusters of u_g, w = exp(2 pi i /
+    order), for each member h of a stack's element g = owner[j] (its index
+    in the stack), a = power[j] and c = shift[j].
+
+    u_h has the eigenvectors of u_g, the eigenvalue lambda of u_g becoming
+    w^c lambda^a.  When every cluster of u_g holds one exact eigenvalue
+    (CycleClusters.exact, in integers) and cluster_eigenvalues at tol keeps
+    the images of those values apart, the eigenvalues of u_h in one cluster
+    of u_g are one exact value and those of different clusters are not
+    linked, so u_h clusters as u_g does, with the same projections.  The
+    images of all the members go to cluster_eigenvalues as one stack."""
+    if not len(owner):
+        return np.zeros(0, dtype=bool)
+    top, bottom, single = clusters.exact(order)
+    lo, hi = clusters.first[owner], clusters.first[owner + 1]
+    cs = np.minimum(lo[:, None] + np.arange(int((hi - lo).max())), hi[:, None] - 1)
+    # w^c exp(2 pi i t / b)^a = exp(2 pi i (a t order + c b) / (b order))
+    den = bottom[cs] * order
+    num = (power[:, None] * top[cs] * order + shift[:, None] * bottom[cs]) % den
+    return single[cs].all(axis=1) & _apart(np.exp(2j * np.pi * num / den), hi - lo, tol)
 
 
 class _Census:
@@ -377,7 +410,8 @@ class _Census:
     per p: the records in first-sighting order, the columns of each
     (supports), the dedup buckets, which map (rank, Re Tr(probe P) to 6
     places) to record indices in record order, the clusters' record
-    indices (hits) and the common list so far."""
+    indices (hits), each as often as an element has those clusters, and
+    the common list so far."""
 
     def __init__(self, tol: float, orbit: OperatorGraph, probe: np.ndarray, qs: int):
         self.tol, self.orbit, self.probe, self.qs = tol, orbit, probe, qs
@@ -387,16 +421,17 @@ class _Census:
         self.hits: list = []
         self.common: list | None = None
 
-    def add(self, clusters, lo: int) -> None:
-        """Count the clusters of the stack of elements lo, lo + 1, ... and
+    def add(self, clusters, elements: np.ndarray, repeats: np.ndarray) -> None:
+        """Count the clusters of the stack of elements (flat (p, q)
+        indices, increasing), those of elements[e] repeats[e] times, and
         test the projections seen first there."""
         ranks = clusters.ranks
         keys = list(zip(ranks.tolist(),
                         [round(t, 6) for t in clusters.traces(self.probe).tolist()]))
         hits, new = self._match(clusters, keys)
-        self.hits.append(hits)
+        self.hits.append(np.repeat(hits, np.repeat(repeats, np.diff(clusters.first))))
         if new:
-            self._record(clusters, new, lo)
+            self._record(clusters, new, elements)
         if self.common != []:
             first, seen, ranks = clusters.first.tolist(), hits.tolist(), ranks.tolist()
             for e in range(len(first) - 1):
@@ -463,7 +498,7 @@ class _Census:
                 bucket[i] = int(index[-1 - bucket[i]])
         return hits, new
 
-    def _record(self, clusters, new: list, lo: int) -> None:
+    def _record(self, clusters, new: list, elements: np.ndarray) -> None:
         """Keep the columns of the first sightings new and test each for
         Knill-Laflamme against the orbit: every generator's diagonal is its
         class row, so the largest residual over the class rows is that of
@@ -471,14 +506,14 @@ class _Census:
         columns, tops = clusters.select(new)
         worst = compressions(columns, tops, self.orbit.rows)[0].max(axis=0)
         bounds = np.append(columns.starts, len(columns.rows))[tops].tolist()
-        owner = (np.searchsorted(clusters.first, new, side='right') - 1).tolist()
+        owner = elements[np.searchsorted(clusters.first, new, side='right') - 1].tolist()
         for j, c in enumerate(new):
             a, b = bounds[j], bounds[j + 1]
             self.supports.append(ClusterColumns(columns.d, columns.rows[a:b], columns.entries[a:b],
                                                 columns.starts[tops[j]:tops[j + 1]] - a))
             rank, w = int(clusters.ranks[c]), float(worst[j])
             self.records.append(ScanProjection(
-                divmod(lo + owner[j], self.qs), complex(clusters.values[c]), rank, 0,
+                divmod(owner[j], self.qs), complex(clusters.values[c]), rank, 0,
                 compresses=w <= self.tol, kl_residual=w,
                 is_anticlique=w <= self.tol and rank >= 2))
 
@@ -493,23 +528,37 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
                       unitaries=None, orbit: OperatorGraph | None = None) -> Prop1Scan:
     """Scan spectral projections of every group unitary and test each one.
 
-    The table is taken in stacks of consecutive elements sized by
-    _STACK_ENTRIES.  Each stack's clusters come in cycle blocks
-    (GroupAction.clusters): the eigenvectors live on the cycles of the
-    monomial table, and the clusters are guarded by the gather residual
-    u V - V Lambda and the orthonormality of each block, so no dense unitary
-    or d x d product is formed.  A cluster P = b b* is read through its
-    columns on their cycles (ClusterColumns), and a record keeps those, cut
-    from arrays of its stack's first sightings (CycleClusters.select) so
-    that the stack itself is not kept.  Dedup buckets by rank and
-    Re Tr(probe P), a probe[pos, pos]
-    gather per cycle, then matches when ||P1 - P2||_F^2 = 2 rank -
-    2 ||b1* b2||_F^2 is below _MATCH_TOL^2, round by round (_Census._match).
-    The common list intersects the rank >= 2 projections across all
-    elements and is usually empty, since only a unitary proportional to the
-    identity admits the identity as a cluster projection.  A projection's
-    Knill-Laflamme residual is taken at its first sighting, against the
-    orbit's class rows (_Census._record, by compressions).
+    The table is split into unit classes (GroupAction.unit_classes): u_h =
+    w^c u_g^a for h = a g, gcd(a, n) = 1, proved from the integer table, so
+    u_h has the spectral projections of u_g.  The first element g of each
+    class, in (p, q) order, is clustered; each other member h takes the
+    clusters of g, and with them g's record indices, when _keeps_clusters
+    proves that it clusters as g does.  It then adds occurrences only: it
+    forms no eigenvectors and sees no projection first, and the common list,
+    already inside g's, keeps its value.  An element that the table or the
+    cluster test does not certify is clustered on its own, in its (p, q)
+    place, like a first element; when that place lies inside a stack
+    already clustered, the stack is clustered again with it.  So the
+    records, their order and their counts are those of clustering every
+    element in (p, q) order.
+
+    The clustered elements are taken in stacks sized by _STACK_ENTRIES.
+    Each stack's clusters come in cycle blocks (GroupAction.clusters): the
+    eigenvectors live on the cycles of the monomial table, and the clusters
+    are guarded by the gather residual u V - V Lambda and the
+    orthonormality of each block, so no dense unitary or d x d product is
+    formed.  A cluster P = b b* is read through its columns on their cycles
+    (ClusterColumns), and a record keeps those, cut from arrays of its
+    stack's first sightings (CycleClusters.select) so that the stack itself
+    is not kept.  Dedup buckets by rank and Re Tr(probe P), a
+    probe[pos, pos] gather per cycle, then matches when ||P1 - P2||_F^2 =
+    2 rank - 2 ||b1* b2||_F^2 is below _MATCH_TOL^2, round by round
+    (_Census._match).  The common list intersects the rank >= 2 projections
+    across all elements and is usually empty, since only a unitary
+    proportional to the identity admits the identity as a cluster
+    projection.  A projection's Knill-Laflamme residual is taken at its
+    first sighting, against the orbit's class rows (_Census._record, by
+    compressions).
     """
     if unitaries is None:
         unitaries = element_unitaries(n, *rep_generators(n))
@@ -518,9 +567,24 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     qs = unitaries.perm.shape[1]
     probe = random_hermitian(unitaries.perm.shape[-1], np.random.default_rng(23117))
     census = _Census(tol, orbit, probe, qs)
-    for lo, hi in _stacks(unitaries.cycle_entries(), _STACK_ENTRIES):
-        p, q = divmod(np.arange(lo, hi), qs)
-        census.add(unitaries.clusters(p, q, tol), lo)
+    first, power, shift = unitaries.unit_classes
+    entries = unitaries.cycle_entries()
+    alone = (first == np.arange(len(first))) | (shift < 0)
+    done = 0
+    while (queue := done + np.flatnonzero(alone[done:])).size:
+        stack = queue[:_stack_size(entries[queue], _STACK_ENTRIES)]
+        clusters = unitaries.clusters(*np.divmod(stack, qs), tol)
+        stacked = np.zeros(len(first), dtype=bool)
+        stacked[stack] = True
+        members = np.flatnonzero(~alone & stacked[first])
+        owner = np.searchsorted(stack, first[members])
+        kept = _keeps_clusters(clusters, owner, power[members], shift[members],
+                               unitaries.order, tol)
+        alone[members[~kept]] = True
+        if (members[~kept] < stack[-1]).any():
+            continue  # the stack again, with those members in their places
+        census.add(clusters, stack, 1 + np.bincount(owner[kept], minlength=len(stack)))
+        done = stack[-1] + 1
     return census.result(n, s)
 
 

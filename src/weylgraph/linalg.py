@@ -65,9 +65,16 @@ def dft_unitary(n: int) -> np.ndarray:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian Hermitian sample, used by the randomized residual checks."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (a + a.conj().T) / 2
+    """Gaussian Hermitian sample, used by the randomized residual checks:
+    (a + a*) / 2 for a = re + i im, two standard normal draws, built part
+    by part as (re + re^T) / 2 + i (im - im^T) / 2, with no complex a."""
+    re = rng.standard_normal((dim, dim))
+    im = rng.standard_normal((dim, dim))
+    out = np.empty((dim, dim), dtype=complex)
+    np.add(re, re.T, out=out.real)
+    np.subtract(im, im.T, out=out.imag)
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)

@@ -91,11 +91,13 @@ class CycleBlock(NamedTuple):
     positions[c] lists cycle c as i_0, perm[i_0], ..., starting at its least
     index; vectors[c, :, j] is the eigenvector of values[c, j] on those
     indices, zero elsewhere; owner[c] is the element of the cycle in a stack
-    of elements (0 for a single one)."""
+    of elements (0 for a single one); values[c, j] is exp(2 pi i roots[c, j]
+    / (N L)), N the order of the table's roots."""
     positions: np.ndarray  # (cycles, L) int
     values: np.ndarray     # (cycles, L) complex
     vectors: np.ndarray    # (cycles, L, L) complex
     owner: np.ndarray      # (cycles,) int
+    roots: np.ndarray      # (cycles, L) int
 
 
 class ClusterColumns(NamedTuple):
@@ -165,6 +167,23 @@ class CycleClusters:
     def ranks(self) -> np.ndarray:
         return np.bincount(np.concatenate([lab.ravel() for lab in self.labels]),
                            minlength=len(self.values))
+
+    def exact(self, order: int):
+        """Each cluster's eigenvalues in integers, read from the blocks'
+        roots over order L: (top, bottom, single), where cluster c holds
+        exp(2 pi i top[c] / bottom[c]), the fraction in lowest terms, and
+        single[c] is whether it holds no other exact eigenvalue."""
+        label = np.concatenate([lab.ravel() for lab in self.labels])
+        bottom = np.concatenate([np.full(b.roots.size, order * b.roots.shape[1])
+                                 for b in self.blocks])
+        top = np.concatenate([b.roots.ravel() for b in self.blocks]) % bottom
+        common = np.gcd(top, bottom)
+        top, bottom = top // common, bottom // common
+        count = len(self.values)
+        tops, bottoms = np.zeros(count, dtype=top.dtype), np.zeros(count, dtype=bottom.dtype)
+        tops[label], bottoms[label] = top, bottom
+        other = (top != tops[label]) | (bottom != bottoms[label])
+        return tops, bottoms, np.bincount(label, other, count) == 0
 
     def traces(self, x: np.ndarray) -> np.ndarray:
         """Re Tr(x P_c) for each cluster projection P_c: the sum over its
@@ -321,6 +340,57 @@ class GroupAction:
         _, first, label = np.unique(keys.ravel(), return_index=True, return_inverse=True)
         return flat[first], label.ravel()
 
+    @cached_property
+    def unit_classes(self):
+        """The table split into unit classes {(a p mod n, a q mod n) :
+        gcd(a, n) = 1}, certified in integers: (first, power, shift), in
+        (p, q) order.  first[e] is the first element of the class of e, and
+        e is power[e] times it.  For e != first[e], with g = first[e] and
+        a = power[e], shift[e] is the c with u_e = w^c u_g^a, w the table's
+        root exp(2 pi i / order): perm[e] equals perm[g] composed a times,
+        and expo[e] equals the exponents of u_g^a plus c mod order.  It is
+        -1 where the table does not prove that identity, and 0 at e = g.
+        The powers u_g^0, u_g^1, ... of the first elements are composed by
+        pointer doubling, as index compositions and exponent sums, for as
+        many of them at once as hold _POWER_ENTRIES entries.
+
+        Computed once per table: change a table by dataclasses.replace, not
+        in place."""
+        n, _, d = self.perm.shape
+        size = n * n
+        units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+        p, q = np.divmod(np.arange(size), n)
+        images = units[:, None] * p % n * n + units[:, None] * q % n
+        first = images.min(axis=0)
+        power = units[(images[:, first] == np.arange(size)).argmax(axis=0)]
+        shift = np.zeros(size, dtype=np.intp)
+        members = np.flatnonzero(first != np.arange(size))
+        if not members.size:
+            return first, power, shift
+        perm, expo = self.perm.reshape(-1, d), self.expo.reshape(-1, d) % self.order
+        heads = np.flatnonzero(np.bincount(first[members], minlength=size))
+        rows = int(power[members].max()) + 1
+        batch = max(1, _POWER_ENTRIES // (rows * d))
+        for lo in range(0, len(heads), batch):
+            chunk = heads[lo:lo + batch]
+            # (perms, sums)[r, j] is u_g^j for g = chunk[r]: u_g^(j + h) =
+            # u_g^j u_g^h for the h powers known, with (step, add) = u_g^h
+            at = d * np.arange(len(chunk))[:, None, None]
+            perms = np.broadcast_to(np.arange(d), (len(chunk), 1, d))
+            sums = np.zeros((len(chunk), 1, d), dtype=expo.dtype)
+            step, add = perm[chunk, None], expo[chunk, None]
+            while perms.shape[1] < rows:
+                known = perms[:, :rows - perms.shape[1]] + at
+                perms = np.concatenate((perms, step.ravel()[known]), axis=1)
+                sums = np.concatenate((sums, sums[:, :known.shape[1]] + add.ravel()[known]), axis=1)
+                step, add = step.ravel()[step + at], add + add.ravel()[step + at]
+            mine = members[(first[members] >= chunk[0]) & (first[members] <= chunk[-1])]
+            r, a = np.searchsorted(chunk, first[mine]), power[mine]
+            diff = (expo[mine] - sums[r, a]) % self.order
+            proved = (perm[mine] == perms[r, a]).all(axis=1) & (diff == diff[:, :1]).all(axis=1)
+            shift[mine] = np.where(proved, diff[:, 0], -1)
+        return first, power, shift
+
     def class_blocks(self, blocks) -> ClassBlocks:
         """The class weights W_k on the diagonal blocks of a partition of
         range(d), given as the rows of the (count, size) index array blocks.
@@ -445,7 +515,7 @@ class GroupAction:
             vectors = _root(exponents, self.order * size) / np.sqrt(size)
             owner = positions[:, 0] // d
             blocks.append(CycleBlock(positions - d * owner[:, None],
-                                     _root(roots, self.order * size), vectors, owner))
+                                     _root(roots, self.order * size), vectors, owner, roots))
         return blocks
 
     def clusters(self, p, q, tol: float = DEFAULT_TOL) -> CycleClusters:
@@ -500,6 +570,10 @@ class GroupAction:
     @property
     def nbytes(self) -> int:
         return self.perm.nbytes + self.expo.nbytes
+
+
+# unit_classes composes the powers of this many table entries at once
+_POWER_ENTRIES = 1 << 18
 
 
 def _least_on_cycles(flat: np.ndarray, d: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Dense references for the fast paths: the group elements by matrix powers,
-cluster projectors, the orbit span of every generator, the operator-span
-comparison on densely embedded bases, the h and z families from the whole
-unit factor, the covariant resolution with dense atoms, the dense unit
+the Hermitian sample from a complex draw, cluster projectors, the orbit
+span of every generator, the operator-span comparison on densely embedded
+bases, the h and z families from the whole unit factor, the covariant resolution with dense atoms, the dense unit
 grids with the unreduced z grid, and the group average in both forms on
 whole d x d matrices.  Each is the code the fast path replaced, kept here so
 the tests can hold the two against each other."""
@@ -16,6 +16,13 @@ from weylgraph.linalg import OperatorSubspace, frob, span_operators, unit_roots
 def rep_element(pi_s: np.ndarray, pi_m: np.ndarray, p: int, q: int) -> np.ndarray:
     """The group element piS^p piM^q as a product of dense matrix powers."""
     return np.linalg.matrix_power(pi_s, p) @ np.linalg.matrix_power(pi_m, q)
+
+
+def complex_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The Gaussian Hermitian sample (a + a*) / 2 from the complex a = re +
+    i im of two standard normal draws."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2
 
 
 def cluster_projector(columns) -> np.ndarray:

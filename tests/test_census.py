@@ -1,7 +1,9 @@
 """The group-wide spectral census from the cycle blocks of the monomial table,
 against the dense Schur census it replaced and its golden summaries, plus
-property and mutation tests for the cycle eigenpairs and their guard."""
+property and mutation tests for the cycle eigenpairs and their guard, and
+for the unit classes whose members take their first element's clusters."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -23,11 +25,13 @@ from weylgraph.weylrep import (ClusterColumns, CycleClusters, GroupAction, eleme
                                entangled_basis, rep_generators)
 
 
-def dense_census(n, s, tol=DEFAULT_TOL):
-    """The census from one dense Schur decomposition per group unitary and
-    one eigh per distinct projection, compressing the dense orbit generators
+def dense_census(n, s, tol=DEFAULT_TOL, unitaries=None):
+    """The census from one dense Schur decomposition per element of the
+    table unitaries (the group's by default), in (p, q) order, and one eigh
+    per distinct projection, compressing the dense orbit generators
     u Q_s u*: the reference for proposition1_scan."""
-    unitaries = element_unitaries(n, *rep_generators(n))
+    if unitaries is None:
+        unitaries = element_unitaries(n, *rep_generators(n))
     d = n * n
     probe = random_hermitian(d, np.random.default_rng(23117))
     records, canon, buckets, common = [], [], {}, None
@@ -73,17 +77,127 @@ def dense_census(n, s, tol=DEFAULT_TOL):
     return Prop1Scan(n, s, records, [canon[idx] for idx in (common or [])])
 
 
-@pytest.mark.parametrize('n', range(2, 9))
-def test_cycle_census_matches_dense_census(n):
-    fast, dense = proposition1_scan(n, 0), dense_census(n, 0)
+def _assert_same_census(fast, dense):
     assert fast.summary() == dense.summary()
-    assert fast.common == [] and dense.common == []
     assert len(fast.projections) == len(dense.projections)
     for a, b in zip(fast.projections, dense.projections):
         assert (a.element, a.rank, a.occurrences, a.is_anticlique) == \
             (b.element, b.rank, b.occurrences, b.is_anticlique)
         assert abs(a.eigenvalue - b.eigenvalue) <= 1e-9
         assert abs(a.kl_residual - b.kl_residual) <= 1e-9
+
+
+@pytest.mark.parametrize('n', range(2, 11))
+def test_cycle_census_matches_dense_census(n):
+    fast, dense = proposition1_scan(n, 0), dense_census(n, 0)
+    assert fast.common == [] and dense.common == []
+    _assert_same_census(fast, dense)
+
+
+def _clustered_elements(monkeypatch):
+    """Wrap GroupAction.clusters to list, in call order, the flat (p, q)
+    indices of the elements that it clusters."""
+    seen = []
+    clusters = GroupAction.clusters
+
+    def counting(self, p, q, tol=DEFAULT_TOL):
+        seen.extend((np.asarray(p) * self.perm.shape[1] + np.asarray(q)).ravel().tolist())
+        return clusters(self, p, q, tol)
+
+    monkeypatch.setattr(GroupAction, 'clusters', counting)
+    return seen
+
+
+@pytest.mark.parametrize('n, classes', [(5, 7), (7, 9), (10, 28)])
+def test_census_clusters_one_element_per_unit_class(n, classes, monkeypatch):
+    # (a p, a q) for gcd(a, n) = 1 has the spectral projections of (p, q):
+    # n + 2 classes at a prime n (the identity and the n + 1 lines through
+    # the origin), 28 at n = 10; each class is clustered at its first element
+    unitaries = element_unitaries(n, *rep_generators(n))
+    first = unitaries.unit_classes[0]
+    assert len(set(first.tolist())) == classes
+    seen = _clustered_elements(monkeypatch)
+    proposition1_scan(n, 0, unitaries=unitaries)
+    assert len(seen) == classes
+    assert seen == sorted(set(first.tolist()))
+
+
+def test_unit_classes_certify_every_member_of_the_group_table():
+    for n in range(2, 13):
+        unitaries = element_unitaries(n, *rep_generators(n))
+        first, power, shift = unitaries.unit_classes
+        for e in range(n * n):
+            g, a, c = int(first[e]), int(power[e]), int(shift[e])
+            assert c >= 0 and g <= e
+            assert divmod(e, n) == (a * (g // n) % n, a * (g % n) % n)
+            if e != g:
+                want = np.exp(2j * np.pi * c / n) * np.linalg.matrix_power(
+                    unitaries.dense(*divmod(g, n)), a)
+                assert np.abs(unitaries.dense(*divmod(e, n)) - want).max() <= 1e-12
+
+
+def _raise_one_exponent(table, e):
+    expo = table.expo.copy()
+    expo.reshape(-1, expo.shape[-1])[e, 3] += 1
+    return dataclasses.replace(table, expo=expo)
+
+
+def _swap_two_rows(table, e):
+    perm = table.perm.copy()
+    row = perm.reshape(-1, perm.shape[-1])[e]
+    row[[1, 5]] = row[[5, 1]]
+    return dataclasses.replace(table, perm=perm)
+
+
+@pytest.mark.parametrize('tamper', [_raise_one_exponent, _swap_two_rows])
+@pytest.mark.parametrize('n, element', [(6, (0, 5)), (7, (3, 2))])
+def test_a_tampered_member_is_clustered_on_its_own(n, element, tamper, monkeypatch):
+    # a member whose row is not w^c u_g^a fails the table identity and is
+    # clustered in its (p, q) place: the census is the per-element one of
+    # the tampered table, and not that of the group
+    unitaries = element_unitaries(n, *rep_generators(n))
+    e = element[0] * n + element[1]
+    first = unitaries.unit_classes[0]
+    assert first[e] < e
+    table = tamper(unitaries, e)
+    assert table.unit_classes[2][e] == -1
+    seen = _clustered_elements(monkeypatch)
+    fast = proposition1_scan(n, 0, unitaries=table)
+    assert seen == sorted(set(first.tolist()) | {e})
+    monkeypatch.undo()
+    _assert_same_census(fast, dense_census(n, 0, unitaries=table))
+    honest = proposition1_scan(n, 0, unitaries=unitaries)
+    assert [(r.element, r.rank, r.occurrences) for r in fast.projections] != \
+        [(r.element, r.rank, r.occurrences) for r in honest.projections]
+
+
+@pytest.mark.parametrize('order, cycles, expo, tol', [
+    # two 2-cycles: their square sends the eigenvalues 1 and -1 both to 1
+    (3, [1, 0, 3, 2], [0, 0, 0, 0], DEFAULT_TOL),
+    # at tol 0.06 one cluster holds 1 and exp(2 pi i / 12), 0.52 apart;
+    # their squares, 1 apart, are not linked
+    (12, [0, 1, 2, 3], [0, 1, 0, 0], 0.06),
+])
+def test_a_member_that_does_not_cluster_as_its_first_element_is_clustered_on_its_own(
+        order, cycles, expo, tol, monkeypatch):
+    # a 3 x 3 table of identities but for (0, 1) and its square (0, 2): the
+    # table proves u_(0,2) = u_(0,1)^2, but the cluster test refuses it, so
+    # (0, 2) is clustered in its place, inside the stack of (0, 1)
+    n, d = 3, 9
+    perm = np.tile(np.arange(d), (n, n, 1))
+    exps = np.zeros((n, n, d), dtype=int)
+    perm[0, 1, :4], exps[0, 1, :4] = cycles, expo
+    perm[0, 2] = perm[0, 1][perm[0, 1]]
+    exps[0, 2] = (exps[0, 1] + exps[0, 1][perm[0, 1]]) % order
+    table = GroupAction(perm, exps, order)
+    first, power, shift = table.unit_classes
+    assert (first[2], power[2], shift[2]) == (1, 2, 0)
+    seen = _clustered_elements(monkeypatch)
+    fast = proposition1_scan(n, 0, tol, unitaries=table)
+    # the stack of the first elements, then again with (0, 2) in its place
+    assert seen == [0, 1, 3, 4, 5, 0, 1, 2, 3, 4, 5]
+    monkeypatch.undo()
+    _assert_same_census(fast, dense_census(n, 0, tol, unitaries=table))
 
 
 def _dense_compression_residual(b, diagonals):

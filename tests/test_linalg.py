@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exact_oracles
-from dense_oracles import dense_embedding, dense_subspace_equal
+from dense_oracles import complex_hermitian, dense_embedding, dense_subspace_equal
 from weylgraph.linalg import (
     BlockOperators,
     DegenerateClusteringError,
@@ -433,3 +433,14 @@ def test_random_hermitian_is_hermitian():
     rng = np.random.default_rng(5)
     a = random_hermitian(4, rng)
     assert frob(a - a.conj().T) <= 1e-14
+
+
+@pytest.mark.parametrize('dim', [4, 100, 576, 1024])
+def test_random_hermitian_is_the_complex_sample_bit_for_bit(dim):
+    # the samples of the report's seeded checks: built part by part, they
+    # must be the very bits of (a + a*) / 2 from the complex draw
+    for seed in (0, 1010):
+        got = random_hermitian(dim, np.random.default_rng(seed))
+        want = complex_hermitian(dim, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, got.conj().T)
