@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_operator, frob
+from .linalg import DEFAULT_TOL, as_operators, frob, frobs, stack_size
 from .results import CheckResult
 from .weylrep import (EntangledBasis, GroupAction, element_unitaries,
                       entangled_basis, rep_generators)
@@ -70,10 +70,11 @@ def expectation_avg(n: int, x, unitaries: GroupAction | None = None) -> tuple:
     per permutation class.  Its class weights vanish off the T_a only up to
     cancellation, and bound, (1/n^2) sum_k max|W_k off| ||x||_F, covers what
     that leaves out: a residual of the average adds it.
+
+    x is an n^2 x n^2 matrix or a (k, n^2, n^2) stack of them, averaged
+    together; a stack has an array of bounds, one per sample.
     """
-    x = as_operator(x)
-    if x.shape[0] != n * n:
-        raise ValueError("operator dimension must be n^2")
+    x = as_operators(x, n * n)
     if unitaries is None:
         unitaries = _default_unitaries(n)
     return unitaries.average(x, np.arange(n * n).reshape(n, n))
@@ -87,19 +88,23 @@ def expectation_trace(n: int, x, units: FixedPointUnits | None = None) -> np.nda
     conj(x_pq[S_p, S_q]), one gather of x for every (p, q), and the sum of
     the units adds each block back, scaled by its weight: the defining sum
     for any factor, in O(n^4) for the entangled basis.
+
+    x is an n^2 x n^2 matrix or a (k, n^2, n^2) stack of them: one gather
+    of the stack, and one scatter of all its samples, each at its own
+    offset.
     """
-    x = as_operator(x)
     d = n * n
-    if x.shape[0] != d:
-        raise ValueError("operator dimension must be n^2")
+    x = as_operators(x, d)
+    stack = x.reshape(-1, d * d)
     cells, products, bras = (units if units is not None else fixed_units(n)).blocks
-    terms = np.take(x, cells)
-    coef = np.einsum('pqij,pqij->pq', terms, bras) / n
-    np.multiply(coef[:, :, None, None], products, out=terms)
-    out = np.zeros((d, d), dtype=complex)
+    terms = np.take(stack, cells, axis=1)
+    coef = np.einsum('kpqij,pqij->kpq', terms, bras) / n
+    np.multiply(coef[..., None, None], products, out=terms)
+    out = np.zeros(stack.shape, dtype=complex)
     # added, not assigned: the supports of a factor off the basis may overlap
-    np.add.at(out.reshape(-1), cells.ravel(), terms.ravel())
-    return out
+    at = cells.ravel() + d * d * np.arange(len(stack))[:, None]
+    np.add.at(out.reshape(-1), at.ravel(), terms.ravel())
+    return out.reshape(x.shape)
 
 
 def q_projection(n: int, s: int) -> np.ndarray:
@@ -143,23 +148,29 @@ def covariant_resolution(n: int, s: int, unitaries=None) -> CovariantResolution:
 def verify_theorem1(n: int, tol: float = DEFAULT_TOL,
                     unitaries=None, units: FixedPointUnits | None = None) -> CheckResult:
     """Check that the group average of every Q_s is I/n, in both forms; the
-    unitary form adds its off-block bound."""
+    unitary form adds its off-block bound.  The Q_s go to both forms in
+    stacks (linalg.stack_size)."""
     if unitaries is None:
         unitaries = _default_unitaries(n)
     if units is None:
         units = fixed_units(n)
     forms = (('unitary', lambda q: expectation_avg(n, q, unitaries)),
-             ('trace', lambda q: (expectation_trace(n, q, units), 0.0)))
+             ('trace', lambda q: (expectation_trace(n, q, units), np.zeros(len(q)))))
+    d = n * n
+    step = stack_size(d * d)
     worst, where = 0.0, (0, 'unitary')
-    for s in range(n):
-        q = q_projection(n, s)
-        for form, average in forms:
-            miss, bound = average(q)
-            miss.flat[::n * n + 1] -= 1.0 / n  # the average less I/n, in place
-            r = frob(miss) + bound
-            if r > worst:
-                worst, where = r, (s, form)
-            del miss  # one d x d average alive at a time
+    for lo in range(0, n, step):
+        qs = np.array([q_projection(n, s) for s in range(lo, min(lo + step, n))])
+        residuals = []
+        for _, average in forms:
+            miss, bound = average(qs)
+            miss.reshape(len(qs), -1)[:, ::d + 1] -= 1.0 / n  # the averages less I/n, in place
+            residuals.append((frobs(miss) + bound).tolist())
+            del miss  # one stack of averages alive at a time
+        for j, pair in enumerate(zip(*residuals)):
+            for (form, _), r in zip(forms, pair):
+                if r > worst:
+                    worst, where = r, (lo + j, form)
     return CheckResult('theorem1', worst <= tol, worst,
                        details=f'both average forms, every base index s; '
                                f'worst at s = {where[0]}, {where[1]} form')

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, BlockOperators, DegenerateClusteringError, OperatorSubspace,
-                     as_operator, cluster_eigenvalues, frob, random_hermitian,
-                     span_operators, subspace_equal, unit_roots)
+                     as_operator, cluster_eigenvalues, frob, span_operators,
+                     stack_size, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
 from .weylrep import (ClusterColumns, EntangledBasis, GroupAction, element_unitaries,
                       entangled_basis, rep_generators)
@@ -218,9 +218,10 @@ def compressions(columns: ClusterColumns, tops, rows: np.ndarray):
     a row: never for the columns of one cycle cluster, which lie on distinct
     cycles, nor for the codes, whose columns have disjoint supports.  A
     cluster whose columns do meet, found by a repeated row, takes its
-    off-diagonal entries from its dense columns.  Each gather holds at most _STACK_ENTRIES entries (at least one
-    row of rows), and so does each block of off-diagonal products (at
-    least one column of the cluster)."""
+    off-diagonal entries from its dense columns.  Each gather holds at
+    most linalg._STACK_ENTRIES entries (at least one row of rows), and so
+    does each block of off-diagonal products (at least one column of the
+    cluster)."""
     tops = np.asarray(tops)
     ranks = np.diff(tops)
     ends = np.append(columns.starts, len(columns.rows))
@@ -233,14 +234,14 @@ def compressions(columns: ClusterColumns, tops, rows: np.ndarray):
     weight = columns.entries.real ** 2 + columns.entries.imag ** 2
     diag = np.empty((len(rows), columns.rank), dtype=np.result_type(rows, weight))
     outer = np.zeros((len(rows), len(ranks)))
-    step = max(1, _STACK_ENTRIES // len(columns.rows))
+    step = stack_size(len(columns.rows))
     for lo in range(0, len(rows), step):
         x = rows[lo:lo + step]
         diag[lo:lo + step] = np.add.reduceat(np.take(x, columns.rows, axis=1) * weight,
                                              columns.starts, axis=1)
         for j, b in met:
             rank = b.shape[1]
-            width = max(1, _STACK_ENTRIES // (max(columns.d, len(x)) * rank))
+            width = stack_size(max(columns.d, len(x)) * rank)
             for a in range(0, rank, width):
                 pairs = b[:, a:a + width, None].conj() * b[:, None, :]
                 blk = (x @ pairs.reshape(columns.d, -1)).reshape(len(x), -1, rank)
@@ -352,20 +353,6 @@ class Prop1Scan:
                 f'({rank2} of rank>=2, {anti} anticliques for the orbit)')
 
 
-# the census clusters its elements in stacks, in (p, q) order, whose cycle
-# blocks hold at most this many eigenvector entries (an element holding more
-# is a stack of its own): one element per stack pays numpy's call overhead
-# once per element, and one stack of the whole table holds every block at
-# once; compressions bounds each of its gathers by the same count
-_STACK_ENTRIES = 1 << 13
-
-
-def _stack_size(entries: np.ndarray, budget: int) -> int:
-    """How many of the elements, taken in order, make the next stack: as
-    many as hold at most budget entries between them, and at least one."""
-    return max(1, int(np.searchsorted(np.cumsum(entries), budget, side='right')))
-
-
 def _apart(rows: np.ndarray, counts: np.ndarray, tol: float) -> np.ndarray:
     """Whether cluster_eigenvalues at tol puts each of the first counts[j]
     entries of row j in a cluster of its own, the rest of the row repeating
@@ -408,10 +395,10 @@ def _keeps_clusters(clusters, owner: np.ndarray, power: np.ndarray, shift: np.nd
 class _Census:
     """The census across stacks of elements of a table with qs elements
     per p: the records in first-sighting order, the columns of each
-    (supports), the dedup buckets, which map (rank, Re Tr(probe P) to 6
-    places) to record indices in record order, the clusters' record
-    indices (hits), each as often as an element has those clusters, and
-    the common list so far."""
+    (supports), the dedup buckets, which map (rank, Tr(G* P G) to 6
+    places), G the probe factor, to record indices in record order, the
+    clusters' record indices (hits), each as often as an element has those
+    clusters, and the common list so far."""
 
     def __init__(self, tol: float, orbit: OperatorGraph, probe: np.ndarray, qs: int):
         self.tol, self.orbit, self.probe, self.qs = tol, orbit, probe, qs
@@ -542,16 +529,18 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     records, their order and their counts are those of clustering every
     element in (p, q) order.
 
-    The clustered elements are taken in stacks sized by _STACK_ENTRIES.
-    Each stack's clusters come in cycle blocks (GroupAction.clusters): the
-    eigenvectors live on the cycles of the monomial table, and the clusters
-    are guarded by the gather residual u V - V Lambda and the
-    orthonormality of each block, so no dense unitary or d x d product is
-    formed.  A cluster P = b b* is read through its columns on their cycles
+    The clustered elements are taken in stacks, in (p, q) order, whose
+    cycle blocks hold at most linalg._STACK_ENTRIES eigenvector entries
+    (linalg.stack_size).  Each stack's clusters come in cycle blocks
+    (GroupAction.clusters): the eigenvectors live on the cycles of the
+    monomial table, and the clusters are guarded by the gather residual
+    u V - V Lambda and the orthonormality of each block, so no dense
+    unitary or d x d product is formed.  A cluster P = b b* is read through its columns on their cycles
     (ClusterColumns), and a record keeps those, cut from arrays of its
     stack's first sightings (CycleClusters.select) so that the stack itself
-    is not kept.  Dedup buckets by rank and Re Tr(probe P), a
-    probe[pos, pos] gather per cycle, then matches when ||P1 - P2||_F^2 =
+    is not kept.  Dedup buckets by rank and Tr(G* P G) = ||b* G||_F^2
+    for a seeded complex Gaussian d x 2 factor G, a G[pos] gather per
+    cycle (CycleClusters.traces), then matches when ||P1 - P2||_F^2 =
     2 rank - 2 ||b1* b2||_F^2 is below _MATCH_TOL^2, round by round
     (_Census._match).  The common list intersects the rank >= 2 projections
     across all elements and is usually empty, since only a unitary
@@ -565,14 +554,15 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     if orbit is None:
         orbit = graph_orbit(n, s, tol, unitaries)
     qs = unitaries.perm.shape[1]
-    probe = random_hermitian(unitaries.perm.shape[-1], np.random.default_rng(23117))
+    parts = np.random.default_rng(23117).standard_normal((2, unitaries.perm.shape[-1], 2))
+    probe = parts[0] + 1j * parts[1]
     census = _Census(tol, orbit, probe, qs)
     first, power, shift = unitaries.unit_classes
     entries = unitaries.cycle_entries()
     alone = (first == np.arange(len(first))) | (shift < 0)
     done = 0
     while (queue := done + np.flatnonzero(alone[done:])).size:
-        stack = queue[:_stack_size(entries[queue], _STACK_ENTRIES)]
+        stack = queue[:stack_size(entries[queue])]
         clusters = unitaries.clusters(*np.divmod(stack, qs), tol)
         stacked = np.zeros(len(first), dtype=bool)
         stacked[stack] = True

@@ -22,9 +22,25 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
+# work done on stacks (the census's cycle blocks, the sampled checks' (k, d, d)
+# samples) takes as many items per stack as hold at most this many entries
+# (an item holding more is a stack of its own): one item per stack pays
+# numpy's call overhead once per item, and one stack of everything holds all
+# of it at once
+_STACK_ENTRIES = 1 << 13
+
 
 class DegenerateClusteringError(ValueError):
     """Eigenvalue clusters could not be separated unambiguously."""
+
+
+def stack_size(entries) -> int:
+    """How many items, taken in order, make the next stack: as many as hold
+    at most _STACK_ENTRIES entries between them, and at least one.  entries
+    is the count of each item, or one count shared by all of them."""
+    if np.ndim(entries) == 0:
+        return max(1, _STACK_ENTRIES // int(entries))
+    return max(1, int(np.searchsorted(np.cumsum(entries), _STACK_ENTRIES, side='right')))
 
 
 def as_operator(a) -> np.ndarray:
@@ -37,9 +53,30 @@ def as_operator(a) -> np.ndarray:
     return m
 
 
+def as_operators(a, dim: int) -> np.ndarray:
+    """Validate and return a finite complex dim x dim matrix or a (k, dim,
+    dim) stack of them."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-2:] != (dim, dim):
+        raise ValueError(f"expected {dim} x {dim} matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 def frob(a) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
+
+
+def frobs(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack, bit for bit frob of
+    each: np.linalg.norm takes the dot products of the real and of the
+    imaginary parts, and a stacked row-by-column matmul takes the same dot
+    products, all in one call."""
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel()
 
 
 def unit_roots(n: int) -> np.ndarray:
@@ -64,17 +101,21 @@ def dft_unitary(n: int) -> np.ndarray:
     return unit_roots(n)[np.outer(t, t) % n] / np.sqrt(n)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """Gaussian Hermitian sample, used by the randomized residual checks:
     (a + a*) / 2 for a = re + i im, two standard normal draws, built part
-    by part as (re + re^T) / 2 + i (im - im^T) / 2, with no complex a."""
-    re = rng.standard_normal((dim, dim))
-    im = rng.standard_normal((dim, dim))
-    out = np.empty((dim, dim), dtype=complex)
-    np.add(re, re.T, out=out.real)
-    np.subtract(im, im.T, out=out.imag)
+    by part as (re + re^T) / 2 + i (im - im^T) / 2, with no complex a.
+
+    With a count, a (count, dim, dim) stack of samples from one draw of
+    2 count matrices, re and im of each sample in turn: the stream of count
+    calls without one, bit for bit."""
+    parts = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    re, im = parts[:, 0], parts[:, 1]
+    out = np.empty(re.shape, dtype=complex)
+    np.add(re, re.swapaxes(1, 2), out=out.real)
+    np.subtract(im, im.swapaxes(1, 2), out=out.imag)
     out *= 0.5
-    return out
+    return out[0] if count is None else out
 
 
 @dataclass(frozen=True)

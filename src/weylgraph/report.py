@@ -9,7 +9,7 @@ from .covariant import (covariant_resolution, expectation_avg, expectation_trace
                         resolution_mass_check, verify_theorem1)
 from .graphs import (graph_orbit, kl_corollary_check, proposition1_scan,
                      spectral_match_check, verify_theorem2, y_units)
-from .linalg import DEFAULT_TOL, frob, random_hermitian
+from .linalg import DEFAULT_TOL, frob, frobs, random_hermitian, stack_size
 from .results import CheckResult, VerificationReport
 from .weylrep import (element_unitaries, entangled_basis, rep_generators,
                       verify_representation)
@@ -38,26 +38,33 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     seed = 1000 + n  # fixed seed per n: reports must be stable
     rng = np.random.default_rng(seed)
     samples = _sample_count(n)
+    # the draws in stacks, each stack one call of each form; the stream and
+    # the order of the draws are those of one sample at a time
+    step = stack_size(d * d)
+    stacks = [(lo, min(lo + step, samples)) for lo in range(0, samples, step)]
     worst, where = 0.0, 0
-    for i in range(samples):
-        x = random_hermitian(d, rng)
+    for lo, hi in stacks:
+        x = random_hermitian(d, rng, hi - lo)
         average, bound = expectation_avg(n, x, unitaries)
-        r = frob(average - expectation_trace(n, x, units)) + bound
-        if r > worst:
-            worst, where = r, i
+        average -= expectation_trace(n, x, units)
+        for i, r in enumerate((frobs(average) + bound).tolist(), lo):
+            if r > worst:
+                worst, where = r, i
     checks.append(CheckResult('expectation_forms_agree', worst <= tol, worst,
                               details=f'{samples} random Hermitian samples, draws '
                                       f'0-{samples - 1} of seed {seed}; worst at draw {where}'))
 
     eye = np.eye(d, dtype=complex)
     worst, where = frob(expectation_trace(n, eye, units) - eye), 'the identity'
-    for i in range(samples, 2 * samples):
-        x = random_hermitian(d, rng)
+    for lo, hi in stacks:
+        x = random_hermitian(d, rng, hi - lo)
         once = expectation_trace(n, x, units)
-        r = max(frob(expectation_trace(n, once, units) - once),
-                abs(complex(np.trace(once) - np.trace(x))))
-        if r > worst:
-            worst, where = r, f'draw {i}'
+        idempotence = frobs(expectation_trace(n, once, units) - once).tolist()
+        drift = (np.trace(once, axis1=1, axis2=2) - np.trace(x, axis1=1, axis2=2)).tolist()
+        for i, (r, t) in enumerate(zip(idempotence, drift), samples + lo):
+            r = max(r, abs(t))
+            if r > worst:
+                worst, where = r, f'draw {i}'
     checks.append(CheckResult('expectation_idempotent', worst <= tol, worst,
                               details=f'idempotence, unitality and trace preservation; '
                                       f'{samples} samples, draws {samples}-{2 * samples - 1} '

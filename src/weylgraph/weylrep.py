@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, as_operator, cluster_eigenvalues, dft_unitary,
-                     frob, tensor_product, unit_roots)
+                     frob, frobs, tensor_product, unit_roots)
 from .results import CheckResult
 
 
@@ -185,13 +185,14 @@ class CycleClusters:
         other = (top != tops[label]) | (bottom != bottoms[label])
         return tops, bottoms, np.bincount(label, other, count) == 0
 
-    def traces(self, x: np.ndarray) -> np.ndarray:
-        """Re Tr(x P_c) for each cluster projection P_c: the sum over its
-        columns v of Re <v, x v>, read from x[pos, pos] on each cycle."""
+    def traces(self, g: np.ndarray) -> np.ndarray:
+        """Tr(g* P_c g) for each cluster projection P_c and a (d, r) factor
+        g: the sum over its columns v of ||v* g||^2, read from g[pos] on
+        each cycle."""
         out = np.zeros(len(self.values))
         for b, lab in zip(self.blocks, self.labels):
-            sub = x[b.positions[:, :, None], b.positions[:, None, :]]
-            forms = (b.vectors.conj() * (sub @ b.vectors)).sum(axis=1).real
+            proj = b.vectors.conj().swapaxes(1, 2) @ g[b.positions]
+            forms = (proj.real ** 2 + proj.imag ** 2).sum(axis=2)
             out += np.bincount(lab.ravel(), forms.ravel(), minlength=len(self.values))
         return out
 
@@ -434,13 +435,19 @@ class GroupAction:
         (1/E) sum_k W_k o x[pi_k, pi_k] over the off-block entries, whose
         Frobenius norm is at most the bound (1/E) sum_k max|W_k off| ||x||_F.
         With blocks a single row, the average is the dense sum and the
-        bound 0."""
+        bound 0.
+
+        x may be a (k, d, d) stack, averaged in the same gather and scatter,
+        with a bound per sample, the array off ||x_j||_F; one d x d matrix
+        is a stack of one, with a float bound."""
         classes = self.class_blocks(blocks)
-        terms = np.take(x, classes.cells)
+        stack = x.reshape(-1, x.shape[-1] ** 2)
+        terms = np.take(stack, classes.cells, axis=1)
         terms *= classes.weights
-        out = np.zeros(x.shape, dtype=complex)
-        out.reshape(-1)[classes.out.ravel()] = terms.sum(axis=0).ravel() / self.perm[..., 0].size
-        return out, classes.off * frob(x)
+        out = np.zeros(stack.shape, dtype=complex)
+        out[:, classes.out.ravel()] = terms.sum(axis=1).reshape(len(stack), -1) / self.perm[..., 0].size
+        bound = classes.off * frobs(stack)
+        return out.reshape(x.shape), (float(bound[0]) if x.ndim == 2 else bound)
 
     def orbit_diagonals(self, v: np.ndarray) -> np.ndarray:
         """Diagonals of u diag(v) u* for every u = piS^p piM^q, shape (n, n, d):

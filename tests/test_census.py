@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylgraph.graphs
+import weylgraph.linalg
 import weylgraph.weylrep
 from dense_oracles import cluster_projector
 from weylgraph.covariant import q_projection
@@ -228,8 +229,8 @@ def test_census_rounds_match_the_dense_census_when_every_key_collides(n, monkeyp
     monkeypatch.setattr(CycleClusters, 'traces',
                         lambda self, x: np.zeros(len(self.values)))
     dense = dense_census(n, 0)
-    for budget in (weylgraph.graphs._STACK_ENTRIES, 1):
-        monkeypatch.setattr(weylgraph.graphs, '_STACK_ENTRIES', budget)
+    for budget in (weylgraph.linalg._STACK_ENTRIES, 1):
+        monkeypatch.setattr(weylgraph.linalg, '_STACK_ENTRIES', budget)
         fast = proposition1_scan(n, 0)
         assert len(fast.projections) == len(dense.projections)
         for a, b in zip(fast.projections, dense.projections):
@@ -351,6 +352,24 @@ def test_cluster_overlaps_read_columns_that_share_a_cycle():
         assert abs(got - frob(c.conj().T @ b) ** 2) <= 1e-12
 
 
+@pytest.mark.parametrize('n', [3, 4, 6])
+def test_cluster_traces_are_the_dense_probe_forms(n):
+    # the dedup key Tr(G* P G) = ||b* G||_F^2 of every cluster of a stack,
+    # read from G on the cycles, against the dense projection, also for a
+    # cluster of the wide tol whose columns share a cycle
+    unitaries = element_unitaries(n, *rep_generators(n))
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n * n, 2)) + 1j * rng.standard_normal((n * n, 2))
+    clusters = unitaries.clusters([0, 1, 2], [1, 1, 2])
+    got = clusters.traces(g)
+    for c, value in enumerate(got):
+        proj = cluster_projector(clusters.columns(c))
+        assert abs(value - np.trace(g.conj().T @ proj @ g).real) <= 1e-12 * n
+    shared = _table([1, 0, 2], np.zeros(3, dtype=int), 1).clusters(0, 0, 0.25)
+    [value] = shared.traces(g[:3])
+    assert abs(value - frob(g[:3]) ** 2) <= 1e-12
+
+
 @pytest.mark.parametrize('seed', range(4))
 def test_compressions_of_a_dense_isometry_match_the_dense_forms(seed):
     # every row shared by every column: the general case of compressions
@@ -402,8 +421,8 @@ def test_compressions_match_check_knill_laflamme(n, monkeypatch):
     inputs = [(ClusterColumns.of(basis.flat()), n * np.arange(n + 1)),
               clusters.select(range(len(clusters.values))),
               (ClusterColumns.of(dense), [0, 3])]
-    for (columns, tops), budget in itertools.product(inputs, (weylgraph.graphs._STACK_ENTRIES, 8)):
-        monkeypatch.setattr(weylgraph.graphs, '_STACK_ENTRIES', budget)
+    for (columns, tops), budget in itertools.product(inputs, (weylgraph.linalg._STACK_ENTRIES, 8)):
+        monkeypatch.setattr(weylgraph.linalg, '_STACK_ENTRIES', budget)
         residual, lam = compressions(columns, tops, diagonals)
         b = columns.dense()
         for j, (lo, hi) in enumerate(zip(tops[:-1], tops[1:])):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylgraph.covariant
+import weylgraph.linalg
 import weylgraph.report
 from dense_oracles import (class_average, dense_atoms, dense_covariance, dense_mass, dyad_grid,
                            member_span, product_trace_form)
@@ -27,6 +28,7 @@ from weylgraph.graphs import _class_span
 from weylgraph.linalg import (frob, random_hermitian, span_operators, subspace_equal,
                               tensor_product)
 from weylgraph.report import run_verification
+from weylgraph.serialize import dumps, report_to_obj
 from weylgraph.weylrep import (GroupAction, element_unitaries, entangled_basis,
                                rep_generators)
 
@@ -382,6 +384,63 @@ def test_off_block_defect_fails_through_the_bound(monkeypatch):
     checks = {c.check_id: c for c in run_verification(n).checks}
     assert not checks['expectation_forms_agree'].passed
     assert checks['expectation_forms_agree'].max_residual >= 1e-8
+
+
+@pytest.mark.parametrize('n, k', [(3, 1), (3, 5), (4, 1), (4, 3)])
+def test_a_stack_is_averaged_as_each_of_its_matrices(n, k):
+    # one gather and one scatter per stack, and one bound per sample: bit
+    # for bit the calls on each matrix alone.  The table's block phase is
+    # turned (_rotate_block_phase) so that every bound is nonzero and a
+    # bound read from another sample shows; the stray kets of
+    # test_trace_form_matches_the_einsum_loop make supports that overlap
+    d = n * n
+    rng = np.random.default_rng(40 + k)
+    xs = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    xs[0] = random_hermitian(d, rng)
+    tampered = _rotate_block_phase(element_unitaries(n, *rep_generators(n)))
+    units = fixed_units(n)
+    stray = units.units.copy()
+    stray[0, 0, n] += 1.0
+    stray[1, n - 1, d - 1] += 0.5
+    generic = GroupAction(np.array([rng.permutation(d) for _ in range(n * n)]).reshape(n, n, d),
+                          rng.integers(0, 7, (n, n, d)), 7)
+    blocks = rng.permutation(d).reshape(n, n)
+    cases = [('expectation_avg', lambda x: expectation_avg(n, x, tampered)),
+             ('GroupAction.average', lambda x: generic.average(x, blocks))]
+    for name, average in cases:
+        stacked, bounds = average(xs)
+        assert stacked.shape == xs.shape and bounds.shape == (k,), name
+        for j in range(k):
+            alone, bound = average(xs[j])
+            assert isinstance(bound, float) and bound > 0.0, name
+            assert np.array_equal(stacked[j], alone), name
+            assert bounds[j] == bound, name
+    for factor in (units, dataclasses.replace(units, units=stray)):
+        stacked = expectation_trace(n, xs, factor)
+        assert stacked.shape == xs.shape
+        for j in range(k):
+            assert np.array_equal(stacked[j], expectation_trace(n, xs[j], factor))
+
+
+def test_expectation_forms_reject_a_stack_of_the_wrong_shape():
+    n = 3
+    for bad in (np.zeros((2, 9, 8)), np.zeros((2, 2, 9, 9)), np.zeros(81),
+                np.full((2, 9, 9), np.nan)):
+        with pytest.raises(ValueError):
+            expectation_avg(n, bad)
+        with pytest.raises(ValueError):
+            expectation_trace(n, bad)
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_report_bytes_do_not_depend_on_the_stack_budget(n, monkeypatch):
+    # the sampled checks and theorem 1 evaluate their samples and Q_s in
+    # stacks, and the census its elements: one of each per stack must give
+    # the bytes of the default stacks, the same draws in the same order
+    default = dumps(report_to_obj(run_verification(n)))
+    monkeypatch.setattr(weylgraph.linalg, '_STACK_ENTRIES', 1)
+    assert weylgraph.linalg.stack_size(n ** 4) == 1
+    assert dumps(report_to_obj(run_verification(n))) == default
 
 
 def test_expectation_compresses_grid_dyads():

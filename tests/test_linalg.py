@@ -13,9 +13,11 @@ from weylgraph.linalg import (
     cluster_eigenvalues,
     dft_unitary,
     frob,
+    frobs,
     random_hermitian,
     span_operators,
     spectral_projections,
+    stack_size,
     subspace_equal,
     tensor_product,
     unit_roots,
@@ -438,9 +440,37 @@ def test_random_hermitian_is_hermitian():
 @pytest.mark.parametrize('dim', [4, 100, 576, 1024])
 def test_random_hermitian_is_the_complex_sample_bit_for_bit(dim):
     # the samples of the report's seeded checks: built part by part, they
-    # must be the very bits of (a + a*) / 2 from the complex draw
+    # must be the very bits of (a + a*) / 2 from the complex draw, and a
+    # stack of them those of as many draws one after another, which leave
+    # the generator where they leave it
     for seed in (0, 1010):
         got = random_hermitian(dim, np.random.default_rng(seed))
         want = complex_hermitian(dim, np.random.default_rng(seed))
         assert np.array_equal(got, want)
         assert np.array_equal(got, got.conj().T)
+    for count in (1, 3) if dim <= 100 else (2,):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        stack = random_hermitian(dim, rng, count)
+        assert stack.shape == (count, dim, dim)
+        for sample in stack:
+            assert np.array_equal(sample, complex_hermitian(dim, ref))
+        assert np.array_equal(random_hermitian(dim, rng), complex_hermitian(dim, ref))
+
+
+@pytest.mark.parametrize('dim', [1, 4, 9, 49, 100, 121, 256])
+def test_frobs_is_frob_of_each_matrix_bit_for_bit(dim):
+    # the residuals of the stacked checks: the same dot products as
+    # np.linalg.norm, past the ~10^4 entries where BLAS splits them too
+    rng = np.random.default_rng(dim)
+    for count in (1, 3):
+        stack = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+        stack *= 10.0 ** rng.integers(-6, 6, (count, 1, 1))
+        assert np.array_equal(frobs(stack), [frob(m) for m in stack])
+
+
+def test_stack_size_fills_the_budget(monkeypatch):
+    monkeypatch.setattr('weylgraph.linalg._STACK_ENTRIES', 100)
+    assert [stack_size(e) for e in (1, 30, 50, 51, 100, 101)] == [100, 3, 2, 1, 1, 1]
+    assert stack_size(np.array([40, 40, 20, 1])) == 3
+    assert stack_size(np.array([40, 61])) == 1
+    assert stack_size(np.array([200, 1])) == 1
