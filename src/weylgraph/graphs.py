@@ -392,13 +392,23 @@ def _keeps_clusters(clusters, owner: np.ndarray, power: np.ndarray, shift: np.nd
     return single[cs].all(axis=1) & _apart(np.exp(2j * np.pi * num / den), hi - lo, tol)
 
 
+def _overlap(b: ClusterColumns, c: ClusterColumns) -> float:
+    """||b* c||_F^2: row a of b* c sums conj(b[i, a]) c[i, :] over the
+    entries of column a of b, with c read densely on b's rows, so columns
+    of either that share a row (a cycle, at a wide tol) add up."""
+    prod = np.add.reduceat(b.entries.conj()[:, None] * c.dense()[b.rows], b.starts)
+    return float((prod.real ** 2 + prod.imag ** 2).sum())
+
+
 class _Census:
     """The census across stacks of elements of a table with qs elements
     per p: the records in first-sighting order, the columns of each
     (supports), the dedup buckets, which map (rank, Tr(G* P G) to 6
     places), G the probe factor, to record indices in record order, the
     clusters' record indices (hits), each as often as an element has those
-    clusters, and the common list so far."""
+    clusters, and the common list so far.  A stack's clusters are matched
+    in one ordered pass (_match) before its first sightings are recorded
+    (_record)."""
 
     def __init__(self, tol: float, orbit: OperatorGraph, probe: np.ndarray, qs: int):
         self.tol, self.orbit, self.probe, self.qs = tol, orbit, probe, qs
@@ -428,61 +438,29 @@ class _Census:
 
     def _match(self, clusters, keys):
         """The record index of each cluster of a stack, and its first
-        sightings in cluster order.
-
-        The clusters of one key compare, round by round, with the records of
-        their bucket in record order, every pair of a round in one gather
-        (CycleClusters.overlaps); a match ends a cluster's search.  When a
-        key's bucket is used up, the first cluster still searching is a
-        first sighting, appended to the bucket, and the others compare with
-        it next.  So each cluster gets the first record in record order that
-        matches it, as one pass in cluster order would find.  A first
-        sighting c counts as -1 - c until the stack is done, when the first
-        sightings take their record indices in cluster order."""
-        groups: dict = {}
-        for c, key in enumerate(keys):
-            groups.setdefault(key, []).append(c)
-        touched, at = list(groups), dict.fromkeys(groups, 0)
+        sightings in cluster order, in one pass in cluster order.  A cluster
+        takes the first record of its key's bucket, in record order, whose
+        projection is within _MATCH_TOL of its own: ||P1 - P2||_F^2 =
+        2 rank - 2 ||b1* b2||_F^2 (_overlap).  A cluster that matches none
+        is a first sighting: it takes the next record index, after the
+        records and the stack's earlier first sightings, and joins its
+        bucket; its columns are read from the stack when a later cluster
+        compares with it."""
         hits = np.empty(len(keys), dtype=np.intp)
-        fresh: dict = {}
-        while groups:
-            refs, cs = [], []
-            for key in list(groups):
-                group, bucket = groups[key], self.buckets.setdefault(key, [])
-                if at[key] == len(bucket):
-                    c = group.pop(0)
-                    fresh[c] = clusters.columns(c)
-                    hits[c] = -1 - c
-                    bucket.append(-1 - c)
-                    if not group:
-                        del groups[key]
-                        continue
-                refs += [bucket[at[key]]] * len(group)
-                cs += group
-                at[key] += 1
-            if not cs:
-                break
-            overlap = clusters.overlaps(
-                [self.supports[r] if r >= 0 else fresh[-1 - r] for r in refs], cs)
-            cs, refs = np.array(cs), np.array(refs)
-            same = 2 * clusters.ranks[cs] - 2 * overlap <= _MATCH_TOL ** 2
-            hits[cs[same]] = refs[same]
-            found = set(cs[same].tolist())
-            for key in list(groups):
-                groups[key] = [c for c in groups[key] if c not in found]
-                if not groups[key]:
-                    del groups[key]
-        new = sorted(fresh)
-        index = np.empty(len(keys), dtype=np.intp)
-        index[new] = len(self.records) + np.arange(len(new))
-        late = hits < 0
-        hits[late] = index[-1 - hits[late]]
-        for key in touched:
-            bucket = self.buckets[key]
-            for i in range(len(bucket) - 1, -1, -1):
-                if bucket[i] >= 0:
+        new: list = []
+        for c, key in enumerate(keys):
+            bucket = self.buckets.setdefault(key, [])
+            for idx in bucket:
+                seen = idx - len(self.records)
+                other = self.supports[idx] if seen < 0 else clusters.columns(new[seen])
+                distance = 2 * clusters.ranks[c] - 2 * _overlap(other, clusters.columns(c))
+                if distance <= _MATCH_TOL ** 2:
+                    hits[c] = idx
                     break
-                bucket[i] = int(index[-1 - bucket[i]])
+            else:
+                hits[c] = len(self.records) + len(new)
+                bucket.append(int(hits[c]))
+                new.append(c)
         return hits, new
 
     def _record(self, clusters, new: list, elements: np.ndarray) -> None:
@@ -540,9 +518,14 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     stack's first sightings (CycleClusters.select) so that the stack itself
     is not kept.  Dedup buckets by rank and Tr(G* P G) = ||b* G||_F^2
     for a seeded complex Gaussian d x 2 factor G, a G[pos] gather per
-    cycle (CycleClusters.traces), then matches when ||P1 - P2||_F^2 =
-    2 rank - 2 ||b1* b2||_F^2 is below _MATCH_TOL^2, round by round
-    (_Census._match).  The common list intersects the rank >= 2 projections
+    cycle (CycleClusters.traces), then matches a cluster with the first
+    record of its bucket, in record order, for which ||P1 - P2||_F^2 =
+    2 rank - 2 ||b1* b2||_F^2 is below _MATCH_TOL^2, in one pass over the
+    clusters in their order (_Census._match).  With the members certified,
+    no two clusters of the group table share a key (measured at the
+    default tol for n = 2..24 and 32), so that search compares no pair
+    there; it is the safety path for a table whose members cluster on
+    their own.  The common list intersects the rank >= 2 projections
     across all elements and is usually empty, since only a unitary
     proportional to the identity admits the identity as a cluster
     projection.  A projection's Knill-Laflamme residual is taken at its

@@ -220,68 +220,6 @@ class CycleClusters:
                                heads[_ranges(tops[cs], tops[cs + 1])] - skipped),
                 np.concatenate(([0], np.cumsum(ranks))))
 
-    def overlaps(self, columns: list, cs) -> np.ndarray:
-        """||B_j* C_j||_F^2 for each pair of a ClusterColumns B_j = columns[j]
-        and the columns C_j of cluster cs[j] of this stack, in one gather:
-        each entry of B_j meets the entries of C_j in its own row, which
-        _by_row holds, and the products are summed into the blocks B_j* C_j
-        by one bincount."""
-        values, slots = self._by_row
-        cs = np.asarray(cs, dtype=np.intp)
-        count = len(columns)
-        sizes = np.array([len(b.rows) for b in columns], dtype=np.intp)
-        ranks = np.array([b.rank for b in columns], dtype=np.intp)
-        pair = np.repeat(np.arange(count), sizes)
-        # the column of each entry, counted across all the B_j
-        mark = np.zeros(len(pair), dtype=np.intp)
-        mark[np.concatenate([b.starts for b in columns])
-             + np.repeat(np.cumsum(sizes) - sizes, ranks)] = 1
-        width = self.ranks[cs]
-        cells = ranks * width
-        # block j, B_j* C_j row by row, starts at cell offset[j]; its row a
-        # is column a + skipped[j] of all the B_j
-        offset = np.cumsum(cells) - cells
-        skipped = np.cumsum(ranks) - ranks
-        at = cs[pair] * self.d + np.concatenate([b.rows for b in columns])
-        cell = (offset - skipped * width)[pair] + (np.cumsum(mark) - 1) * width[pair]
-        cell = cell[:, None] + slots[at]
-        prod = np.concatenate([b.entries for b in columns]).conj()[:, None] * values[at]
-        del pair, mark, at  # the entry-sized indices go before the sums are made
-        # real and imaginary parts side by side, summed in one bincount
-        sums = np.bincount((2 * cell[:, :, None] + (0, 1)).ravel(),
-                           prod.view(np.float64).ravel(), 2 * int(cells.sum()))
-        return np.add.reduceat(np.square(sums, out=sums), 2 * offset)
-
-    @cached_property
-    def _by_row(self):
-        """Every cluster's columns read by row, as (values, slots): row i of
-        cluster c is row c d + i of the (clusters d, m) arrays, whose slot j
-        holds the j-th column of c through row i, as its entry there in
-        values and its index within the cluster in slots (0 and 0 for none);
-        m is the most columns of one cluster through one row.  The columns
-        of one cluster lie on distinct cycles, so m is 1, unless a tol wide
-        enough to join two eigenvalues of one cycle puts two of its
-        eigenvectors in one cluster."""
-        rows, entries, heads, _, tops = self._sorted
-        ranks = self.ranks
-        count = len(self.values)
-        owner = np.repeat(np.arange(count), ranks)
-        # a column's first row is the least index of its cycle
-        cycle = owner * self.d + rows[heads]
-        order = np.argsort(cycle, kind='stable')
-        run = np.concatenate(([True], cycle[order][1:] != cycle[order][:-1]))
-        slot = np.empty(len(heads), dtype=np.intp)
-        slot[order] = np.arange(len(heads)) - np.maximum.accumulate(
-            np.where(run, np.arange(len(heads)), 0))
-        width = int(slot.max()) + 1
-        size = np.diff(np.append(heads, len(rows)))
-        at = (np.repeat(owner * self.d, size) + rows) * width + np.repeat(slot, size)
-        values = np.zeros(count * self.d * width, dtype=complex)
-        values[at] = entries
-        slots = np.zeros(count * self.d * width, dtype=np.intp)
-        slots[at] = np.repeat(np.arange(len(heads)) - np.asarray(tops)[owner], size)
-        return values.reshape(-1, width), slots.reshape(-1, width)
-
     @cached_property
     def _sorted(self):
         """The entries of every column, grouped by cluster, as (rows,

@@ -13,6 +13,10 @@ giving an integer block matrix whose rank over Q equals phi(n) times the rank
 over Q(w).  Integer ranks come from fraction-free Bareiss elimination on
 Python ints, so no floating point enters at any stage.
 
+The census of spectral projections has a closed form in integers
+(census_closed_form_errors): the projections of the element (p, q) are
+those of the cyclic subgroup it generates, of order n / gcd(p, q, n).
+
 Run as a script to print the table frozen into the test suite:
 
     python tests/exact_oracles.py
@@ -21,6 +25,7 @@ Run as a script to print the table frozen into the test suite:
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -366,6 +371,46 @@ def z_matches_scaled_projection(n: int) -> bool:
             if not _is_zero_in_field(row, n):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the spectral census in closed form
+
+def dedekind_psi(n: int) -> int:
+    """psi(n) = n prod_{p | n} (1 + 1/p) over the primes p, in integers:
+    the number of cyclic subgroups of order n of Z_n x Z_n."""
+    psi, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            psi = psi // p * (p + 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        psi = psi // rest * (rest + 1)
+    return psi
+
+
+def census_closed_form_errors(scan) -> list[str]:
+    """How a census of spectral projections (graphs.Prop1Scan) departs from
+    its closed form: n psi(n) anticliques, sum_{d | n} d psi(d) distinct
+    projections, and each projection, first seen on an element (p, q) of
+    order ord = n / gcd(p, q, n), of rank n^2 / ord and an anticlique if
+    and only if ord = n.  Empty when the census has it."""
+    n = scan.n
+    errors = []
+    anticliques = sum(rec.is_anticlique for rec in scan.projections)
+    if anticliques != n * dedekind_psi(n):
+        errors.append(f'{anticliques} anticliques, not n psi(n) = {n * dedekind_psi(n)}')
+    distinct = sum(d * dedekind_psi(d) for d in range(1, n + 1) if n % d == 0)
+    if len(scan.projections) != distinct:
+        errors.append(f'{len(scan.projections)} distinct projections, not {distinct}')
+    for rec in scan.projections:
+        order = n // gcd(*rec.element, n)
+        if rec.rank * order != n * n or rec.is_anticlique != (order == n):
+            errors.append(f'{rec.element} of order {order}: rank {rec.rank}, '
+                          f'anticlique {rec.is_anticlique}')
+    return errors
 
 
 if __name__ == '__main__':

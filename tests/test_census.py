@@ -15,9 +15,10 @@ import weylgraph.graphs
 import weylgraph.linalg
 import weylgraph.weylrep
 from dense_oracles import cluster_projector
+from exact_oracles import census_closed_form_errors, dedekind_psi
 from weylgraph.covariant import q_projection
 from weylgraph.graphs import (OperatorGraph, Prop1Scan, ScanProjection, _MATCH_TOL,
-                              _class_span, anticlique_projector, check_knill_laflamme,
+                              _class_span, _overlap, anticlique_projector, check_knill_laflamme,
                               compressions, graph_orbit, kl_suite_extremes,
                               proposition1_scan)
 from weylgraph.linalg import (DEFAULT_TOL, cluster_eigenpairs, frob,
@@ -221,11 +222,11 @@ def _record_isometry(unitaries, rec, tol=DEFAULT_TOL):
 
 
 @pytest.mark.parametrize('n', [2, 3, 4, 5, 6])
-def test_census_rounds_match_the_dense_census_when_every_key_collides(n, monkeypatch):
+def test_census_matches_the_dense_census_when_every_key_collides(n, monkeypatch):
     # every cluster of one rank in one bucket: each cluster then compares
-    # with the records of its rank round by round, and must still find the
-    # first match in record order, both within one stack of the whole table
-    # and, with one element per stack, against buckets of many records
+    # with the records of its rank in record order, and must still find the
+    # first match, both within one stack of the whole table and, with one
+    # element per stack, against buckets of many records
     monkeypatch.setattr(CycleClusters, 'traces',
                         lambda self, x: np.zeros(len(self.values)))
     dense = dense_census(n, 0)
@@ -238,6 +239,69 @@ def test_census_rounds_match_the_dense_census_when_every_key_collides(n, monkeyp
                 (b.element, b.rank, b.occurrences, b.is_anticlique)
             assert abs(a.eigenvalue - b.eigenvalue) <= 1e-9
             assert abs(a.kl_residual - b.kl_residual) <= 1e-9
+
+
+@pytest.mark.parametrize('n', range(2, 9))
+def test_census_matches_uncertified_members_through_the_dedup(n, monkeypatch):
+    # with no member certified, every element is clustered on its own, and
+    # each member's clusters must find its first element's records in the
+    # dedup: among the first sightings of its own stack when one stack holds
+    # the whole table, and among the records with one element per stack
+    unitaries = element_unitaries(n, *rep_generators(n))
+    members = n * n - len(set(unitaries.unit_classes[0].tolist()))
+    certified, dense = proposition1_scan(n, 0, unitaries=unitaries), dense_census(n, 0)
+    unit_classes = GroupAction.unit_classes.func
+
+    def uncertified(self):
+        first, power, shift = unit_classes(self)
+        return first, power, np.full_like(shift, -1)
+
+    compared = []
+    overlap = weylgraph.graphs._overlap
+    monkeypatch.setattr(GroupAction, 'unit_classes', property(uncertified))
+    monkeypatch.setattr(weylgraph.graphs, '_overlap',
+                        lambda b, c: compared.append(1) or overlap(b, c))
+    seen = _clustered_elements(monkeypatch)
+    for budget in (weylgraph.linalg._STACK_ENTRIES, 1):
+        monkeypatch.setattr(weylgraph.linalg, '_STACK_ENTRIES', budget)
+        seen.clear()
+        compared.clear()
+        fast = proposition1_scan(n, 0)
+        assert seen == list(range(n * n))
+        assert len(compared) >= members
+        assert fast.projections == certified.projections
+        assert fast.common == certified.common == []
+        _assert_same_census(fast, dense)
+
+
+def test_dedekind_psi_counts_the_cyclic_subgroups_of_full_order():
+    # the elements of order n of Z_n x Z_n, phi(n) to each cyclic subgroup
+    for n in range(1, 41):
+        full = sum(np.gcd.reduce([p, q, n]) == 1 for p in range(n) for q in range(n))
+        units = sum(np.gcd(a, n) == 1 for a in range(n))
+        assert dedekind_psi(n) * units == full
+
+
+@pytest.mark.parametrize('n', range(2, 25))
+def test_census_has_its_closed_form(n):
+    # n psi(n) anticliques, one per eigenvalue of each cyclic subgroup of
+    # full order; sum_{d | n} d psi(d) distinct projections, of rank n^2 / d
+    # for the elements of order d; the lower orders give no anticlique
+    assert census_closed_form_errors(proposition1_scan(n, 0)) == []
+
+
+@pytest.mark.parametrize('n', [6, 8])
+def test_census_closed_form_catches_a_wrong_census(n):
+    # a full-order projection marked as no anticlique, and the census of a
+    # table with one exponent of a first element of full order raised, so
+    # that its clusters split, each depart from the closed form
+    scan = proposition1_scan(n, 0)
+    e = next(j for j, rec in enumerate(scan.projections) if rec.is_anticlique)
+    scan.projections[e] = dataclasses.replace(scan.projections[e], is_anticlique=False)
+    assert census_closed_form_errors(scan)
+    unitaries = element_unitaries(n, *rep_generators(n))
+    tampered = _raise_one_exponent(unitaries, 1)
+    assert census_closed_form_errors(proposition1_scan(n, 0, unitaries=tampered))
 
 
 def test_census_stacks_peak_below_the_orbit_graphs():
@@ -322,14 +386,14 @@ def test_census_common_projection_is_the_dense_one():
 @pytest.mark.parametrize('n', [3, 4, 6])
 def test_cluster_overlaps_match_the_dense_products(n):
     # ||B* C||_F^2 for every pair of a cluster B of one element and a
-    # cluster C of a stack of two others whose cycles differ, in one gather,
-    # against the dense product
+    # cluster C of a stack of two others whose cycles differ, against the
+    # dense product
     unitaries = element_unitaries(n, *rep_generators(n))
     ones, others = unitaries.clusters(1, 1), unitaries.clusters([0, 2], [1, 1])
     mine = [ones.columns(c) for c in range(len(ones.values))]
     theirs = [others.columns(c).dense() for c in range(len(others.values))]
     pairs = [(a, c) for a in range(len(mine)) for c in range(len(theirs))]
-    got = others.overlaps([mine[a] for a, _ in pairs], [c for _, c in pairs])
+    got = np.array([_overlap(mine[a], others.columns(c)) for a, c in pairs])
     for (a, c), value in zip(pairs, got):
         dense = mine[a].dense()
         assert frob(dense.conj().T @ dense - np.eye(mine[a].rank)) <= 1e-12
@@ -339,7 +403,8 @@ def test_cluster_overlaps_match_the_dense_products(n):
 
 def test_cluster_overlaps_read_columns_that_share_a_cycle():
     # at tol 0.25 the 2-cycle's eigenvalues 1 and -1 and the fixed point's 1
-    # form one cluster of three columns, two of them on one cycle
+    # form one cluster of three columns, two of them on one cycle; the
+    # overlap reads it on either side of the pair
     table = _table([1, 0, 2], np.zeros(3, dtype=int), 1)
     clusters = table.clusters(0, 0, 0.25)
     b = clusters.columns(0).dense()
@@ -348,8 +413,8 @@ def test_cluster_overlaps_read_columns_that_share_a_cycle():
     for _ in range(3):
         c = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
         cols = ClusterColumns(3, np.array([0, 1, 2, 0, 1, 2]), c.T.ravel(), np.array([0, 3]))
-        [got] = clusters.overlaps([cols], [0])
-        assert abs(got - frob(c.conj().T @ b) ** 2) <= 1e-12
+        for got in (_overlap(cols, clusters.columns(0)), _overlap(clusters.columns(0), cols)):
+            assert abs(got - frob(c.conj().T @ b) ** 2) <= 1e-12
 
 
 @pytest.mark.parametrize('n', [3, 4, 6])
