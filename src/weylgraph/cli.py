@@ -104,9 +104,10 @@ def _require_tol(tol: float) -> None:
 def _require_memory(n: int) -> None:
     """Refuse a modulus whose run cannot fit in physical memory: 64 MiB +
     40 n^5 bytes is at least the measured peak RSS of verify at n = 8, 10,
-    ..., 24 and 32 (42, 45, 53, 64, 82, 113, 153, 212, 298 and 964 MiB); the
-    largest object left is the provenance of the n orbit graphs, n^2
-    generator diagonals each, 16 n^5 bytes together."""
+    ..., 24, 32 and 40 (41, 43, 48, 54, 66, 82, 104, 131, 174, 450 and 1061
+    MiB).  The bound was fitted to the orbit graphs' n^2 member diagonals,
+    16 n^5 bytes, which are no longer kept; it stays as a conservative
+    estimate of a peak that now grows about like n^4."""
     need = 2 ** 26 + 40 * n ** 5
     have = os.sysconf('SC_PHYS_PAGES') * os.sysconf('SC_PAGE_SIZE')
     _require(need <= have,

@@ -78,7 +78,7 @@ def run_verification(n: int, tol: float = DEFAULT_TOL) -> VerificationReport:
                                               exhaustive=n <= 6))
 
     orbit_graphs = [graph_orbit(n, s, tol, unitaries) for s in range(n)]
-    checks.append(kl_corollary_check(n, tol, basis, orbit_graphs, unitaries.grouping[1]))
+    checks.append(kl_corollary_check(n, tol, basis, orbit_graphs))
 
     try:
         scan = proposition1_scan(n, 0, tol, unitaries=unitaries, orbit=orbit_graphs[0])

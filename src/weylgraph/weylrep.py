@@ -289,9 +289,9 @@ class GroupAction:
         root exp(2 pi i / order): perm[e] equals perm[g] composed a times,
         and expo[e] equals the exponents of u_g^a plus c mod order.  It is
         -1 where the table does not prove that identity, and 0 at e = g.
-        The powers u_g^0, u_g^1, ... of the first elements are composed by
-        pointer doubling, as index compositions and exponent sums, for as
-        many of them at once as hold _POWER_ENTRIES entries.
+        The powers u_g^2, u_g^3, ... of every first element are composed
+        one factor u_g at a time, as index compositions and exponent sums,
+        and the members with power a are compared with u_g^a.
 
         Computed once per table: change a table by dataclasses.replace, not
         in place."""
@@ -308,25 +308,18 @@ class GroupAction:
             return first, power, shift
         perm, expo = self.perm.reshape(-1, d), self.expo.reshape(-1, d) % self.order
         heads = np.flatnonzero(np.bincount(first[members], minlength=size))
-        rows = int(power[members].max()) + 1
-        batch = max(1, _POWER_ENTRIES // (rows * d))
-        for lo in range(0, len(heads), batch):
-            chunk = heads[lo:lo + batch]
-            # (perms, sums)[r, j] is u_g^j for g = chunk[r]: u_g^(j + h) =
-            # u_g^j u_g^h for the h powers known, with (step, add) = u_g^h
-            at = d * np.arange(len(chunk))[:, None, None]
-            perms = np.broadcast_to(np.arange(d), (len(chunk), 1, d))
-            sums = np.zeros((len(chunk), 1, d), dtype=expo.dtype)
-            step, add = perm[chunk, None], expo[chunk, None]
-            while perms.shape[1] < rows:
-                known = perms[:, :rows - perms.shape[1]] + at
-                perms = np.concatenate((perms, step.ravel()[known]), axis=1)
-                sums = np.concatenate((sums, sums[:, :known.shape[1]] + add.ravel()[known]), axis=1)
-                step, add = step.ravel()[step + at], add + add.ravel()[step + at]
-            mine = members[(first[members] >= chunk[0]) & (first[members] <= chunk[-1])]
-            r, a = np.searchsorted(chunk, first[mine]), power[mine]
-            diff = (expo[mine] - sums[r, a]) % self.order
-            proved = (perm[mine] == perms[r, a]).all(axis=1) & (diff == diff[:, :1]).all(axis=1)
+        row = np.searchsorted(heads, first)
+        # (perms, sums)[r] is u_g^a for g = heads[r]: u_g^a = u_g^(a-1) u_g,
+        # the rows of u_g read through perms, at offset d r
+        at = d * np.arange(len(heads))[:, None]
+        step, add = (perm[heads] + at).ravel(), expo[heads].ravel()
+        perms, sums = perm[heads] + at, expo[heads]
+        for a in range(2, int(power[members].max()) + 1):
+            perms, sums = step[perms], sums + add[perms]
+            mine = members[power[members] == a]
+            r = row[mine]
+            diff = (expo[mine] - sums[r]) % self.order
+            proved = (perm[mine] + at[r] == perms[r]).all(axis=1) & (diff == diff[:, :1]).all(axis=1)
             shift[mine] = np.where(proved, diff[:, 0], -1)
         return first, power, shift
 
@@ -515,10 +508,6 @@ class GroupAction:
     @property
     def nbytes(self) -> int:
         return self.perm.nbytes + self.expo.nbytes
-
-
-# unit_classes composes the powers of this many table entries at once
-_POWER_ENTRIES = 1 << 18
 
 
 def _least_on_cycles(flat: np.ndarray, d: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 
+from weylgraph.covariant import q_projection
 from weylgraph.linalg import OperatorSubspace, frob, span_operators, unit_roots
 
 
@@ -30,6 +31,14 @@ def cluster_projector(columns) -> np.ndarray:
     ClusterColumns."""
     b = columns.dense()
     return b @ b.conj().T
+
+
+def member_diagonals(unitaries, s: int) -> np.ndarray:
+    """The diagonals of u Q_s u* for every element u of the table, shape
+    (n^2, d) in (p, q) order: one gather per element
+    (GroupAction.orbit_diagonals), not a class row read through a label."""
+    n, _, d = unitaries.perm.shape
+    return unitaries.orbit_diagonals(np.diagonal(q_projection(n, s))).reshape(n * n, d)
 
 
 def member_span(diagonals: np.ndarray, tol: float = 1e-10) -> OperatorSubspace:

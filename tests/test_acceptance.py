@@ -159,10 +159,10 @@ def test_criterion_05_code_compression(capsys):
             base = q_projection(n, s)
             mats = [u @ base @ u.conj().T for u in dense]
             diagonals = np.array([np.diagonal(x) for x in mats])
-            orbits.append(OperatorGraph(n, s, _class_span(diagonals, every), [], diagonals))
+            orbits.append(OperatorGraph(n, s, _class_span(diagonals, every), diagonals, every))
             off_diagonal = max(off_diagonal,
                                max(frob(x - np.diag(np.diagonal(x))) for x in mats))
-        worst, lam, _ = kl_suite_extremes(n, entangled_basis(n), orbits, every)
+        worst, lam, _ = kl_suite_extremes(n, entangled_basis(n), orbits)
         res_worst = max(res_worst, worst + off_diagonal)
         lam_worst = max(lam_worst, lam)
     dt = time.perf_counter() - t0

@@ -8,14 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_oracles import member_diagonals
 from weylgraph.cli import main
 from weylgraph.covariant import q_projection
-from weylgraph.graphs import anticlique_projector, check_knill_laflamme, graph_orbit
+from weylgraph.graphs import anticlique_projector, check_knill_laflamme
 from weylgraph.linalg import frob, tensor_product
 from weylgraph.report import run_verification
 from weylgraph.serialize import (CANONICAL_CHECK_ORDER, anticlique_to_obj, dumps,
                                  format_float, matrix_to_obj, obj_to_matrix)
-from weylgraph.weylrep import EntangledBasis, GroupAction, entangled_basis
+from weylgraph.weylrep import (EntangledBasis, GroupAction, element_unitaries, entangled_basis,
+                               rep_generators)
 
 Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
@@ -336,8 +338,9 @@ def test_kl_check_matches_the_dense_check(n, tmp_path):
     # kl-check compresses the orbit diagonals by the code isometry; the dense
     # P_k X P_k of check_knill_laflamme is its oracle, for every (k, s)
     out = tmp_path / 'kl.json'
+    unitaries = element_unitaries(n, *rep_generators(n))
     for s in range(n):
-        labeled = [(label, np.diag(v)) for label, v in graph_orbit(n, s).provenance]
+        labeled = [(divmod(e, n), np.diag(v)) for e, v in enumerate(member_diagonals(unitaries, s))]
         for k in range(n):
             dense = anticlique_to_obj(check_knill_laflamme(
                 labeled, anticlique_projector(n, k), n=n, k=k, s=s))

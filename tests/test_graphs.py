@@ -14,7 +14,8 @@ import exact_oracles
 import weylgraph.graphs
 import weylgraph.linalg
 from dense_oracles import (cluster_projector, dense_h_generators, dense_subspace_equal,
-                           dense_z_generators, dyad_grid, member_span, rep_element, z_grid)
+                           dense_z_generators, dyad_grid, member_diagonals, member_span,
+                           rep_element, z_grid)
 from weylgraph.graphs import (
     OperatorGraph,
     _class_span,
@@ -285,6 +286,22 @@ def test_theorem2_holds_no_dense_stack():
     assert peak < 16 * n ** 5
 
 
+def test_orbit_graphs_hold_no_member_diagonals():
+    # the n orbit graphs of verify keep n class rows and n basis diagonals
+    # each, 2 x 16 n^4 bytes together, and share one label; the n^2 member
+    # diagonals of every orbit would add 16 n^5 bytes, n times as much
+    n = 12
+    unitaries = element_unitaries(n, *rep_generators(n))
+    tracemalloc.start()
+    try:
+        orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(orbits) == n
+    assert held < 4 * 16 * n ** 4
+
+
 # -- the conjugation orbit ---------------------------------------------------
 
 def test_orbit_contains_base_and_identity():
@@ -319,11 +336,12 @@ def test_class_members_share_their_orbit_diagonal(n):
     label = unitaries.grouping[1]
     for s in range(n):
         graph = graph_orbit(n, s, unitaries=unitaries)
-        members = np.array([v for _, v in graph.provenance])
+        assert graph.label is label
+        members = member_diagonals(unitaries, s)
         assert np.array_equal(members, graph.rows[label])
         base = q_projection(n, s)
-        for (p, q), v in graph.provenance:
-            u = unitaries.dense(p, q)
+        for e, v in enumerate(members):
+            u = unitaries.dense(*divmod(e, n))
             assert frob(np.diag(v) - u @ base @ u.conj().T) <= 1e-12
 
 
@@ -335,7 +353,7 @@ def test_class_row_span_is_the_span_of_every_generator(n):
     for s in range(n):
         graph = graph_orbit(n, s, unitaries=unitaries)
         assert graph.rows.shape == (n, n * n)
-        want = member_span(np.array([v for _, v in graph.provenance]))
+        want = member_span(member_diagonals(unitaries, s))
         assert graph.space.dim == want.dim == n
         cmp_ = subspace_equal(graph.space, want, 1e-12)
         assert cmp_.equal, cmp_.max_residual
@@ -499,10 +517,10 @@ def test_kl_scalar_on_identity():
 def test_kl_orbit_compression():
     # P_k compresses every orbit generator to exactly 1/n
     n = 3
-    graph = graph_orbit(n, 0)
+    members = member_diagonals(element_unitaries(n, *rep_generators(n)), 0)
     pk = anticlique_projector(n, 1)
     report = check_knill_laflamme(
-        [(label, np.diag(v)) for label, v in graph.provenance], pk, tol=1e-10,
+        [(divmod(e, n), np.diag(v)) for e, v in enumerate(members)], pk, tol=1e-10,
         n=n, k=1, s=0)
     assert report.is_anticlique
     assert report.max_residual <= 1e-10
@@ -514,15 +532,14 @@ def _orbit_of(n, s, rows, label):
     """The OperatorGraph of the class rows rows, the diagonals of the
     elements grouped by label."""
     rows = np.asarray(rows)
-    return OperatorGraph(n, s, _class_span(rows, label), [], rows)
+    return OperatorGraph(n, s, _class_span(rows, label), rows, label)
 
 
 def test_kl_suite_extremes_small():
     n = 3
     unitaries = element_unitaries(n, *rep_generators(n))
     orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
-    worst, lam_worst, _ = kl_suite_extremes(n, entangled_basis(n), orbits,
-                                            unitaries.grouping[1])
+    worst, lam_worst, _ = kl_suite_extremes(n, entangled_basis(n), orbits)
     assert worst <= 1e-12
     assert lam_worst <= 1e-12
 
@@ -552,10 +569,10 @@ def test_kl_suite_extremes_matches_dense_oracle(n):
     # each generator is a class of its own, so that every one is compressed
     rng = np.random.default_rng(n)
     diagonals = [list(rng.standard_normal((n * n, n * n))) for _ in range(2)]
-    diagonals.append([v for _, v in graph_orbit(n, 0, unitaries=unitaries).provenance])
+    diagonals.append(list(member_diagonals(unitaries, 0)))
     label = np.arange(n * n)
     worst, lam_worst, _ = kl_suite_extremes(
-        n, basis, [_orbit_of(n, s, diags, label) for s, diags in enumerate(diagonals)], label)
+        n, basis, [_orbit_of(n, s, diags, label) for s, diags in enumerate(diagonals)])
     want = dense_kl_suite_extremes(n, basis.flat(), [[np.diag(v) for v in diags]
                                           for diags in diagonals])
     assert np.allclose((worst, lam_worst), want, rtol=0.0, atol=1e-12)
@@ -579,13 +596,13 @@ def test_kl_anticliques_names_a_tampered_orbit_diagonal(n):
         x[n + 1] += 1e-3
         orbits = [graph_orbit(n, t, unitaries=unitaries) for t in range(n - 1)]
         orbits.append(_orbit_of(n, s, rows, label))
-        check = kl_corollary_check(n, 1e-10, basis, orbits, label)
+        check = kl_corollary_check(n, 1e-10, basis, orbits)
         assert not check.passed
         assert check.max_residual >= 0.99e-3 / n  # a code's diagonal is 1/n
         b = basis.code_isometry
         residuals = [frob((b(k).conj().T * x) @ b(k) - np.eye(n) / n) for k in range(n)]
         k = int(np.argmax(residuals))
-        worst, _, where = kl_suite_extremes(n, basis, orbits, label)
+        worst, _, where = kl_suite_extremes(n, basis, orbits)
         assert where == (k, s, 0, q)
         assert worst == pytest.approx(residuals[k], abs=1e-15)
         assert check.details.endswith(f'; worst at k = {k}, s = {s}, g = (0, {q})')
@@ -694,7 +711,7 @@ def test_theorem2_gram_spectra_are_the_dense_ones(n):
     found = verify_theorem2(n, unitaries=unitaries, orbit_graphs=orbits)[2]
     assert len(found) == (n > 2)
     flat_h = np.array([h.reshape(-1) for h in dense_h_generators(n, y_units(n))])
-    flat_orbit = np.array([v for _, v in orbits[0].provenance])
+    flat_orbit = member_diagonals(unitaries, 0)
     spectra = {'h': span_operators(h_generators(n)).gram_spectrum,
                'orbit': orbits[0].space.gram_spectrum}
     for name, flat in (('h', flat_h), ('orbit', flat_orbit)):
