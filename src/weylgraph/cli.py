@@ -187,7 +187,7 @@ def _cmd_kl_check(args) -> int:
     # the diagonals of the orbit generators, as long as b is an isometry:
     # its measured defect ||b* b - I||_F is added
     b = entangled_basis(n).code_isometry(args.k)
-    residuals, lams = compressions(ClusterColumns.of(b), [0, n], diagonals.reshape(n * n, -1))
+    residuals, lams = compressions(ClusterColumns.of(b), diagonals.reshape(n * n, -1))
     worst = float(residuals.max()) + frob(b.conj().T @ b - np.eye(n))
     labels = [(p, q) for p in range(n) for q in range(n)]
     lambdas = {label: complex(lam) for label, lam in zip(labels, lams[:, 0])}

@@ -210,11 +210,11 @@ def check_knill_laflamme(generators, projection, tol: float = DEFAULT_TOL,
                            lambdas, worst, rank)
 
 
-def compressions(columns: ClusterColumns, tops, rows: np.ndarray):
+def compressions(columns: ClusterColumns, rows: np.ndarray):
     """Knill-Laflamme compression of each diagonal generator X = diag(x), x a
-    row of rows, by each cluster b, the columns tops[j]:tops[j+1] of
-    columns: the residuals || b* X b - lambda I ||_F and the scalars
-    lambda = Tr(b* X b) / rank, each of shape (len(rows), clusters).
+    row of rows, by each cluster b of columns: the residuals
+    || b* X b - lambda I ||_F and the scalars lambda = Tr(b* X b) / rank,
+    each of shape (len(rows), clusters).
 
     Entry (a, c) of b* X b sums conj(b[i, a]) x[i] b[i, c] over the rows i
     where both columns are nonzero.  So the diagonal is one segment sum of
@@ -223,39 +223,36 @@ def compressions(columns: ClusterColumns, tops, rows: np.ndarray):
     a row: never for the columns of one cycle cluster, which lie on distinct
     cycles, nor for the codes, whose columns have disjoint supports.  A
     cluster whose columns do meet, found by a repeated row, takes its
-    off-diagonal entries from its dense columns.  Each gather holds at
-    most linalg._STACK_ENTRIES entries (at least one row of rows), and so
-    does each block of off-diagonal products (at least one column of the
-    cluster)."""
-    tops = np.asarray(tops)
-    ranks = np.diff(tops)
-    ends = np.append(columns.starts, len(columns.rows))
-    key = np.sort(np.repeat(np.arange(len(ranks)) * columns.d, np.diff(ends[tops])) + columns.rows)
-    met = []
-    for j in set((key[1:][key[1:] == key[:-1]] // columns.d).tolist()):
-        first, last = ends[tops[j]], ends[tops[j + 1]]
-        met.append((j, ClusterColumns(columns.d, columns.rows[first:last], columns.entries[first:last],
-                                      columns.starts[tops[j]:tops[j + 1]] - first).dense()))
+    off-diagonal entries from its dense columns.  The rows are taken in
+    chunks: each gather holds at most linalg._STACK_ENTRIES entries (at
+    least one row of rows), and so does each block of off-diagonal products
+    (at least one column of the cluster): only the results hold a value
+    per row and cluster."""
+    ranks, heads = columns.ranks, columns.tops[:-1]
+    key = np.sort(np.repeat(np.arange(len(ranks)) * columns.d, np.diff(columns.ends)) + columns.rows)
+    met = [(j, columns.cluster(j).dense())
+           for j in set((key[1:][key[1:] == key[:-1]] // columns.d).tolist())]
     weight = columns.entries.real ** 2 + columns.entries.imag ** 2
-    diag = np.empty((len(rows), columns.rank), dtype=np.result_type(rows, weight))
-    outer = np.zeros((len(rows), len(ranks)))
+    lam = np.empty((len(rows), len(ranks)), dtype=np.result_type(rows, weight))
+    squares = np.empty((len(rows), len(ranks)))
     step = stack_size(len(columns.rows))
     for lo in range(0, len(rows), step):
         x = rows[lo:lo + step]
-        diag[lo:lo + step] = np.add.reduceat(np.take(x, columns.rows, axis=1) * weight,
-                                             columns.starts, axis=1)
+        diag = np.add.reduceat(np.take(x, columns.rows, axis=1) * weight, columns.starts, axis=1)
+        lam[lo:lo + step] = np.add.reduceat(diag, heads, axis=1) / ranks
+        off = diag - np.repeat(lam[lo:lo + step], ranks, axis=1)
+        squares[lo:lo + step] = np.add.reduceat(off.real ** 2 + off.imag ** 2, heads, axis=1)
         for j, b in met:
             rank = b.shape[1]
             width = stack_size(max(columns.d, len(x)) * rank)
+            outer = np.zeros(len(x))
             for a in range(0, rank, width):
                 pairs = b[:, a:a + width, None].conj() * b[:, None, :]
                 blk = (x @ pairs.reshape(columns.d, -1)).reshape(len(x), -1, rank)
                 cols = np.arange(blk.shape[1])
                 blk[:, cols, a + cols] = 0.0  # the diagonal entries are in diag
-                outer[lo:lo + step, j] += (blk.real ** 2 + blk.imag ** 2).sum(axis=(1, 2))
-    lam = np.add.reduceat(diag, tops[:-1], axis=1) / ranks
-    off = diag - np.repeat(lam, ranks, axis=1)
-    squares = np.add.reduceat(off.real ** 2 + off.imag ** 2, tops[:-1], axis=1) + outer
+                outer += (blk.real ** 2 + blk.imag ** 2).sum(axis=(1, 2))
+            squares[lo:lo + step, j] += outer
     return np.sqrt(squares), lam
 
 
@@ -271,7 +268,7 @@ def kl_suite_extremes(n: int, basis: EntangledBasis, orbits):
     class) order by the first member of its class, read from the orbit's
     label."""
     counts = [len(g.rows) for g in orbits]
-    residual, lam = compressions(ClusterColumns.of(basis.flat()), n * np.arange(n + 1),
+    residual, lam = compressions(ClusterColumns.of(basis.flat(), n * np.arange(n + 1)),
                                  np.concatenate([g.rows for g in orbits]))
     off = np.abs(lam - 1.0 / n)
     dist = np.sqrt(residual ** 2 + n * off ** 2).T
@@ -309,12 +306,12 @@ def spectral_match_check(n: int, tol: float, pi_m: np.ndarray, unitaries: GroupA
         worst = float(n)
         parts.append(f'expected {n} clusters, found {len(clusters.values)}')
     else:
-        for k, rank in enumerate(clusters.ranks.tolist()):
+        for k, rank in enumerate(clusters.columns.ranks.tolist()):
             worst = max(worst, abs(complex(clusters.values[k]) - complex(roots[k])))
             if rank != n:
                 worst = max(worst, float(n))
                 continue
-            b, c = clusters.columns(k).dense(), basis.code_isometry(k)
+            b, c = clusters.columns.cluster(k).dense(), basis.code_isometry(k)
             worst = max(worst, 2 ** 0.5 * frob(b - c @ (c.conj().T @ b)))
     if extra_details:
         parts.append(extra_details)
@@ -426,7 +423,7 @@ class _Census:
         """Count the clusters of the stack of elements (flat (p, q)
         indices, increasing), those of elements[e] repeats[e] times, and
         test the projections seen first there."""
-        ranks = clusters.ranks
+        ranks = clusters.columns.ranks
         keys = list(zip(ranks.tolist(),
                         [round(t, 6) for t in clusters.traces(self.probe).tolist()]))
         hits, new = self._match(clusters, keys)
@@ -456,8 +453,8 @@ class _Census:
             bucket = self.buckets.setdefault(key, [])
             for idx in bucket:
                 seen = idx - len(self.records)
-                other = self.supports[idx] if seen < 0 else clusters.columns(new[seen])
-                distance = 2 * clusters.ranks[c] - 2 * _overlap(other, clusters.columns(c))
+                other = self.supports[idx] if seen < 0 else clusters.columns.cluster(new[seen])
+                distance = 2 * clusters.columns.ranks[c] - 2 * _overlap(other, clusters.columns.cluster(c))
                 if distance <= _MATCH_TOL ** 2:
                     hits[c] = idx
                     break
@@ -472,15 +469,12 @@ class _Census:
         Knill-Laflamme against the orbit: every generator's diagonal is its
         class row, so the largest residual over the class rows is that of
         every generator."""
-        columns, tops = clusters.select(new)
-        worst = compressions(columns, tops, self.orbit.rows)[0].max(axis=0)
-        bounds = np.append(columns.starts, len(columns.rows))[tops].tolist()
+        columns = clusters.columns.select(new)
+        worst = compressions(columns, self.orbit.rows)[0].max(axis=0).tolist()
         owner = elements[np.searchsorted(clusters.first, new, side='right') - 1].tolist()
         for j, c in enumerate(new):
-            a, b = bounds[j], bounds[j + 1]
-            self.supports.append(ClusterColumns(columns.d, columns.rows[a:b], columns.entries[a:b],
-                                                columns.starts[tops[j]:tops[j + 1]] - a))
-            rank, w = int(clusters.ranks[c]), float(worst[j])
+            self.supports.append(columns.cluster(j))
+            rank, w = int(columns.ranks[j]), worst[j]
             self.records.append(ScanProjection(
                 divmod(owner[j], self.qs), complex(clusters.values[c]), rank, 0,
                 compresses=w <= self.tol, kl_residual=w,
@@ -517,12 +511,13 @@ def proposition1_scan(n: int, s: int, tol: float = DEFAULT_TOL,
     (GroupAction.clusters): the eigenvectors live on the cycles of the
     monomial table, and the clusters are guarded by the gather residual
     u V - V Lambda and the orthonormality of each block, so no dense
-    unitary or d x d product is formed.  A cluster P = b b* is read through its columns on their cycles
-    (ClusterColumns), and a record keeps those, cut from arrays of its
-    stack's first sightings (CycleClusters.select) so that the stack itself
-    is not kept.  Dedup buckets by rank and Tr(G* P G) = ||b* G||_F^2
-    for a seeded complex Gaussian d x 2 factor G, a G[pos] gather per
-    cycle (CycleClusters.traces), then matches a cluster with the first
+    unitary or d x d product is formed.  A cluster P = b b* is read
+    through its columns on their cycles (ClusterColumns, each column of the
+    stack held once, sorted by cluster), and a record keeps those, cut from
+    a copy of the stack's first sightings (ClusterColumns.select) so that
+    the stack is not kept.  Dedup buckets by rank and Tr(G* P G) =
+    ||b* G||_F^2 for a seeded complex Gaussian d x 2 factor G, read on the
+    columns' cycles (CycleClusters.traces), then matches a cluster with the first
     record of its bucket, in record order, for which ||P1 - P2||_F^2 =
     2 rank - 2 ||b1* b2||_F^2 is below _MATCH_TOL^2, in one pass over the
     clusters in their order (_Census._match).  With the members certified,

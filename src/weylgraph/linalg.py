@@ -182,12 +182,16 @@ def cluster_eigenvalues(eigs, tol: float = DEFAULT_TOL):
     sizes = np.bincount(run)
     members = ranked.ravel()[np.argsort(run, kind='stable')]
     starts = np.cumsum(sizes) - sizes
-    # diameters over all pairs, one broadcast per distinct cluster size
+    # diameters over all pairs, one broadcast per distinct cluster size, in
+    # chunks of the pairs' first members that hold at most _STACK_ENTRIES
+    # pairs (at least one member of each cluster)
     diam = np.zeros(len(sizes))
     for width in set(sizes[sizes > 1].tolist()):
         which = np.flatnonzero(sizes == width)
         vals = members[starts[which, None] + np.arange(width)]
-        diam[which] = np.abs(vals[:, :, None] - vals[:, None, :]).max(axis=(1, 2))
+        step = stack_size(len(which) * width)
+        diam[which] = np.max([np.abs(vals[:, lo:lo + step, None] - vals[:, None, :]).max(axis=(1, 2))
+                              for lo in range(0, width, step)], axis=0)
     if (diam > gap).any():
         raise DegenerateClusteringError(
             f"degenerate clustering: a linked cluster has diameter "
@@ -275,13 +279,11 @@ class OperatorSubspace:
     """A subspace of operator space, carried by an HS-orthonormal basis.
 
     basis has shape (dim, count, size, size), the blocks of BlockOperators
-    on partition; build_tol is the relative Gram cutoff used to build it,
-    and gram_spectrum the ascending eigenvalues of the generators'
-    Hilbert-Schmidt Gram that span_operators diagonalised.
+    on partition, and gram_spectrum holds the ascending eigenvalues of the
+    generators' Hilbert-Schmidt Gram that span_operators diagonalised.
     """
     partition: np.ndarray
     basis: np.ndarray
-    build_tol: float
     gram_spectrum: np.ndarray
 
     @property
@@ -321,10 +323,10 @@ def span_operators(generators, tol: float = DEFAULT_TOL) -> OperatorSubspace:
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         warnings.warn("all generators are numerically zero; returning the zero subspace")
-        return OperatorSubspace(ops.partition, np.zeros((0, *shape), dtype=complex), tol, w)
+        return OperatorSubspace(ops.partition, np.zeros((0, *shape), dtype=complex), w)
     keep = np.nonzero(w > tol * lam_max)[0][::-1]
     rows = (v[:, keep] / np.sqrt(w[keep])).T @ flat
-    return OperatorSubspace(ops.partition, rows.reshape(-1, *shape), tol, w)
+    return OperatorSubspace(ops.partition, rows.reshape(-1, *shape), w)
 
 
 class SubspaceComparison(NamedTuple):

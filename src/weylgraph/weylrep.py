@@ -100,29 +100,43 @@ class CycleBlock(NamedTuple):
     roots: np.ndarray      # (cycles, L) int
 
 
-class ClusterColumns(NamedTuple):
-    """The orthonormal columns of one spectral cluster, kept on their cycles:
-    column a holds entries[starts[a]:starts[a+1]] in the rows
-    rows[starts[a]:starts[a+1]] of C^d and is zero elsewhere."""
+@dataclass(frozen=True)
+class ClusterColumns:
+    """The orthonormal columns of a run of spectral clusters, kept on their
+    cycles: column a holds entries[starts[a]:starts[a+1]] in the rows
+    rows[starts[a]:starts[a+1]] of C^d and is zero elsewhere, and cluster j
+    owns the columns tops[j]:tops[j+1]."""
     d: int
     rows: np.ndarray     # int
     entries: np.ndarray  # complex
     starts: np.ndarray   # int, one per column, increasing from 0
+    tops: np.ndarray     # int, one per cluster and one more, increasing from 0
 
     @classmethod
-    def of(cls, b: np.ndarray) -> ClusterColumns:
-        """The nonzero entries of the d x rank isometry b, column by column.
-        ValueError for a column with none: a sum over its empty segment
-        (np.add.reduceat) would read the next column's first entry."""
+    def of(cls, b: np.ndarray, tops=None) -> ClusterColumns:
+        """The nonzero entries of the d x rank isometry b, column by column,
+        as one cluster, or as the clusters tops.  ValueError for a column
+        with none: a sum over its empty segment (np.add.reduceat) would read
+        the next column's first entry."""
         column, rows = np.nonzero(b.T)
         counts = np.bincount(column, minlength=b.shape[1])
         if not counts.all():
             raise ValueError("a column of the isometry has no nonzero entry")
-        return cls(b.shape[0], rows, b[rows, column], np.cumsum(counts) - counts)
+        return cls(b.shape[0], rows, b[rows, column], np.cumsum(counts) - counts,
+                   np.asarray([0, b.shape[1]] if tops is None else tops, dtype=np.intp))
 
     @property
     def rank(self) -> int:
         return len(self.starts)
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return np.diff(self.tops)
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Cluster j owns the entries ends[j]:ends[j+1]."""
+        return np.append(self.starts, len(self.rows))[self.tops]
 
     def dense(self) -> np.ndarray:
         """The columns as a d x rank isometry."""
@@ -130,6 +144,25 @@ class ClusterColumns(NamedTuple):
         out = np.zeros((self.d, self.rank), dtype=complex)
         out[self.rows, column] = self.entries
         return out
+
+    def cluster(self, j: int) -> ClusterColumns:
+        """The columns of cluster j, as views of these."""
+        lo, hi = self.ends[j], self.ends[j + 1]
+        return ClusterColumns(self.d, self.rows[lo:hi], self.entries[lo:hi],
+                              self.starts[self.tops[j]:self.tops[j + 1]] - lo,
+                              np.array([0, self.ranks[j]]))
+
+    def select(self, cs) -> ClusterColumns:
+        """The columns of the clusters cs, one after another, in arrays of
+        their own, so that keeping them does not keep these."""
+        cs = np.asarray(cs, dtype=np.intp)
+        lo, hi, ranks = self.ends[cs], self.ends[cs + 1], self.ranks[cs]
+        # column k of the selection starts at its old start less the entries skipped
+        skipped = np.repeat(lo - (np.cumsum(hi - lo) - (hi - lo)), ranks)
+        at = _ranges(lo, hi)
+        return ClusterColumns(self.d, self.rows[at], self.entries[at],
+                              self.starts[_ranges(self.tops[cs], self.tops[cs + 1])] - skipped,
+                              np.concatenate(([0], np.cumsum(ranks))))
 
 
 class ClassBlocks(NamedTuple):
@@ -154,91 +187,42 @@ class CycleClusters:
 
     Clusters are numbered across the stack, element by element and, within
     an element, in angle order: element e owns the clusters first[e]:first[e+1].
-    values[c] is the unimodular representative of cluster c, and
-    labels[b][c, j] the cluster of the eigenvector blocks[b].vectors[c, :, j].
+    values[c] is the unimodular representative of cluster c.  columns holds
+    each eigenvector of the stack once, sorted by cluster; column k lies on
+    a cycle of length lengths[k] and has the eigenvalue
+    exp(2 pi i roots[k] / (N lengths[k])), N the order of the table's roots.
     """
-    d: int
     first: np.ndarray
     values: np.ndarray
-    blocks: list
-    labels: list
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        return np.bincount(np.concatenate([lab.ravel() for lab in self.labels]),
-                           minlength=len(self.values))
+    columns: ClusterColumns
+    roots: np.ndarray
+    lengths: np.ndarray
 
     def exact(self, order: int):
-        """Each cluster's eigenvalues in integers, read from the blocks'
+        """Each cluster's eigenvalues in integers, read from the columns'
         roots over order L: (top, bottom, single), where cluster c holds
         exp(2 pi i top[c] / bottom[c]), the fraction in lowest terms, and
         single[c] is whether it holds no other exact eigenvalue."""
-        label = np.concatenate([lab.ravel() for lab in self.labels])
-        bottom = np.concatenate([np.full(b.roots.size, order * b.roots.shape[1])
-                                 for b in self.blocks])
-        top = np.concatenate([b.roots.ravel() for b in self.blocks]) % bottom
+        bottom = order * self.lengths
+        top = self.roots % bottom
         common = np.gcd(top, bottom)
         top, bottom = top // common, bottom // common
-        count = len(self.values)
-        tops, bottoms = np.zeros(count, dtype=top.dtype), np.zeros(count, dtype=bottom.dtype)
-        tops[label], bottoms[label] = top, bottom
-        other = (top != tops[label]) | (bottom != bottoms[label])
-        return tops, bottoms, np.bincount(label, other, count) == 0
+        heads, ranks = self.columns.tops[:-1], self.columns.ranks
+        other = (top != np.repeat(top[heads], ranks)) | (bottom != np.repeat(bottom[heads], ranks))
+        return top[heads], bottom[heads], ~np.logical_or.reduceat(other, heads)
 
     def traces(self, g: np.ndarray) -> np.ndarray:
         """Tr(g* P_c g) for each cluster projection P_c and a (d, r) factor
-        g: the sum over its columns v of ||v* g||^2, read from g[pos] on
-        each cycle."""
-        out = np.zeros(len(self.values))
-        for b, lab in zip(self.blocks, self.labels):
-            proj = b.vectors.conj().swapaxes(1, 2) @ g[b.positions]
-            forms = (proj.real ** 2 + proj.imag ** 2).sum(axis=2)
-            out += np.bincount(lab.ravel(), forms.ravel(), minlength=len(self.values))
-        return out
-
-    def columns(self, c: int) -> ClusterColumns:
-        """The columns of cluster c on their cycles, as views of the stack."""
-        rows, entries, heads, ends, tops = self._sorted
-        lo, hi = ends[c], ends[c + 1]
-        return ClusterColumns(self.d, rows[lo:hi], entries[lo:hi],
-                              heads[tops[c]:tops[c + 1]] - lo)
-
-    def select(self, cs):
-        """The columns of the clusters cs, one after another, in arrays of
-        their own, so that keeping them does not keep the stack: (columns,
-        tops), where cluster cs[j] owns the columns tops[j]:tops[j+1] of the
-        ClusterColumns columns."""
-        rows, entries, heads, ends, tops = self._sorted
-        cs = np.asarray(cs, dtype=np.intp)
-        ends, tops = np.asarray(ends), np.asarray(tops)
-        lo, hi = ends[cs], ends[cs + 1]
-        ranks = tops[cs + 1] - tops[cs]
-        # column k of the selection starts at heads[k] less the entries skipped
-        skipped = np.repeat(lo - (np.cumsum(hi - lo) - (hi - lo)), ranks)
-        at = _ranges(lo, hi)
-        return (ClusterColumns(self.d, rows[at], entries[at],
-                               heads[_ranges(tops[cs], tops[cs + 1])] - skipped),
-                np.concatenate(([0], np.cumsum(ranks))))
-
-    @cached_property
-    def _sorted(self):
-        """The entries of every column, grouped by cluster, as (rows,
-        entries, heads, ends, tops): cluster c owns the entries
-        ends[c]:ends[c+1] and the columns tops[c]:tops[c+1], and column k
-        starts at entry heads[k]."""
-        label = np.concatenate([lab.ravel() for lab in self.labels])
-        size = np.concatenate([np.full(lab.size, lab.shape[1]) for lab in self.labels])
-        rows = np.concatenate([np.broadcast_to(b.positions[:, None, :], b.vectors.shape).ravel()
-                               for b in self.blocks])
-        entries = np.concatenate([b.vectors.transpose(0, 2, 1).ravel() for b in self.blocks])
-        # the columns sorted by cluster, stably, each with its entries
-        order = np.argsort(label, kind='stable')
-        start, size = (np.cumsum(size) - size)[order], size[order]
-        at = _ranges(start, start + size)
-        heads = np.cumsum(size) - size
-        tops = np.concatenate(([0], np.cumsum(self.ranks)))
-        ends = np.append(heads, len(at))[tops]
-        return rows[at], entries[at], heads, ends.tolist(), tops.tolist()
+        g: the sum over its columns v of ||v* g||^2, read from each column
+        of g on the columns' cycles."""
+        forms = np.zeros(self.columns.rank)
+        for r in range(g.shape[1]):
+            # the conjugate of v* g[:, r], of the same modulus
+            proj = np.add.reduceat(np.take(g[:, r].conj(), self.columns.rows) * self.columns.entries,
+                                   self.columns.starts)
+            forms += proj.real ** 2 + proj.imag ** 2
+        count = len(self.values)
+        return np.bincount(np.repeat(np.arange(count), self.columns.ranks), forms, count)
 
 
 @dataclass(frozen=True)
@@ -469,7 +453,9 @@ class GroupAction:
         V Lambda V* - u = -R V* + u (V V* - I), ||V||_2^2 <= 1 + ||E||_2 and
         V V* - I has the singular values of E, so
         ||V Lambda V* - u||_F <= ||R|| sqrt(1 + ||E||) + ||u||_2 ||E||.
-        ValueError if that bound exceeds 100 tol d for an element.
+        ValueError if that bound exceeds 100 tol d for an element.  The
+        blocks are then read out once, into the columns of the clusters
+        sorted by cluster (CycleClusters.columns), and not kept.
         """
         perm, phase = self._rows(p, q, self.phase)
         count, d = perm.shape
@@ -503,7 +489,19 @@ class GroupAction:
         bound = residual * np.sqrt(1.0 + defect) + np.abs(phase).max(axis=1) * defect
         if (bound > 100.0 * tol * d).any():
             raise ValueError("spectral decomposition failed to reconstruct the input")
-        return CycleClusters(d, first, values, blocks, labels)
+        # each eigenvector once, a column on its cycle, the columns sorted by
+        # cluster and, within one, kept in the order of the blocks
+        by_cluster = np.argsort(flat, kind='stable')
+        lengths = np.concatenate([np.full(b.values.size, b.values.shape[1]) for b in blocks])
+        rows = np.concatenate([np.broadcast_to(b.positions[:, None, :], b.vectors.shape).ravel()
+                               for b in blocks])
+        entries = np.concatenate([b.vectors.transpose(0, 2, 1).ravel() for b in blocks])
+        start, lengths = (np.cumsum(lengths) - lengths)[by_cluster], lengths[by_cluster]
+        at = _ranges(start, start + lengths)
+        tops = np.searchsorted(flat[by_cluster], np.arange(len(values) + 1))
+        columns = ClusterColumns(d, rows[at], entries[at], np.cumsum(lengths) - lengths, tops)
+        roots = np.concatenate([b.roots.ravel() for b in blocks])[by_cluster]
+        return CycleClusters(first, values, columns, roots, lengths)
 
     @property
     def nbytes(self) -> int:

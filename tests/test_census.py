@@ -218,7 +218,7 @@ def _record_isometry(unitaries, rec, tol=DEFAULT_TOL):
     clusters = unitaries.clusters(*rec.element, tol)
     c = int(np.argmin(np.abs(clusters.values - rec.eigenvalue)))
     assert clusters.values[c] == rec.eigenvalue
-    return clusters.columns(c).dense()
+    return clusters.columns.cluster(c).dense()
 
 
 @pytest.mark.parametrize('n', [2, 3, 4, 5, 6])
@@ -347,7 +347,7 @@ def test_span_census_matches_the_per_generator_compression(n):
         assert b.shape[1] == rec.rank
         want = _dense_compression_residual(b, diagonals)
         assert abs(rec.kl_residual - want) <= 1e-12
-        got = compressions(ClusterColumns.of(b), [0, rec.rank], diagonals)[0]
+        got = compressions(ClusterColumns.of(b), diagonals)[0]
         assert abs(float(got.max()) - want) <= 1e-12
         assert rec.compresses == (want <= DEFAULT_TOL)
         assert rec.is_anticlique == (want <= DEFAULT_TOL and rec.rank >= 2)
@@ -363,7 +363,7 @@ def test_census_counts_the_off_diagonal_entries_of_a_shared_cycle():
     diagonals = np.random.default_rng(5).standard_normal((4, 3))
     orbit = _synthetic_orbit(diagonals)
     [rec] = proposition1_scan(1, 0, tol, unitaries=table, orbit=orbit).projections
-    b = table.clusters(0, 0, tol).columns(0).dense()
+    b = table.clusters(0, 0, tol).columns.cluster(0).dense()
     assert rec.rank == b.shape[1] == 3
     want = _dense_compression_residual(b, diagonals)
     diagonal_only = max(frob(np.diag(np.diag((b.conj().T * x) @ b)) - np.mean(x) * np.eye(3))
@@ -391,10 +391,10 @@ def test_cluster_overlaps_match_the_dense_products(n):
     # dense product
     unitaries = element_unitaries(n, *rep_generators(n))
     ones, others = unitaries.clusters(1, 1), unitaries.clusters([0, 2], [1, 1])
-    mine = [ones.columns(c) for c in range(len(ones.values))]
-    theirs = [others.columns(c).dense() for c in range(len(others.values))]
+    mine = [ones.columns.cluster(c) for c in range(len(ones.values))]
+    theirs = [others.columns.cluster(c).dense() for c in range(len(others.values))]
     pairs = [(a, c) for a in range(len(mine)) for c in range(len(theirs))]
-    got = np.array([_overlap(mine[a], others.columns(c)) for a, c in pairs])
+    got = np.array([_overlap(mine[a], others.columns.cluster(c)) for a, c in pairs])
     for (a, c), value in zip(pairs, got):
         dense = mine[a].dense()
         assert frob(dense.conj().T @ dense - np.eye(mine[a].rank)) <= 1e-12
@@ -408,13 +408,14 @@ def test_cluster_overlaps_read_columns_that_share_a_cycle():
     # overlap reads it on either side of the pair
     table = _table([1, 0, 2], np.zeros(3, dtype=int), 1)
     clusters = table.clusters(0, 0, 0.25)
-    b = clusters.columns(0).dense()
+    b = clusters.columns.cluster(0).dense()
     assert (np.count_nonzero(b, axis=1) > 1).any()
     rng = np.random.default_rng(9)
     for _ in range(3):
         c = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
-        cols = ClusterColumns(3, np.array([0, 1, 2, 0, 1, 2]), c.T.ravel(), np.array([0, 3]))
-        for got in (_overlap(cols, clusters.columns(0)), _overlap(clusters.columns(0), cols)):
+        cols = ClusterColumns.of(c)
+        shared = clusters.columns.cluster(0)
+        for got in (_overlap(cols, shared), _overlap(shared, cols)):
             assert abs(got - frob(c.conj().T @ b) ** 2) <= 1e-12
 
 
@@ -429,7 +430,7 @@ def test_cluster_traces_are_the_dense_probe_forms(n):
     clusters = unitaries.clusters([0, 1, 2], [1, 1, 2])
     got = clusters.traces(g)
     for c, value in enumerate(got):
-        proj = cluster_projector(clusters.columns(c))
+        proj = cluster_projector(clusters.columns.cluster(c))
         assert abs(value - np.trace(g.conj().T @ proj @ g).real) <= 1e-12 * n
     shared = _table([1, 0, 2], np.zeros(3, dtype=int), 1).clusters(0, 0, 0.25)
     [value] = shared.traces(g[:3])
@@ -447,7 +448,7 @@ def test_compressions_of_a_dense_isometry_match_the_dense_forms(seed):
     for x in diagonals:
         blk = (b.conj().T * x) @ b
         comps.append(blk - np.trace(blk) / rank * np.eye(rank))
-    residual, lam = compressions(ClusterColumns.of(b), [0, rank], diagonals)
+    residual, lam = compressions(ClusterColumns.of(b), diagonals)
     assert np.allclose(residual[:, 0], [frob(c) for c in comps], rtol=0.0, atol=1e-12)
     assert np.allclose(lam[:, 0], [np.trace((b.conj().T * x) @ b) / rank for x in diagonals],
                        rtol=0.0, atol=1e-12)
@@ -470,6 +471,76 @@ def test_cluster_columns_of_reads_the_nonzeros_of_an_isometry():
         ClusterColumns.of(b)
 
 
+@pytest.mark.parametrize('source', ['dense', 'stack'])
+def test_cluster_columns_slice_like_the_dense_columns(source):
+    # one cluster as views (cluster) and any clusters in any order as
+    # copies (select), against the same columns of the dense isometry: a
+    # dense one read as three clusters, and the clusters of a stack of
+    # elements of different orders
+    if source == 'dense':
+        rng = np.random.default_rng(4)
+        b = np.linalg.qr(rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6)))[0]
+        columns = ClusterColumns.of(b, [0, 1, 4, 6])
+    else:
+        n = 6
+        unitaries = element_unitaries(n, *rep_generators(n))
+        columns = unitaries.clusters([0, 1, 2, 2], [1, 1, 3, 0]).columns
+    b, tops = columns.dense(), columns.tops
+    count = len(tops) - 1
+    assert np.array_equal(columns.ranks, np.diff(tops)) and count >= 3
+    for j in range(count):
+        one = columns.cluster(j)
+        assert one.tops.tolist() == [0, tops[j + 1] - tops[j]]
+        assert np.array_equal(one.dense(), b[:, tops[j]:tops[j + 1]])
+        assert np.shares_memory(one.entries, columns.entries)
+    rng = np.random.default_rng(count)
+    for cs in ([count - 1, 0], rng.permutation(count)[:count // 2], range(count)):
+        picked = columns.select(cs)
+        want = [b[:, tops[c]:tops[c + 1]] for c in cs]
+        assert np.array_equal(picked.dense(), np.hstack(want))
+        assert picked.ranks.tolist() == [w.shape[1] for w in want]
+        assert not np.shares_memory(picked.entries, columns.entries)
+        for j, w in enumerate(want):
+            assert np.array_equal(picked.cluster(j).dense(), w)
+
+
+@pytest.mark.parametrize('n', [4, 6])
+def test_cluster_exact_values_are_the_cluster_values(n):
+    # each cluster's eigenvalue as a fraction in lowest terms, read from
+    # its columns' integer roots over their cycle lengths, for the whole
+    # table as one stack, whose elements have cycles of different lengths;
+    # at a wide tol a cluster holds two exact values
+    unitaries = element_unitaries(n, *rep_generators(n))
+    clusters = unitaries.clusters(*np.divmod(np.arange(n * n), n))
+    assert len(set(clusters.lengths.tolist())) > 2
+    top, bottom, single = clusters.exact(unitaries.order)
+    assert single.all()
+    assert (np.gcd(top, bottom) == 1).all() and ((top >= 0) & (top < bottom)).all()
+    assert np.abs(np.exp(2j * np.pi * top / bottom) - clusters.values).max() <= 1e-12
+    shared = _table([1, 0, 2], np.zeros(3, dtype=int), 1).clusters(0, 0, 0.25)
+    assert shared.exact(1)[2].tolist() == [False]
+
+
+def test_stack_clusters_hold_each_eigenvector_entry_once():
+    # a stack's clusters keep each eigenvector entry once (its row and its
+    # value, 24 B) and a few integers per column, also after a selection,
+    # which is a copy of its own
+    n = 10
+    unitaries = element_unitaries(n, *rep_generators(n))
+    # what the table caches, its grouping and phases, is built before tracing
+    entries, _ = unitaries.cycle_entries(), unitaries.phase
+    stack = np.arange(n, 2 * n)
+    tracemalloc.start()
+    try:
+        clusters = unitaries.clusters(*np.divmod(stack, n))
+        clusters.columns.select(range(len(clusters.values)))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(clusters.columns.rows) == entries[stack].sum()
+    assert held <= 1.5 * 24 * entries[stack].sum(), held / (24 * entries[stack].sum())
+
+
 @pytest.mark.parametrize('n', range(2, 9))
 def test_compressions_match_check_knill_laflamme(n, monkeypatch):
     # three inputs against the dense P X P - lambda P: the codes, every code
@@ -484,13 +555,13 @@ def test_compressions_match_check_knill_laflamme(n, monkeypatch):
     unitaries = element_unitaries(n, *rep_generators(n))
     clusters = unitaries.clusters([0, 1, 1], [1, 0, 1])
     dense = np.linalg.qr(rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3)))[0]
-    inputs = [(ClusterColumns.of(basis.flat()), n * np.arange(n + 1)),
-              clusters.select(range(len(clusters.values))),
-              (ClusterColumns.of(dense), [0, 3])]
-    for (columns, tops), budget in itertools.product(inputs, (weylgraph.linalg._STACK_ENTRIES, 8)):
+    inputs = [ClusterColumns.of(basis.flat(), n * np.arange(n + 1)),
+              clusters.columns.select(range(len(clusters.values))),
+              ClusterColumns.of(dense)]
+    for columns, budget in itertools.product(inputs, (weylgraph.linalg._STACK_ENTRIES, 8)):
         monkeypatch.setattr(weylgraph.linalg, '_STACK_ENTRIES', budget)
-        residual, lam = compressions(columns, tops, diagonals)
-        b = columns.dense()
+        residual, lam = compressions(columns, diagonals)
+        b, tops = columns.dense(), columns.tops
         for j, (lo, hi) in enumerate(zip(tops[:-1], tops[1:])):
             proj = b[:, lo:hi] @ b[:, lo:hi].conj().T
             for g, x in enumerate(diagonals):
@@ -661,10 +732,10 @@ def test_eigenpairs_diagonalise_the_dense_unitary(table):
     assert np.abs(projectors - dec.projectors).max() <= 1e-9
     # the cycle path clusters alike, without the dense unitary
     clusters = table.clusters(0, 0)
-    assert tuple(clusters.ranks) == dec.ranks
+    assert tuple(clusters.columns.ranks) == dec.ranks
     assert np.abs(clusters.values - dec.eigenvalues).max() <= 1e-9
     for c, (proj, rank) in enumerate(zip(dec.projectors, dec.ranks)):
-        cols = clusters.columns(c)
+        cols = clusters.columns.cluster(c)
         assert cols.rank == rank
         assert np.abs(cluster_projector(cols) - proj).max() <= 1e-9
 

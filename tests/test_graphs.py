@@ -436,10 +436,10 @@ def test_spectral_match_clusters_are_the_schur_ones(n):
     _, pi_m, unitaries = _spectral_inputs(n)
     dec = spectral_projections(pi_m)
     clusters = unitaries.clusters(0, 1)
-    assert tuple(clusters.ranks) == dec.ranks
+    assert tuple(clusters.columns.ranks) == dec.ranks
     assert np.abs(clusters.values - dec.eigenvalues).max() <= 1e-12
     for c, proj in enumerate(dec.projectors):
-        assert frob(cluster_projector(clusters.columns(c)) - proj) <= 1e-12
+        assert frob(cluster_projector(clusters.columns.cluster(c)) - proj) <= 1e-12
 
 
 def _one_entry_moved(pi_m, unitaries, basis):
@@ -475,10 +475,10 @@ def test_spectral_match_catches_a_mutation(n, mutate):
 def _dense_spectral_match(n, pi_m, unitaries, basis):
     """The spectral_pk_match residual with both projectors formed densely."""
     clusters = unitaries.clusters(0, 1)
-    assert clusters.ranks.tolist() == [n] * n
+    assert clusters.columns.ranks.tolist() == [n] * n
     roots = unit_roots(n)
     worst = max(max(abs(complex(clusters.values[k]) - complex(roots[k])),
-                    frob(cluster_projector(clusters.columns(k))
+                    frob(cluster_projector(clusters.columns.cluster(k))
                          - anticlique_projector(n, k, basis)))
                 for k in range(n))
     return worst + frob(unitaries.dense(0, 1) - pi_m)
@@ -577,6 +577,26 @@ def test_kl_suite_extremes_matches_dense_oracle(n):
                                           for diags in diagonals])
     assert np.allclose((worst, lam_worst), want, rtol=0.0, atol=1e-12)
     assert want[0] > 0.1
+
+
+def test_kl_anticliques_holds_no_rows_by_columns_array():
+    # compressions takes the n^2 class rows of the n orbits in chunks and
+    # keeps only its (rows, codes) results: the diagonal of every
+    # compression and its deviation from lambda would each be an n^2 x n^2
+    # array, 16 n^4 bytes; the dense code isometry is one of them
+    n = 16
+    basis = entangled_basis(n)
+    unitaries = element_unitaries(n, *rep_generators(n))
+    orbits = [graph_orbit(n, s, unitaries=unitaries) for s in range(n)]
+    kl_corollary_check(n, 1e-10, basis, orbits)
+    tracemalloc.start()
+    try:
+        check = kl_corollary_check(n, 1e-10, basis, orbits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak < 2.5 * 16 * n ** 4, peak / (16 * n ** 4)
 
 
 @pytest.mark.parametrize('n', [3, 4])

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra toolkit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,6 +203,41 @@ def test_cluster_labels_follow_the_angle_order():
     values, labels = cluster_eigenvalues(eigs)
     assert np.allclose(values, [1.0, 1j, -1.0, -1j], atol=1e-12)
     assert labels.tolist() == [2, 1, 0, 0, 3, 0]
+
+
+def test_cluster_diameter_is_taken_in_bounded_chunks():
+    # the identity's one cluster of d eigenvalues: its whole d x d table of
+    # pair distances would be 24 d^2 transient bytes, 24 MiB at d = 1024
+    eigs = np.ones((1, 1024))
+    tracemalloc.start()
+    try:
+        values, labels = cluster_eigenvalues(eigs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.tolist() == [1.0] and not labels.any()
+    assert peak < 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize('seed', range(4))
+def test_cluster_diameter_chunks_change_nothing(seed, monkeypatch):
+    # with a budget of 8 entries the pairs are taken a few first members at
+    # a time: the same clusters come out, and the same diameter is named
+    rng = np.random.default_rng(seed)
+    eigs = np.exp(2j * np.pi * rng.integers(0, 5, (3, 12)) / 5
+                  + 1j * rng.uniform(-2e-11, 2e-11, (3, 12)))
+    # a cluster linked across angle 0 whose widest pair, (0.9, -0.5) x 1e-9,
+    # is its last two members in angle order, the last chunk of pairs
+    wrapped = np.exp(1j * np.array([0.0, 0.4, 0.9, -0.5]) * 1e-9)
+    want = cluster_eigenvalues(eigs)
+    with pytest.raises(DegenerateClusteringError, match='diameter 1.4') as refused:
+        cluster_eigenvalues(wrapped)
+    monkeypatch.setattr('weylgraph.linalg._STACK_ENTRIES', 8)
+    got = cluster_eigenvalues(eigs)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    with pytest.raises(DegenerateClusteringError) as chunked:
+        cluster_eigenvalues(wrapped)
+    assert str(chunked.value) == str(refused.value)
 
 
 def test_spectral_wraparound_cluster():
