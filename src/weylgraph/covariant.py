@@ -66,10 +66,11 @@ def expectation_avg(n: int, x, unitaries: GroupAction | None = None) -> tuple:
     bound).
 
     The average of the real table is block-diagonal on the first-factor
-    blocks T_a = {(a, b) : b}, and GroupAction.average computes it there,
-    per permutation class.  Its class weights vanish off the T_a only up to
-    cancellation, and bound, (1/n^2) sum_k max|W_k off| ||x||_F, covers what
-    that leaves out: a residual of the average adds it.
+    blocks T_a = {(a, b) : b}, which GroupAction.average reads from the
+    table and computes it on, per permutation class.  Its class weights
+    vanish off the T_a only up to cancellation, and bound, (1/n^2) sum_k
+    max|W_k off| ||x||_F, covers what that leaves out: a residual of the
+    average adds it.
 
     x is an n^2 x n^2 matrix or a (k, n^2, n^2) stack of them, averaged
     together; a stack has an array of bounds, one per sample.
@@ -77,7 +78,7 @@ def expectation_avg(n: int, x, unitaries: GroupAction | None = None) -> tuple:
     x = as_operators(x, n * n)
     if unitaries is None:
         unitaries = _default_unitaries(n)
-    return unitaries.average(x, np.arange(n * n).reshape(n, n))
+    return unitaries.average(x)
 
 
 def expectation_trace(n: int, x, units: FixedPointUnits | None = None) -> np.ndarray:

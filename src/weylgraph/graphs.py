@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, BlockOperators, DegenerateClusteringError, OperatorSubspace,
-                     as_operator, cluster_eigenvalues, frob, span_operators,
-                     stack_size, subspace_equal, unit_roots)
+                     as_operator, cluster_eigenvalues, frob, label_partition,
+                     span_operators, stack_size, subspace_equal, unit_roots)
 from .results import CheckResult, Discrepancy, GraphAudit
 from .weylrep import (ClusterColumns, EntangledBasis, GroupAction, element_unitaries,
                       entangled_basis, rep_generators)
@@ -50,15 +50,8 @@ def _factor_blocks(y: np.ndarray):
         if np.array_equal(moved, root):
             break
         root = moved
-    index = np.zeros(d, dtype=np.intp)
-    roots = np.flatnonzero(root == np.arange(d))
-    index[roots] = np.arange(len(roots))
-    comp = index[root]
-    sizes = np.bincount(comp)
-    order = np.argsort(comp, kind='stable')
-    partition = np.full((len(sizes), sizes.max()), -1, dtype=np.intp)
-    partition[comp[order], np.arange(d) - (np.cumsum(sizes) - sizes)[comp[order]]] = order
-    part = comp[support.argmax(axis=1)]  # an empty T_k has a zero column: any part
+    partition = label_partition(root)  # partition[:, 0], the roots, ascend
+    part = np.searchsorted(partition[:, 0], root[support.argmax(axis=1)])  # an empty T_k: any part
     cols = partition[part]
     g = np.where(cols >= 0, y[:, np.arange(count)[:, None], cols], 0.0)
     return partition, part, g
@@ -260,16 +253,17 @@ def kl_suite_extremes(n: int, basis: EntangledBasis, orbits):
     """Worst || P_k X P_k - (1/n) P_k ||_F and |lambda - 1/n| over all (k, s, g)
     for the generators X of the orbit graphs orbits (orbits[s] for the base
     s) and P_k = B_k B_k*, where B_k = basis.code_isometry(k), the columns
-    n k .. n k + n - 1 of basis.flat().  Every orbit's class rows are
-    compressed by every code in one call (compressions).  B_k* X B_k -
+    n k .. n k + n - 1 of basis.flat(), read from a view of basis.vectors.
+    Each orbit's class rows are compressed by every code in one call
+    (compressions), and only the results are concatenated.  B_k* X B_k -
     lambda I is traceless, so its distance to I/n is
     sqrt(residual^2 + n |lambda - 1/n|^2).  Returns (worst, lam_worst,
     (k, s, p, q)), the last naming the first strict maximum in (k, s,
     class) order by the first member of its class, read from the orbit's
     label."""
     counts = [len(g.rows) for g in orbits]
-    residual, lam = compressions(ClusterColumns.of(basis.flat(), n * np.arange(n + 1)),
-                                 np.concatenate([g.rows for g in orbits]))
+    codes = ClusterColumns.of(basis.vectors.reshape(n * n, -1).T, n * np.arange(n + 1))
+    residual, lam = map(np.concatenate, zip(*(compressions(codes, g.rows) for g in orbits)))
     off = np.abs(lam - 1.0 / n)
     dist = np.sqrt(residual ** 2 + n * off ** 2).T
     k, i = divmod(int(np.argmax(dist)), dist.shape[1])

@@ -254,6 +254,18 @@ class BlockOperators(NamedTuple):
         return out[:, :d, :d]
 
 
+def label_partition(label: np.ndarray) -> np.ndarray:
+    """The indices of range(d) grouped by label[i] into the partition of
+    BlockOperators, the parts in the order of their labels: the least
+    member as label orders them by least index."""
+    part = np.unique(label, return_inverse=True)[1].ravel()
+    sizes = np.bincount(part)
+    order = np.argsort(part, kind='stable')
+    partition = np.full((len(sizes), sizes.max()), -1, dtype=np.intp)
+    partition[part[order], np.arange(len(part)) - (np.cumsum(sizes) - sizes)[part[order]]] = order
+    return partition
+
+
 def _operator_stack(generators) -> BlockOperators:
     """The generators of span_operators as BlockOperators."""
     if isinstance(generators, BlockOperators):

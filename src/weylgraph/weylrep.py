@@ -11,14 +11,14 @@ and leaves each fixed-j block invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, as_operator, cluster_eigenvalues, dft_unitary,
-                     frob, frobs, tensor_product, unit_roots)
+from .linalg import (DEFAULT_TOL, BlockOperators, as_operator, cluster_eigenvalues,
+                     dft_unitary, frob, frobs, label_partition, tensor_product, unit_roots)
 from .results import CheckResult
 
 
@@ -165,21 +165,6 @@ class ClusterColumns:
                               np.concatenate(([0], np.cumsum(ranks))))
 
 
-class ClassBlocks(NamedTuple):
-    """The class weights W_k = sum phase phase* of a monomial table (the sum
-    over the elements that carry pi_k) on the diagonal blocks of a partition
-    of range(d), with the measured size of what the blocks leave out.
-
-    cells[k, a] holds the flat indices pi_k[i] d + pi_k[j] of x, and
-    weights[k, a] the entries W_k[i, j], for i, j in block a; out[a] holds
-    the flat indices i d + j.  off is (1/E) sum_k max|W_k| off the blocks,
-    over the E elements of the table."""
-    out: np.ndarray      # (count, size, size) int
-    cells: np.ndarray    # (classes, count, size, size) int
-    weights: np.ndarray  # (classes, count, size, size) complex
-    off: float
-
-
 @dataclass(frozen=True)
 class CycleClusters:
     """The spectral clusters of a stack of monomial unitaries, columns kept
@@ -236,8 +221,6 @@ class GroupAction:
     perm: np.ndarray  # shape (n, n, d), int
     expo: np.ndarray  # shape (n, n, d), int
     order: int
-    _class_blocks: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
 
     @cached_property
     def phase(self) -> np.ndarray:
@@ -251,17 +234,14 @@ class GroupAction:
         """The table grouped by permutation: (perms, label), where perms[k]
         is the k-th distinct permutation in sorted order and label[e] the
         class of the e-th element in (p, q) order.  The rows are compared as
-        big-endian byte strings, whose byte order is the numeric order, so
-        the classes come out as np.unique(axis=0) sorts them, at a tenth of
-        its cost.
+        big-endian byte strings (_row_groups), so the classes come out as
+        np.unique(axis=0) sorts them, at a tenth of its cost.
 
         Computed once per table: change a table by dataclasses.replace, not in
         place."""
-        d = self.perm.shape[-1]
-        flat = self.perm.reshape(-1, d)
-        keys = np.ascontiguousarray(flat, dtype='>i8').view(np.dtype((np.void, 8 * d)))
-        _, first, label = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        return flat[first], label.ravel()
+        flat = self.perm.reshape(-1, self.perm.shape[-1])
+        first, label = _row_groups(flat)
+        return flat[first], label
 
     @cached_property
     def unit_classes(self):
@@ -307,62 +287,66 @@ class GroupAction:
             shift[mine] = np.where(proved, diff[:, 0], -1)
         return first, power, shift
 
-    def class_blocks(self, blocks) -> ClassBlocks:
-        """The class weights W_k on the diagonal blocks of a partition of
-        range(d), given as the rows of the (count, size) index array blocks.
-
-        Computed once per table and partition, one transient d x d W_k per
-        class: change a table by dataclasses.replace, not in place.
-        ValueError if the rows of blocks do not partition range(d)."""
-        blocks = np.asarray(blocks, dtype=np.intp)
-        key = (blocks.shape, blocks.tobytes())
-        if key not in self._class_blocks:
-            self._class_blocks[key] = self._weigh_blocks(blocks)
-        return self._class_blocks[key]
-
-    def _weigh_blocks(self, blocks: np.ndarray) -> ClassBlocks:
-        d = self.perm.shape[-1]
-        if blocks.ndim != 2 or not np.array_equal(np.sort(blocks, axis=None), np.arange(d)):
-            raise ValueError("the rows of blocks do not partition range(d)")
+    @cached_property
+    def class_weights(self):
+        """(weights, off, cells, out): the class weights W_k = sum phase
+        phase* over the elements that carry pi_k, a BlockOperators in class
+        order on the blocks where the average lies.  i and j share a block
+        when every element's exponents less those of its class's first
+        element agree at i and j mod order, read in integers (_row_groups);
+        for the real table the blocks are T_a = {(a, b) : b}, in order.  On a
+        block each W_k is its class size times one rank-one phase product;
+        off them only cancellation makes it vanish, and off = (1/E) sum_k
+        max|W_k| off the blocks, over the E elements, measures what it
+        leaves.  cells[k, a] holds the flat indices pi_k[i] d + pi_k[j] of x
+        and out the flat indices i d + j of the average, for i, j in block a;
+        a padded cell, of weight zero, goes to an entry off the blocks, where
+        the average is zero.  Computed once per table, one transient d x d
+        W_k per class: change a table by dataclasses.replace, not in place."""
         perms, label = self.grouping
+        d = perms.shape[1]
+        expo = self.expo.reshape(-1, d)
+        heads = np.unique(label, return_index=True)[1]
+        least, same = _row_groups(((expo - expo[heads[label]]) % self.order).T)
+        partition = label_partition(least[same])
+        rows, cols = partition[:, :, None], partition[:, None, :]
+        valid = (rows >= 0) & (cols >= 0)
+        inside = (rows * d + cols)[valid]
         phase = self.phase.reshape(-1, d)
-        inside = blocks[:, :, None], blocks[:, None, :]
-        weights, off = [], 0.0
+        blocks, off = [], 0.0
         for k in range(len(perms)):
             members = phase[label == k]
             dense = members.T @ members.conj()
-            weights.append(dense[inside])
-            dense[inside] = 0.0
+            blocks.append(np.where(valid, dense[rows, cols], 0.0))
+            dense.reshape(-1)[inside] = 0.0
             off += float(np.abs(dense).max())
-        rows = perms[:, blocks]
-        return ClassBlocks(blocks[:, :, None] * d + blocks[:, None, :],
-                           rows[..., :, None] * d + rows[..., None, :],
-                           np.array(weights), off / len(label))
+        at = perms[:, partition]
+        out = np.where(valid, rows * d + cols, partition[0, 0] * d + partition[-1, 0])
+        return (BlockOperators(partition, np.array(blocks)), off / len(label),
+                at[..., :, None] * d + at[..., None, :], out.ravel())
 
-    def average(self, x: np.ndarray, blocks) -> tuple:
+    def average(self, x: np.ndarray) -> tuple:
         """(1/E) sum over the E elements of the table of u x u*, kept on the
-        diagonal blocks of a partition of range(d), as (average, bound).
+        blocks of class_weights, as (average, bound).
 
         The elements sharing pi_k contribute W_k o x[pi_k, pi_k] (entrywise
         product); on the blocks that is one gather of x for all classes at
-        once (class_blocks) and a weighted sum over the classes, and the
-        average is zero off them.  There the dense sum is
-        (1/E) sum_k W_k o x[pi_k, pi_k] over the off-block entries, whose
-        Frobenius norm is at most the bound (1/E) sum_k max|W_k off| ||x||_F.
-        With blocks a single row, the average is the dense sum and the
-        bound 0.
+        once and a weighted sum over the classes, and the average is zero
+        off them, where the dense sum has Frobenius norm at most the bound
+        off ||x||_F.  With one block, as for a table whose classes have one
+        member each, the average is the dense sum and the bound 0.
 
         x may be a (k, d, d) stack, averaged in the same gather and scatter,
         with a bound per sample, the array off ||x_j||_F; one d x d matrix
         is a stack of one, with a float bound."""
-        classes = self.class_blocks(blocks)
+        weights, off, cells, out = self.class_weights
         stack = x.reshape(-1, x.shape[-1] ** 2)
-        terms = np.take(stack, classes.cells, axis=1)
-        terms *= classes.weights
-        out = np.zeros(stack.shape, dtype=complex)
-        out[:, classes.out.ravel()] = terms.sum(axis=1).reshape(len(stack), -1) / self.perm[..., 0].size
-        bound = classes.off * frobs(stack)
-        return out.reshape(x.shape), (float(bound[0]) if x.ndim == 2 else bound)
+        terms = np.take(stack, cells, axis=1)
+        terms *= weights.blocks
+        average = np.zeros(stack.shape, dtype=complex)
+        average[:, out] = terms.sum(axis=1).reshape(len(stack), -1) / self.perm[..., 0].size
+        bound = off * frobs(stack)
+        return average.reshape(x.shape), (float(bound[0]) if x.ndim == 2 else bound)
 
     def orbit_diagonals(self, v: np.ndarray) -> np.ndarray:
         """Diagonals of u diag(v) u* for every u = piS^p piM^q, shape (n, n, d):
@@ -517,6 +501,15 @@ def _least_on_cycles(flat: np.ndarray, d: int) -> np.ndarray:
     for _ in range(int(d - 1).bit_length()):
         low, jump = np.minimum(low, low[jump]), jump[jump]
     return low
+
+
+def _row_groups(rows: np.ndarray):
+    """(first, label): label[r] numbers the distinct rows of an integer array
+    in sorted order and first[g] is the first row of group g, the rows compared
+    as big-endian byte strings, whose order is that of nonnegative integers."""
+    keys = np.ascontiguousarray(rows, dtype='>i8').view(np.dtype((np.void, 8 * rows.shape[1])))
+    _, first, label = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    return first, label.ravel()
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

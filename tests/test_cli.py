@@ -396,15 +396,15 @@ def test_kl_check_holds_one_generator_at_a_time(tmp_path):
 
 def test_kl_check_builds_no_class_weights(tmp_path, monkeypatch):
     # kl-check gathers the orbit diagonals and compresses them: the class
-    # weights of GroupAction.class_blocks are for the group average, and
+    # weights of GroupAction.class_weights are for the group average, and
     # the span of the orbit is for the span audit
-    def refuse(self, blocks):
+    def refuse(self):
         raise AssertionError('kl-check built the class weights')
 
     def no_span(*_):
         raise AssertionError('kl-check spanned the orbit')
 
-    monkeypatch.setattr(GroupAction, 'class_blocks', refuse)
+    monkeypatch.setattr(GroupAction, 'class_weights', property(refuse))
     monkeypatch.setattr('weylgraph.graphs.span_operators', no_span)
     assert main(['kl-check', '--n', '5', '--k', '2', '--s', '1',
                  '--json', str(tmp_path / 'kl.json')]) == 0

@@ -166,12 +166,14 @@ def test_trace_form_matches_the_einsum_loop(n):
 @pytest.mark.parametrize('n', range(2, 17))
 def test_real_table_has_n_permutation_classes(n):
     # piS is diagonal, so the class of piS^p piM^q is fixed by q alone; the
-    # weights of each class are kept on the n blocks T_a, n^4 entries in all
+    # table's blocks are the n blocks T_a, in order, and the weights of each
+    # class are kept on them, n^4 entries in all
     table = element_unitaries(n, *rep_generators(n))
-    classes = table.class_blocks(first_factor_blocks(n))
+    weights, off, cells, out = table.class_weights
     assert table.grouping[0].shape == (n, n * n)
-    assert classes.weights.shape == classes.cells.shape == (n, n, n, n)
-    assert classes.off <= 1e-14
+    assert np.array_equal(weights.partition, first_factor_blocks(n))
+    assert weights.blocks.shape == cells.shape == (n, n, n, n)
+    assert off <= 1e-14
 
 
 @st.composite
@@ -198,26 +200,95 @@ def monomial_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(monomial_tables())
 def test_average_by_class_matches_dense_sum(case):
-    # on one block the average is the dense sum and its bound 0; on the
-    # blocks of a random partition into equal blocks it is the dense sum
-    # there, zero elsewhere, and the part left out is within the bound
+    # with one member per class the table has one block, and the average is
+    # the dense sum with the bound 0; otherwise it is the dense sum on the
+    # table's blocks, zero elsewhere, and the part left out is within the
+    # bound
     table, classes, rng = case
     n, d = table.perm.shape[0], table.perm.shape[-1]
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     dense = sum(table.dense(p, q) @ x @ table.dense(p, q).conj().T
                 for p in range(n) for q in range(n)) / (n * n)
     assert len(table.grouping[0]) == classes
-    average, bound = table.average(x, np.arange(d)[None])
-    assert bound == 0.0
-    assert frob(average - dense) <= 1e-12 * d
-    size = rng.choice([s for s in range(1, d) if d % s == 0])
-    blocks = rng.permutation(d).reshape(-1, size)
-    inside = np.zeros((d, d), dtype=bool)
-    inside[blocks[:, :, None], blocks[:, None, :]] = True
-    average, bound = table.average(x, blocks)
+    average, bound = table.average(x)
+    if classes == n * n:
+        assert table.class_weights[0].partition.shape == (1, d)
+        assert bound == 0.0
+    inside = _inside_blocks(table.class_weights[0].partition, d)
     assert not average[~inside].any()
     assert frob((average - dense)[inside]) <= 1e-12 * d
     assert frob(dense[~inside]) <= bound + 1e-12 * d
+
+
+def _inside_blocks(partition, d):
+    """The d x d mask of the diagonal blocks of a padded partition."""
+    owner = np.empty(d, dtype=np.intp)
+    owner[partition[partition >= 0]] = np.nonzero(partition >= 0)[0]
+    return owner[:, None] == owner[None, :]
+
+
+def _assert_blocks_are_the_signatures(table):
+    # the blocks, checked by a loop over the elements: each is exactly the
+    # set of indices with one signature, the exponents less those of the
+    # first element of the class, mod order; off is (1/E) sum_k max|W_k|
+    # off the blocks, from each W_k summed densely, whose entries the
+    # weights keep on the blocks and zero at the padding
+    n, d = table.perm.shape[0], table.perm.shape[-1]
+    perm, expo = table.perm.reshape(-1, d), table.expo.reshape(-1, d)
+    label = np.unique(perm, axis=0, return_inverse=True)[1].ravel()
+    heads = [next(f for f in range(n * n) if label[f] == label[e]) for e in range(n * n)]
+    signature = [tuple((expo[e, i] - expo[heads[e], i]) % table.order for e in range(n * n))
+                 for i in range(d)]
+    weights, off, _, _ = table.class_weights
+    partition = weights.partition
+    assert np.array_equal(np.sort(partition[partition >= 0]), np.arange(d))
+    for row in partition:
+        block = row[row >= 0]
+        assert (row[len(block):] == -1).all() and (np.diff(block) > 0).all()
+        assert {i for i in range(d) if signature[i] == signature[block[0]]} == set(block.tolist())
+    inside = _inside_blocks(partition, d)
+    phase = table.phase.reshape(-1, d)
+    want = np.zeros((label.max() + 1, d, d), dtype=complex)
+    for e in range(n * n):
+        want[label[e]] += np.outer(phase[e], phase[e].conj())
+    assert np.abs(weights.dense() - want * inside).max() <= 1e-12
+    assert off == pytest.approx(np.abs(want * ~inside).max(axis=(1, 2)).sum() / (n * n),
+                                rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_tables())
+def test_class_weights_are_the_signature_blocks(case):
+    _assert_blocks_are_the_signatures(case[0])
+
+
+def _padded_tables():
+    # element (1, 1) of the real n = 3 table turned at index 0: its block
+    # T_0 splits into {0} and {1, 2}; and a table of one class on d = 4 whose
+    # blocks {0, 1}, {2}, {3} leave their largest off-block weight between
+    # the last two, 2 and 3 = d - 1, both padded blocks
+    table = element_unitaries(3, *rep_generators(3))
+    expo = table.expo.copy()
+    expo[1, 1, 0] += 1
+    one_class = GroupAction(np.broadcast_to(np.arange(4), (2, 2, 4)),
+                            np.array([[0, 0, 0, 0], [0, 0, 1, 1],
+                                      [0, 0, 2, 2], [0, 0, 3, 2]]).reshape(2, 2, 4), 4)
+    return {'tampered_n3': dataclasses.replace(table, expo=expo), 'one_class': one_class}
+
+
+@pytest.mark.parametrize('name', ['tampered_n3', 'one_class'])
+def test_class_weights_of_a_padded_partition(name):
+    table = _padded_tables()[name]
+    partition = table.class_weights[0].partition
+    assert (partition < 0).any()
+    _assert_blocks_are_the_signatures(table)
+    x = random_hermitian(table.perm.shape[-1], np.random.default_rng(3))
+    average, bound = table.average(x)
+    dense = class_average(table, x)
+    inside = _inside_blocks(partition, len(x))
+    assert not average[~inside].any()
+    assert frob((average - dense)[inside]) <= 1e-14
+    assert 0.0 < frob(dense[~inside]) <= bound
 
 
 @pytest.mark.filterwarnings('ignore:all generators are numerically zero')
@@ -256,23 +327,13 @@ def test_class_rows_span_the_orbit_of_a_generic_table(case):
 
 def test_replaced_table_recomputes_its_classes():
     n = 3
-    blocks = first_factor_blocks(n)
     table = element_unitaries(n, *rep_generators(n))
     assert len(table.grouping[0]) == n
     perm = table.perm.copy()
     perm[1, 1] = perm[1, 0]  # one element moves to the class of q = 0
     copy = dataclasses.replace(table, perm=perm)
     assert len(copy.grouping[0]) == n
-    assert not np.array_equal(copy.class_blocks(blocks).weights,
-                              table.class_blocks(blocks).weights)
-
-
-@pytest.mark.parametrize('blocks', [[[0, 1, 2], [3, 4, 5]], [[0, 1, 2], [2, 3, 4], [5, 6, 7]],
-                                    [0, 1, 2, 3, 4, 5, 6, 7, 8]])
-def test_class_blocks_refuse_what_is_not_a_partition(blocks):
-    table = element_unitaries(3, *rep_generators(3))
-    with pytest.raises(ValueError, match='partition'):
-        table.class_blocks(blocks)
+    assert not np.array_equal(copy.class_weights[0].blocks, table.class_weights[0].blocks)
 
 
 def test_expectation_unital():
@@ -368,10 +429,10 @@ def _rotate_block_phase(table):
 
 def test_off_block_defect_fails_through_the_bound(monkeypatch):
     n = 3
-    blocks = first_factor_blocks(n)
     table = element_unitaries(n, *rep_generators(n))
     tampered = _rotate_block_phase(table)
-    on_blocks = tampered.class_blocks(blocks).weights - table.class_blocks(blocks).weights
+    assert np.array_equal(tampered.class_weights[0].partition, first_factor_blocks(n))
+    on_blocks = tampered.class_weights[0].blocks - table.class_weights[0].blocks
     assert np.abs(on_blocks).max() <= 1e-15
     units = fixed_units(n)
     x = random_hermitian(n * n, np.random.default_rng(5))
@@ -391,8 +452,10 @@ def test_a_stack_is_averaged_as_each_of_its_matrices(n, k):
     # one gather and one scatter per stack, and one bound per sample: bit
     # for bit the calls on each matrix alone.  The table's block phase is
     # turned (_rotate_block_phase) so that every bound is nonzero and a
-    # bound read from another sample shows; the stray kets of
-    # test_trace_form_matches_the_einsum_loop make supports that overlap
+    # bound read from another sample shows; so are the generic table's,
+    # whose two permutations are shared by several elements each (with one
+    # element per class it has one block and the bound 0); the stray kets
+    # of test_trace_form_matches_the_einsum_loop make supports that overlap
     d = n * n
     rng = np.random.default_rng(40 + k)
     xs = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
@@ -402,11 +465,11 @@ def test_a_stack_is_averaged_as_each_of_its_matrices(n, k):
     stray = units.units.copy()
     stray[0, 0, n] += 1.0
     stray[1, n - 1, d - 1] += 0.5
-    generic = GroupAction(np.array([rng.permutation(d) for _ in range(n * n)]).reshape(n, n, d),
+    pool = np.array([rng.permutation(d) for _ in range(2)])
+    generic = GroupAction(pool[np.arange(n * n) % 2].reshape(n, n, d),
                           rng.integers(0, 7, (n, n, d)), 7)
-    blocks = rng.permutation(d).reshape(n, n)
     cases = [('expectation_avg', lambda x: expectation_avg(n, x, tampered)),
-             ('GroupAction.average', lambda x: generic.average(x, blocks))]
+             ('GroupAction.average', generic.average)]
     for name, average in cases:
         stacked, bounds = average(xs)
         assert stacked.shape == xs.shape and bounds.shape == (k,), name
