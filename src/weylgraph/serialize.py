@@ -8,6 +8,8 @@ order, and no locale- or hash-dependent state is consulted.
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -24,9 +26,9 @@ CANONICAL_CHECK_ORDER = (
 def format_float(x) -> str:
     """17-significant-digit decimal rendering of a finite double."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite value in output")
-    return f'{x:.17g}'
+    return '%.17g' % x
 
 
 def dumps(value) -> str:
@@ -53,6 +55,10 @@ def _emit(value, out: list, indent: int) -> None:
         if not seq:
             out.append('[]')
             return
+        block = _float_block(seq, indent)
+        if block is not None:
+            out.append(block)
+            return
         if all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in seq):
             out.append('[' + ', '.join(_scalar(v) for v in seq) + ']')
             return
@@ -68,6 +74,31 @@ def _emit(value, out: list, indent: int) -> None:
         _emit([value.real, value.imag], out, indent)
     else:
         out.append(_scalar(value))
+
+
+def _float_block(seq: list, indent: int) -> str | None:
+    """The text of a list of floats, or of a list of equal-width lists of
+    floats (a matrix's entries), formatted in one pass; None for any other
+    list.  Only exact floats qualify: a list holding a bool, an int or a
+    numpy scalar takes _emit's generic path, which gives a float the same
+    text."""
+    kinds = set(map(type, seq))
+    if kinds == {float}:
+        flat = tuple(seq)
+        text = '[' + ', '.join(['%.17g'] * len(flat)) + ']'
+    elif kinds == {list} and len(set(map(len, seq))) == 1:
+        flat = tuple(chain.from_iterable(seq))
+        if set(map(type, flat)) != {float}:
+            return None
+        row = '  ' * (indent + 1) + '[' + ', '.join(['%.17g'] * len(seq[0])) + ']'
+        text = '[\n' + ',\n'.join([row] * len(seq)) + '\n' + '  ' * indent + ']'
+    else:
+        return None
+    text %= flat
+    # 'inf' and 'nan' hold an n; a finite %.17g text never does
+    if 'n' in text:
+        raise ValueError("non-finite value in output")
+    return text
 
 
 def _scalar(value) -> str:
@@ -102,7 +133,7 @@ def matrix_to_obj(m) -> dict:
         raise ValueError(f'expected a square matrix or a vector, got shape {arr.shape}')
     if not np.isfinite(arr).all():
         raise ValueError('entries must be finite')
-    return {'dim': dim, 'entries': [[float(v.real), float(v.imag)] for v in flat]}
+    return {'dim': dim, 'entries': np.stack([flat.real, flat.imag], axis=1).tolist()}
 
 
 def obj_to_matrix(obj: dict) -> np.ndarray:
